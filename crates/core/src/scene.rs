@@ -8,10 +8,11 @@
 //! widgets, and layout frames is built once from a generated interface,
 //! and a damage-tracking diff pass turns each batch of
 //! [`ChartUpdate`](crate::session::ChartUpdate)s into a compact
-//! [`SceneDelta`] — marks added/removed/re-encoded, data patches as Arc'd
-//! column slices, and dirty-rect hints. Render backends (ASCII, spec JSON,
-//! the interactive HTML client, future wgpu/WASM targets) are pure
-//! consumers of snapshots and deltas.
+//! [`SceneDelta`]: the re-encoded fields of each damaged chart plus one
+//! [`DataPatch`] — a value-verified row edit script, or a full replacement
+//! when the field list changed or no old row survives. Render backends
+//! (ASCII, spec JSON, the interactive HTML client, future wgpu/WASM
+//! targets) are pure consumers of snapshots and deltas.
 //!
 //! Invariant (checked by the `scene-parity` conformance oracle and the
 //! server's delta property tests): for any event sequence, applying the
@@ -154,7 +155,7 @@ pub struct ChartScene {
     pub columns: Vec<ColumnSlice>,
     /// Mark (row) count.
     pub rows: usize,
-    /// Layout frame, used as the dirty-rect hint when the chart changes.
+    /// Layout frame: the screen rectangle the chart is drawn in.
     pub frame: Rect,
     /// The result set the columns were transposed from. Identity-only
     /// cache key for the incremental rebuild fast path; excluded from
@@ -474,6 +475,12 @@ impl SceneGraph {
                 .iter_mut()
                 .find(|c| c.node == patch.node)
                 .ok_or_else(|| internal(format!("unknown scene node {:#x}", patch.node.raw)))?;
+            // Validate the data patch before touching any field.
+            let data = patch
+                .data
+                .as_ref()
+                .map(|d| apply_data(&chart.columns, chart.rows, d))
+                .transpose()?;
             if let Some(q) = &patch.query {
                 chart.query = q.clone();
             }
@@ -486,8 +493,7 @@ impl SceneGraph {
             if let Some(a) = &patch.axes {
                 chart.axes = a.clone();
             }
-            if let Some(data) = &patch.data {
-                let (columns, rows) = apply_data(&chart.columns, chart.rows, data)?;
+            if let Some((columns, rows)) = data {
                 chart.columns = columns;
                 chart.rows = rows;
             }
@@ -513,7 +519,7 @@ fn internal(msg: String) -> SessionError {
 // Deltas
 // ---------------------------------------------------------------------------
 
-/// One op of a row-level edit script (see [`DataPatch::edits`]). The ops
+/// One op of a row-level edit script (see [`DataPatch::Edits`]). The ops
 /// walk the old rows front to back; keeps and drops consume old rows,
 /// inserts splice in new ones.
 #[derive(Debug, Clone, PartialEq)]
@@ -527,85 +533,16 @@ pub enum RowEdit {
     Insert(Vec<ColumnSlice>),
 }
 
-/// A splice of a chart's mark data: keep the old rows
-/// `[drop_head, old_rows - drop_tail)`, prepend and append the payload
-/// columns. A full replacement drops every old row and carries the whole
-/// new column set in `prepend` (which also re-establishes the field list
-/// when the query's output schema changed).
-///
-/// When contiguous head/tail damage can't describe the change compactly
-/// (row turnover scattered through the result), [`DataPatch::edits`]
-/// carries a row-level edit script instead; a non-empty script is
-/// authoritative and the splice fields are ignored.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DataPatch {
-    /// Old rows removed from the front.
-    pub drop_head: usize,
-    /// Old rows removed from the back.
-    pub drop_tail: usize,
-    /// Columns of rows inserted before the kept block.
-    pub prepend: Vec<ColumnSlice>,
-    /// Columns of rows appended after the kept block.
-    pub append: Vec<ColumnSlice>,
-    /// Row-level edit script; when non-empty it replaces the splice
-    /// fields entirely and must consume exactly the old row count.
-    pub edits: Vec<RowEdit>,
-}
-
-impl DataPatch {
-    /// Empty patch; chain the setters.
-    pub fn new() -> Self {
-        DataPatch::default()
-    }
-
-    /// Set the rows dropped from the front.
-    pub fn drop_head(mut self, n: usize) -> Self {
-        self.drop_head = n;
-        self
-    }
-
-    /// Set the rows dropped from the back.
-    pub fn drop_tail(mut self, n: usize) -> Self {
-        self.drop_tail = n;
-        self
-    }
-
-    /// Set the prepended columns.
-    pub fn prepend(mut self, columns: Vec<ColumnSlice>) -> Self {
-        self.prepend = columns;
-        self
-    }
-
-    /// Set the appended columns.
-    pub fn append(mut self, columns: Vec<ColumnSlice>) -> Self {
-        self.append = columns;
-        self
-    }
-
-    /// Set the row-level edit script (authoritative when non-empty).
-    pub fn edits(mut self, edits: Vec<RowEdit>) -> Self {
-        self.edits = edits;
-        self
-    }
-
-    /// Payload size in rows (prepended + appended, or the edit script's
-    /// inserted rows when one is present).
-    pub fn payload_rows(&self) -> usize {
-        if !self.edits.is_empty() {
-            return self
-                .edits
-                .iter()
-                .map(|e| match e {
-                    RowEdit::Insert(cols) => cols.first().map(|c| c.values.len()).unwrap_or(0),
-                    _ => 0,
-                })
-                .sum();
-        }
-        let pre = self.prepend.first().map(|c| c.values.len()).unwrap_or(0);
-        let app = self.append.first().map(|c| c.values.len()).unwrap_or(0);
-        pre + app
-    }
+/// A change to a chart's mark data.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DataPatch {
+    /// The whole new column set. Sent when the query's output fields
+    /// changed (this re-establishes the field list) or when no row of the
+    /// old data provably survives.
+    Replace(Vec<ColumnSlice>),
+    /// A row-level edit script over the old rows. It must consume exactly
+    /// the old row count, and every insert must match the field list.
+    Edits(Vec<RowEdit>),
 }
 
 /// Damage record for one chart node.
@@ -624,31 +561,14 @@ pub struct ChartPatch {
     pub encodings: Option<Vec<Encoding>>,
     /// New axes, when a domain moved.
     pub axes: Option<Vec<AxisScene>>,
-    /// Data splice, when marks changed.
+    /// Data patch, when marks changed.
     pub data: Option<DataPatch>,
-    /// Marks added by the splice.
-    pub marks_added: usize,
-    /// Marks removed by the splice.
-    pub marks_removed: usize,
-    /// Dirty-rect hint: the chart's layout frame.
-    pub dirty: Option<Rect>,
 }
 
 impl ChartPatch {
     /// A patch touching `node`; chain the setters.
     pub fn new(node: SceneNodeId, chart: ChartId) -> Self {
-        ChartPatch {
-            node,
-            chart,
-            query: None,
-            mark: None,
-            encodings: None,
-            axes: None,
-            data: None,
-            marks_added: 0,
-            marks_removed: 0,
-            dirty: None,
-        }
+        ChartPatch { node, chart, query: None, mark: None, encodings: None, axes: None, data: None }
     }
 
     /// Set the new query text.
@@ -675,17 +595,9 @@ impl ChartPatch {
         self
     }
 
-    /// Set the data splice and its mark counts.
-    pub fn data(mut self, patch: DataPatch, added: usize, removed: usize) -> Self {
+    /// Set the data patch.
+    pub fn data(mut self, patch: DataPatch) -> Self {
         self.data = Some(patch);
-        self.marks_added = added;
-        self.marks_removed = removed;
-        self
-    }
-
-    /// Set the dirty-rect hint.
-    pub fn dirty(mut self, rect: Rect) -> Self {
-        self.dirty = Some(rect);
         self
     }
 }
@@ -765,35 +677,6 @@ fn row_keys(columns: &[ColumnSlice], rows: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Longest common contiguous block `(a_start, b_start, len)` of two key
-/// sequences. Falls back to a prefix/suffix heuristic past a work cap so
-/// pathological result sizes stay O(n).
-fn longest_common_block(a: &[u64], b: &[u64]) -> (usize, usize, usize) {
-    if a.is_empty() || b.is_empty() {
-        return (0, 0, 0);
-    }
-    const WORK_CAP: usize = 4_000_000;
-    if a.len().saturating_mul(b.len()) > WORK_CAP {
-        let p = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
-        let s = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
-        let s = s.min(a.len().min(b.len()).saturating_sub(p));
-        return if p >= s { (0, 0, p) } else { (a.len() - s, b.len() - s, s) };
-    }
-    let mut best = (0usize, 0usize, 0usize);
-    let mut prev = vec![0u32; b.len() + 1];
-    let mut cur = vec![0u32; b.len() + 1];
-    for i in 1..=a.len() {
-        for j in 1..=b.len() {
-            cur[j] = if a[i - 1] == b[j - 1] { prev[j - 1] + 1 } else { 0 };
-            if cur[j] as usize > best.2 {
-                best = (i - cur[j] as usize, j - cur[j] as usize, cur[j] as usize);
-            }
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    best
-}
-
 fn slice_columns(columns: &[ColumnSlice], range: std::ops::Range<usize>) -> Vec<ColumnSlice> {
     columns
         .iter()
@@ -804,33 +687,23 @@ fn slice_columns(columns: &[ColumnSlice], range: std::ops::Range<usize>) -> Vec<
         .collect()
 }
 
-fn block_equal(old: &[ColumnSlice], new: &[ColumnSlice], os: usize, ns: usize, len: usize) -> bool {
-    old.iter().zip(new.iter()).all(|(a, b)| a.values[os..os + len] == b.values[ns..ns + len])
-}
-
-fn full_replace(old_rows: usize, new: &ChartScene) -> DataPatch {
-    DataPatch::new().drop_head(old_rows).prepend(slice_columns(&new.columns, 0..new.rows))
-}
-
 /// Row-level edit script between two same-schema column sets: anchor on
 /// rows whose key is unique in *both* sequences, keep the longest chain of
 /// anchors increasing on both sides, and emit keep/drop/insert runs
-/// between them. This is what keeps a delta small when row turnover is
-/// scattered through the result (a filter on a non-sort column moved) and
-/// no single contiguous block survives. Returns `(edits, inserted,
-/// removed)`, or `None` when no anchor survives value verification.
-fn edit_script(
-    old: &ChartScene,
-    new: &ChartScene,
-    ka: &[u64],
-    kb: &[u64],
-) -> Option<(Vec<RowEdit>, usize, usize)> {
+/// between them. A pan or zoom over sorted output becomes one drop, one
+/// keep and one insert; row turnover scattered through the result (a
+/// filter on a non-sort column moved) becomes short runs around the
+/// surviving rows. Returns `None` when no anchor survives value
+/// verification.
+fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<Vec<RowEdit>> {
     use std::collections::HashMap;
     #[derive(Clone, Copy)]
     enum Seen {
         Once(usize),
         Dup,
     }
+    let ka = row_keys(&old.columns, old.rows);
+    let kb = row_keys(&new.columns, new.rows);
     let mut seen_old: HashMap<u64, Seen> = HashMap::with_capacity(ka.len());
     for (i, k) in ka.iter().enumerate() {
         seen_old.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(i));
@@ -878,13 +751,11 @@ fn edit_script(
     }
     let mut edits: Vec<RowEdit> = Vec::new();
     let (mut ai, mut bi) = (0usize, 0usize);
-    let mut inserted = 0usize;
     for &(i, j) in &chain {
         if i > ai {
             edits.push(RowEdit::Drop(i - ai));
         }
         if j > bi {
-            inserted += j - bi;
             edits.push(RowEdit::Insert(slice_columns(&new.columns, bi..j)));
         }
         match edits.last_mut() {
@@ -898,49 +769,39 @@ fn edit_script(
         edits.push(RowEdit::Drop(old.rows - ai));
     }
     if new.rows > bi {
-        inserted += new.rows - bi;
         edits.push(RowEdit::Insert(slice_columns(&new.columns, bi..new.rows)));
     }
-    Some((edits, inserted, old.rows - chain.len()))
+    Some(edits)
 }
 
-/// Diff one chart's data: `None` when unchanged, otherwise the smallest
-/// damage this pass can prove correct — a head/tail splice around a kept
-/// block when the change is contiguous, or a row-level edit script when
-/// the turnover is scattered (both verified by value, not just by hash).
-fn diff_data(old: &ChartScene, new: &ChartScene) -> Option<(DataPatch, usize, usize)> {
-    let same_fields = old.columns.len() == new.columns.len()
-        && old.columns.iter().zip(new.columns.iter()).all(|(a, b)| a.field == b.field);
-    if same_fields && old.rows == new.rows && old.columns == new.columns {
+/// Diff one chart's data: `None` when unchanged, otherwise the verified
+/// edit script, or a full replacement when the field list changed or no
+/// row provably survives.
+fn diff_data(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
+    if old.rows == new.rows && old.columns == new.columns {
         return None;
     }
-    if !same_fields {
-        return Some((full_replace(old.rows, new), new.rows, old.rows));
-    }
-    let ka = row_keys(&old.columns, old.rows);
-    let kb = row_keys(&new.columns, new.rows);
-    let (os, ns, mut len) = longest_common_block(&ka, &kb);
-    if len > 0 && !block_equal(&old.columns, &new.columns, os, ns, len) {
-        len = 0; // hash collision: fall back to a full replacement
-    }
-    // Prefer the edit script when its payload (inserted rows plus a small
-    // per-op charge, so a thousand one-row keeps can't beat a clean
-    // splice) undercuts the splice's prepend+append payload.
-    let splice_payload = new.rows - len;
-    if let Some((edits, inserted, removed)) = edit_script(old, new, &ka, &kb) {
-        if inserted + edits.len() / 2 < splice_payload {
-            return Some((DataPatch::new().edits(edits), inserted, removed));
+    let same_fields = old.columns.len() == new.columns.len()
+        && old.columns.iter().zip(new.columns.iter()).all(|(a, b)| a.field == b.field);
+    let edits = if same_fields { edit_script(old, new) } else { None };
+    Some(edits.map_or_else(|| DataPatch::Replace(new.columns.clone()), DataPatch::Edits))
+}
+
+/// Check that every column carries exactly `rows` values.
+fn check_rows(columns: &[ColumnSlice], rows: usize) -> Result<(), String> {
+    match columns.iter().find(|c| c.values.len() != rows) {
+        Some(c) => {
+            Err(format!("column {} has {} values, expected {rows}", c.field, c.values.len()))
         }
+        None => Ok(()),
     }
-    if len == 0 {
-        return Some((full_replace(old.rows, new), new.rows, old.rows));
-    }
-    let patch = DataPatch::new()
-        .drop_head(os)
-        .drop_tail(old.rows - os - len)
-        .prepend(slice_columns(&new.columns, 0..ns))
-        .append(slice_columns(&new.columns, ns + len..new.rows));
-    Some((patch, new.rows - len, old.rows - len))
+}
+
+/// The row count of a column block whose columns must agree on it.
+fn block_rows(columns: &[ColumnSlice]) -> Result<usize, String> {
+    let rows = columns.first().map_or(0, |c| c.values.len());
+    check_rows(columns, rows)?;
+    Ok(rows)
 }
 
 fn apply_data(
@@ -948,66 +809,27 @@ fn apply_data(
     old_rows: usize,
     patch: &DataPatch,
 ) -> Result<(Vec<ColumnSlice>, usize), SessionError> {
-    if !patch.edits.is_empty() {
-        return apply_edits(old, old_rows, &patch.edits);
-    }
-    let kept_start = patch.drop_head.min(old_rows);
-    let kept_end = old_rows.saturating_sub(patch.drop_tail).max(kept_start);
-    let kept = kept_end - kept_start;
-    if kept == 0 {
-        // Full replacement: the payload defines the field list.
-        let rows = patch.payload_rows();
-        if patch.prepend.len() != patch.append.len() && !patch.append.is_empty() {
-            return Err(internal("data patch prepend/append field mismatch".into()));
+    match patch {
+        DataPatch::Replace(columns) => {
+            Ok((columns.clone(), block_rows(columns).map_err(internal)?))
         }
-        let columns = patch
-            .prepend
-            .iter()
-            .enumerate()
-            .map(|(i, pre)| {
-                let mut values = pre.values.as_ref().clone();
-                if let Some(app) = patch.append.get(i) {
-                    values.extend(app.values.iter().cloned());
-                }
-                ColumnSlice { field: pre.field.clone(), values: Arc::new(values) }
-            })
-            .collect();
-        return Ok((columns, rows));
+        DataPatch::Edits(edits) => apply_edits(old, old_rows, edits),
     }
-    let mut columns = Vec::with_capacity(old.len());
-    for (i, col) in old.iter().enumerate() {
-        let pre = patch.prepend.get(i);
-        let app = patch.append.get(i);
-        for payload in [pre, app].into_iter().flatten() {
-            if payload.field != col.field {
-                return Err(internal(format!(
-                    "data patch field {} does not match column {}",
-                    payload.field, col.field
-                )));
-            }
-        }
-        let mut values: Vec<Value> = pre.map(|p| p.values.as_ref().clone()).unwrap_or_default();
-        values.extend(col.values[kept_start..kept_end].iter().cloned());
-        if let Some(a) = app {
-            values.extend(a.values.iter().cloned());
-        }
-        columns.push(ColumnSlice { field: col.field.clone(), values: Arc::new(values) });
-    }
-    let rows = patch.payload_rows() + kept;
-    Ok((columns, rows))
 }
 
-/// Apply a row-level edit script. The script must consume exactly
-/// `old_rows` (keeps + drops) and every insert must match the chart's
-/// field list.
+/// Apply a row-level edit script. The old columns must each hold
+/// `old_rows` values, the script must consume exactly `old_rows` (keeps +
+/// drops), and every insert must match the chart's field list with columns
+/// of equal length.
 fn apply_edits(
     old: &[ColumnSlice],
     old_rows: usize,
     edits: &[RowEdit],
 ) -> Result<(Vec<ColumnSlice>, usize), SessionError> {
+    check_rows(old, old_rows).map_err(internal)?;
     let mut out: Vec<(String, Vec<Value>)> =
         old.iter().map(|c| (c.field.clone(), Vec::new())).collect();
-    let mut cursor = 0usize;
+    let (mut cursor, mut rows) = (0usize, 0usize);
     for op in edits {
         match op {
             RowEdit::Keep(n) => {
@@ -1019,6 +841,7 @@ fn apply_edits(
                     values.extend(col.values[cursor..end].iter().cloned());
                 }
                 cursor = end;
+                rows += n;
             }
             RowEdit::Drop(n) => {
                 cursor = cursor
@@ -1030,6 +853,7 @@ fn apply_edits(
                 if cols.len() != old.len() {
                     return Err(internal("edit script insert field-count mismatch".into()));
                 }
+                rows += block_rows(cols).map_err(internal)?;
                 for (slice, (field, values)) in cols.iter().zip(out.iter_mut()) {
                     if slice.field != *field {
                         return Err(internal(format!(
@@ -1045,7 +869,6 @@ fn apply_edits(
     if cursor != old_rows {
         return Err(internal("edit script does not consume every old row".into()));
     }
-    let rows = out.first().map(|(_, v)| v.len()).unwrap_or(0);
     let columns = out
         .into_iter()
         .map(|(field, values)| ColumnSlice { field, values: Arc::new(values) })
@@ -1076,10 +899,10 @@ fn diff_graphs(old: &SceneGraph, new: &SceneGraph) -> SceneDelta {
         if o.axes != n.axes {
             patch = patch.axes(n.axes.clone());
         }
-        if let Some((data, added, removed)) = diff_data(o, n) {
-            patch = patch.data(data, added, removed);
+        if let Some(data) = diff_data(o, n) {
+            patch = patch.data(data);
         }
-        delta = delta.chart(patch.dirty(n.frame));
+        delta = delta.chart(patch);
     }
     for n in &new.widgets {
         let Some(o) = old.widgets.iter().find(|w| w.node == n.node) else {
@@ -1177,9 +1000,8 @@ impl SceneState {
 
 /// A render backend: anything that can turn an interface plus current data
 /// into an output artifact (ASCII text, a spec document, an HTML page, a
-/// GPU scene). Replaces the old free-function surface
-/// (`render_interface`, `render_session`, `interface_spec`, `chart_spec`);
-/// `pi2-render` ships `AsciiRenderer`, `SpecRenderer`, and `HtmlRenderer`.
+/// GPU scene). `pi2-render` ships `AsciiRenderer`, `SpecRenderer`, and
+/// `HtmlRenderer`.
 pub trait Renderer {
     /// The backend's output artifact.
     type Output;
@@ -1523,6 +1345,8 @@ pub fn scene_from_json(v: &Json) -> Result<SceneGraph, String> {
                     .ok_or(format!("chart needs {k}"))
             };
             let columns = columns_from_json(c.get("columns").unwrap_or(&Json::Null))?;
+            let rows = c.get("rows").and_then(Json::as_u64).ok_or("chart needs rows")? as usize;
+            check_rows(&columns, rows)?;
             Ok(ChartScene {
                 node: node_from_json(c.get("node"))?,
                 chart: c.get("chart").and_then(Json::as_u64).ok_or("chart needs an id")? as usize,
@@ -1551,7 +1375,7 @@ pub fn scene_from_json(v: &Json) -> Result<SceneGraph, String> {
                     .iter()
                     .map(axis_from_json)
                     .collect::<Result<Vec<_>, String>>()?,
-                rows: c.get("rows").and_then(Json::as_u64).ok_or("chart needs rows")? as usize,
+                rows,
                 columns,
                 frame: rect_from_json(c.get("frame").unwrap_or(&Json::Null))?,
                 source: None,
@@ -1647,37 +1471,25 @@ pub fn delta_to_json(d: &SceneDelta) -> Json {
                 o.insert("axes".into(), Json::Array(a.iter().map(axis_json).collect()));
             }
             if let Some(data) = &p.data {
-                let mut d = serde_json::Map::new();
-                d.insert("drop_head".into(), json!(data.drop_head));
-                d.insert("drop_tail".into(), json!(data.drop_tail));
-                d.insert("prepend".into(), columns_json(&data.prepend));
-                d.insert("append".into(), columns_json(&data.append));
-                if !data.edits.is_empty() {
+                let d = match data {
+                    DataPatch::Replace(columns) => json!({ "replace": columns_json(columns) }),
                     // Compact op encoding: a positive integer keeps that
                     // many old rows, a negative one drops them, and an
                     // array is an inserted column block. Scattered-churn
                     // scripts carry hundreds of ops, so per-op bytes
                     // dominate the frame.
-                    d.insert(
-                        "edits".into(),
-                        Json::Array(
-                            data.edits
-                                .iter()
-                                .map(|op| match op {
-                                    RowEdit::Keep(n) => json!(*n as i64),
-                                    RowEdit::Drop(n) => json!(-(*n as i64)),
-                                    RowEdit::Insert(cols) => columns_json(cols),
-                                })
-                                .collect(),
-                        ),
-                    );
-                }
-                o.insert("data".into(), Json::Object(d));
-            }
-            o.insert("marks_added".into(), json!(p.marks_added));
-            o.insert("marks_removed".into(), json!(p.marks_removed));
-            if let Some(r) = p.dirty {
-                o.insert("dirty".into(), rect_json(r));
+                    DataPatch::Edits(edits) => json!({
+                        "edits": edits
+                            .iter()
+                            .map(|op| match op {
+                                RowEdit::Keep(n) => json!(*n as i64),
+                                RowEdit::Drop(n) => json!(-(*n as i64)),
+                                RowEdit::Insert(cols) => columns_json(cols),
+                            })
+                            .collect::<Vec<_>>(),
+                    }),
+                };
+                o.insert("data".into(), d);
             }
             Json::Object(o)
         }).collect::<Vec<_>>(),
@@ -1687,6 +1499,22 @@ pub fn delta_to_json(d: &SceneDelta) -> Json {
             "state": widget_state_to_json(&p.state),
         })).collect::<Vec<_>>(),
     })
+}
+
+fn edit_from_json(op: &Json) -> Result<RowEdit, String> {
+    if let Some(n) = op.as_i64() {
+        return match n {
+            n if n > 0 => Ok(RowEdit::Keep(n as usize)),
+            n if n < 0 => Ok(RowEdit::Drop(n.unsigned_abs() as usize)),
+            _ => Err("zero-length edit op".to_string()),
+        };
+    }
+    if op.as_array().is_some() {
+        let columns = columns_from_json(op)?;
+        block_rows(&columns)?;
+        return Ok(RowEdit::Insert(columns));
+    }
+    Err("bad edit op".to_string())
 }
 
 /// Decode one delta frame (the client side of `render_delta`).
@@ -1714,43 +1542,23 @@ pub fn delta_from_json(v: &Json) -> Result<SceneDelta, String> {
             patch = patch.axes(a.iter().map(axis_from_json).collect::<Result<Vec<_>, String>>()?);
         }
         if let Some(data) = p.get("data") {
-            let num = |k: &str| {
-                data.get(k)
-                    .and_then(Json::as_u64)
-                    .map(|n| n as usize)
-                    .ok_or(format!("data needs {k}"))
-            };
-            let mut dp = DataPatch::new()
-                .drop_head(num("drop_head")?)
-                .drop_tail(num("drop_tail")?)
-                .prepend(columns_from_json(data.get("prepend").unwrap_or(&Json::Null))?)
-                .append(columns_from_json(data.get("append").unwrap_or(&Json::Null))?);
-            if let Some(edits) = data.get("edits").and_then(Json::as_array) {
-                dp = dp.edits(
+            let data = match (data.get("replace"), data.get("edits")) {
+                (Some(columns), None) => {
+                    let columns = columns_from_json(columns)?;
+                    block_rows(&columns)?;
+                    DataPatch::Replace(columns)
+                }
+                (None, Some(edits)) => DataPatch::Edits(
                     edits
+                        .as_array()
+                        .ok_or("edits must be an array")?
                         .iter()
-                        .map(|op| {
-                            if let Some(n) = op.as_i64() {
-                                match n {
-                                    n if n > 0 => Ok(RowEdit::Keep(n as usize)),
-                                    n if n < 0 => Ok(RowEdit::Drop(n.unsigned_abs() as usize)),
-                                    _ => Err("zero-length edit op".to_string()),
-                                }
-                            } else if op.as_array().is_some() {
-                                Ok(RowEdit::Insert(columns_from_json(op)?))
-                            } else {
-                                Err("bad edit op".to_string())
-                            }
-                        })
+                        .map(edit_from_json)
                         .collect::<Result<Vec<_>, String>>()?,
-                );
-            }
-            let added = p.get("marks_added").and_then(Json::as_u64).unwrap_or(0) as usize;
-            let removed = p.get("marks_removed").and_then(Json::as_u64).unwrap_or(0) as usize;
-            patch = patch.data(dp, added, removed);
-        }
-        if let Some(r) = p.get("dirty") {
-            patch = patch.dirty(rect_from_json(r)?);
+                ),
+                _ => return Err("data needs exactly one of replace or edits".to_string()),
+            };
+            patch = patch.data(data);
         }
         delta = delta.chart(patch);
     }
@@ -1827,13 +1635,14 @@ mod tests {
         let patch = &delta.charts[0];
         assert_eq!(patch.query.as_deref(), Some("q1"));
         let data = patch.data.as_ref().unwrap();
-        // 90 rows overlap: payload is the 10 fresh rows only.
-        assert_eq!(data.drop_head, 10);
-        assert_eq!(data.drop_tail, 0);
-        assert_eq!(data.payload_rows(), 10);
-        assert_eq!(patch.marks_added, 10);
-        assert_eq!(patch.marks_removed, 10);
-        assert_eq!(patch.dirty, Some(Rect { x: 0, y: 0, w: 100, h: 100 }));
+        // 90 rows overlap: drop the 10 that scrolled off, keep 90, and
+        // insert the 10 fresh rows — the only payload.
+        let DataPatch::Edits(edits) = data else { panic!("expected edits, got {data:?}") };
+        assert_eq!(edits[..2], [RowEdit::Drop(10), RowEdit::Keep(90)]);
+        assert!(
+            matches!(&edits[2..], [RowEdit::Insert(cols)] if cols[0].values.len() == 10),
+            "{edits:?}"
+        );
 
         let mut client = old.clone();
         client.apply(&delta).unwrap();
@@ -1856,8 +1665,12 @@ mod tests {
         let new = graph_of(chart_scene(&new_xs, "q1"));
         let delta = diff_graphs(&old, &new);
         let data = delta.charts[0].data.as_ref().unwrap();
-        assert!(!data.edits.is_empty(), "scattered churn should pick the edit script");
-        assert_eq!(data.payload_rows(), 2, "only the inserted rows ride the wire");
+        let DataPatch::Edits(edits) = data else { panic!("scattered churn should ship edits") };
+        let inserted: usize = edits
+            .iter()
+            .map(|e| if let RowEdit::Insert(cols) = e { cols[0].values.len() } else { 0 })
+            .sum();
+        assert_eq!(inserted, 2, "only the inserted rows ride the wire");
 
         // Through the wire codec, then applied client-side.
         let rt = delta_from_json(&delta_to_json(&delta)).unwrap();
@@ -1872,11 +1685,45 @@ mod tests {
         let old = graph_of(chart_scene(&[1, 2, 3, 4], "q"));
         let mut delta = diff_graphs(&old, &graph_of(chart_scene(&[1, 2, 3, 4], "q2")));
         // Forge a script that stops short of consuming every old row.
-        delta.charts[0].data =
-            Some(DataPatch::new().edits(vec![RowEdit::Keep(2), RowEdit::Drop(1)]));
+        delta.charts[0].data = Some(DataPatch::Edits(vec![RowEdit::Keep(2), RowEdit::Drop(1)]));
         let mut client = old.clone();
         let err = client.apply(&delta).unwrap_err().to_string();
         assert!(err.contains("consume"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn inconsistent_row_counts_are_rejected() {
+        // A chart claiming 5 rows over 2 values: the decoder rejects it,
+        // and applying a keep over it in memory is an error, not an
+        // out-of-bounds panic.
+        let mut client = graph_of(chart_scene(&[1, 2], "q"));
+        client.charts[0].rows = 5;
+        let err = scene_from_json(&scene_to_json(&client)).unwrap_err();
+        assert!(err.contains("expected 5"), "unexpected error: {err}");
+        let keep = SceneDelta::new(1, 2).chart(
+            ChartPatch::new(SceneNodeId::chart(0), 0)
+                .data(DataPatch::Edits(vec![RowEdit::Keep(5)])),
+        );
+        assert!(client.apply(&keep).is_err());
+
+        // Ragged blocks: an insert of 3 `x` values and 0 `y` values, and a
+        // replacement of the same shape.
+        let ragged = vec![
+            ColumnSlice { field: "x".into(), values: Arc::new(vec![Value::Int(7); 3]) },
+            ColumnSlice { field: "y".into(), values: Arc::new(Vec::new()) },
+        ];
+        for data in [
+            DataPatch::Edits(vec![RowEdit::Keep(1), RowEdit::Insert(ragged.clone())]),
+            DataPatch::Replace(ragged.clone()),
+        ] {
+            let delta =
+                SceneDelta::new(1, 2).chart(ChartPatch::new(SceneNodeId::chart(0), 0).data(data));
+            let mut client = graph_of(chart_scene(&[1], "q"));
+            let before = client.clone();
+            assert!(client.apply(&delta).is_err(), "applied {delta:?}");
+            assert_eq!(client, before, "a rejected patch must leave the scene untouched");
+            assert!(delta_from_json(&delta_to_json(&delta)).is_err(), "decoded {delta:?}");
+        }
     }
 
     #[test]
@@ -1885,8 +1732,10 @@ mod tests {
         let new = graph_of(chart_scene(&(20..80).collect::<Vec<_>>(), "q"));
         let delta = diff_graphs(&old, &new);
         let data = delta.charts[0].data.as_ref().unwrap();
-        assert_eq!(data.payload_rows(), 0);
-        assert_eq!((data.drop_head, data.drop_tail), (20, 20));
+        assert_eq!(
+            data,
+            &DataPatch::Edits(vec![RowEdit::Drop(20), RowEdit::Keep(60), RowEdit::Drop(20)])
+        );
         let mut client = old.clone();
         client.apply(&delta).unwrap();
         assert_eq!(client, new);
@@ -1903,6 +1752,7 @@ mod tests {
         fresh.rows = 2;
         let new = graph_of(fresh);
         let delta = diff_graphs(&old, &new);
+        assert!(matches!(delta.charts[0].data, Some(DataPatch::Replace(_))));
         let mut client = old.clone();
         client.apply(&delta).unwrap();
         assert_eq!(client, new);

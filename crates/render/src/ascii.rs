@@ -11,15 +11,7 @@ const PLOT_H: usize = 12;
 const MAX_ROWS: usize = 16;
 
 /// Render a whole interface with current chart data.
-///
-/// Deprecated: use [`crate::AsciiRenderer`] through the
-/// [`pi2_core::prelude::Renderer`] trait.
-#[deprecated(since = "0.2.0", note = "use AsciiRenderer via the pi2_core::prelude::Renderer trait")]
-pub fn render_interface(interface: &Interface, updates: &[ChartUpdate]) -> String {
-    render_interface_impl(interface, updates)
-}
-
-pub(crate) fn render_interface_impl(interface: &Interface, updates: &[ChartUpdate]) -> String {
+pub(crate) fn render_interface(interface: &Interface, updates: &[ChartUpdate]) -> String {
     let mut blocks = render_layout(&interface.layout, interface, updates);
     if blocks.is_empty() {
         blocks = vec!["(empty interface)".to_string()];
@@ -29,20 +21,7 @@ pub(crate) fn render_interface_impl(interface: &Interface, updates: &[ChartUpdat
 
 /// Render a live session: charts with current data, widgets with their
 /// current positions (selected radio option, toggle state, slider value).
-///
-/// Deprecated: use [`crate::AsciiRenderer`]'s
-/// [`render_live`](pi2_core::scene::Renderer::render_live).
-#[deprecated(
-    since = "0.2.0",
-    note = "use AsciiRenderer::render_live via the pi2_core::prelude::Renderer trait"
-)]
-pub fn render_session(
-    session: &pi2_core::InterfaceSession,
-) -> Result<String, pi2_core::SessionError> {
-    render_session_impl(session)
-}
-
-pub(crate) fn render_session_impl(
+pub(crate) fn render_session(
     session: &pi2_core::InterfaceSession,
 ) -> Result<String, pi2_core::SessionError> {
     let updates = session.refresh_all()?;
@@ -590,7 +569,7 @@ mod tests {
             .unwrap();
         let session = pi2.session(&g);
         let updates = session.refresh_all().unwrap();
-        let text = render_interface_impl(&g.interface, &updates);
+        let text = render_interface(&g.interface, &updates);
         assert!(text.contains("G1"), "{text}");
         assert!(text.contains('┤') || text.contains('│'), "{text}");
     }
@@ -609,7 +588,7 @@ mod tests {
             .unwrap();
         let session = pi2.session(&g);
         let updates = session.refresh_all().unwrap();
-        let text = render_interface_impl(&g.interface, &updates);
+        let text = render_interface(&g.interface, &updates);
         assert!(text.contains("2021-"), "{text}");
     }
 
@@ -626,7 +605,7 @@ mod tests {
             .unwrap();
         let session = pi2.session(&g);
         let updates = session.refresh_all().unwrap();
-        let text = render_interface_impl(&g.interface, &updates);
+        let text = render_interface(&g.interface, &updates);
         assert!(text.contains("Heatmap"), "{text}");
         assert!(text.contains("darker = larger"), "{text}");
     }
@@ -665,7 +644,7 @@ mod tests {
             ])
             .unwrap();
         let mut session = pi2.session(&g);
-        let before = render_session_impl(&session).unwrap();
+        let before = render_session(&session).unwrap();
         // Flip the toggle; the rendering must change state.
         if let Some(toggle) =
             g.interface.widgets.iter().find(|w| matches!(w.kind, WidgetKind::Toggle))
@@ -676,7 +655,7 @@ mod tests {
                     value: pi2_core::WidgetValue::Bool(false),
                 })
                 .unwrap();
-            let after = render_session_impl(&session).unwrap();
+            let after = render_session(&session).unwrap();
             assert_ne!(before, after);
             assert!(after.contains("[ ]"), "{after}");
         }

@@ -118,14 +118,28 @@ function esc(s) {
 }
 
 // --- delta application (client side of render_delta) -----------------------
+// Every column must hold exactly `rows` values; a snapshot or frame that
+// breaks this is rejected rather than drawn.
+function checkRows(cols, rows) {
+  for (const col of cols)
+    if (col.values.length !== rows)
+      throw new Error('column ' + col.field + ' has ' + col.values.length +
+        ' values, expected ' + rows);
+}
+function blockRows(cols) {
+  const rows = cols.length ? cols[0].values.length : 0;
+  checkRows(cols, rows);
+  return rows;
+}
+
 function applyEdits(c, edits) {
-  // Row-level edit script: authoritative when present. Ops walk the old
-  // rows once — a positive integer keeps that many rows, a negative one
-  // drops them, an array inserts a column block. Every op must stay in
-  // bounds and the cursor must land exactly on c.rows, mirroring the
-  // server-side validator.
+  // Row-level edit script. Ops walk the old rows once — a positive
+  // integer keeps that many rows, a negative one drops them, an array
+  // inserts a column block. Every op must stay in bounds and the cursor
+  // must land exactly on c.rows, mirroring the server-side validator.
+  checkRows(c.columns, c.rows);
   const cols = c.columns.map(col => ({ field: col.field, values: [] }));
-  let cursor = 0;
+  let cursor = 0, rows = 0;
   for (const e of edits) {
     if (typeof e === 'number' && e > 0) {
       if (cursor + e > c.rows) throw new Error('edit script keeps past the end');
@@ -134,11 +148,13 @@ function applyEdits(c, edits) {
         for (let r = cursor; r < cursor + e; r++) cols[i].values.push(src[r]);
       }
       cursor += e;
+      rows += e;
     } else if (typeof e === 'number' && e < 0) {
       if (cursor - e > c.rows) throw new Error('edit script drops past the end');
       cursor -= e;
     } else if (Array.isArray(e)) {
       if (e.length !== cols.length) throw new Error('edit script insert field-count mismatch');
+      rows += blockRows(e);
       for (let i = 0; i < cols.length; i++) {
         if (e[i].field !== cols[i].field) throw new Error('edit script insert field mismatch');
         cols[i].values = cols[i].values.concat(e[i].values);
@@ -149,41 +165,31 @@ function applyEdits(c, edits) {
   }
   if (cursor !== c.rows) throw new Error('edit script does not consume every old row');
   c.columns = cols;
-  c.rows = cols.length ? cols[0].values.length : 0;
+  c.rows = rows;
 }
 
 function applyData(c, d) {
-  if (d.edits && d.edits.length) { applyEdits(c, d.edits); return; }
-  const kept = c.rows - d.drop_head - d.drop_tail;
-  let cols;
-  if (kept <= 0) {
-    // Full replace: the prepend block re-establishes the field list.
-    cols = d.prepend.map(p => ({ field: p.field, values: p.values.slice() }));
+  if (d.replace !== undefined && d.edits === undefined) {
+    // Full replacement: re-establishes the field list.
+    c.rows = blockRows(d.replace);
+    c.columns = d.replace.map(col => ({ field: col.field, values: col.values.slice() }));
+  } else if (d.edits !== undefined && d.replace === undefined) {
+    applyEdits(c, d.edits);
   } else {
-    cols = c.columns.map(col => {
-      const keep = col.values.slice(d.drop_head, col.values.length - d.drop_tail);
-      const pre = d.prepend.find(p => p.field === col.field);
-      return { field: col.field, values: (pre ? pre.values : []).concat(keep) };
-    });
+    throw new Error('data needs exactly one of replace or edits');
   }
-  for (const a of d.append) {
-    const col = cols.find(x => x.field === a.field);
-    if (col) col.values = col.values.concat(a.values);
-    else cols.push({ field: a.field, values: a.values.slice() });
-  }
-  c.columns = cols;
-  c.rows = cols.length ? cols[0].values.length : 0;
 }
 
 PI2.applyDelta = function (delta) {
   for (const p of delta.charts) {
     const c = PI2.scene.charts.find(x => x.node === p.node);
     if (!c) throw new Error('unknown scene node ' + p.node);
+    // Data first: a patch that fails validation leaves the chart as is.
+    if (p.data) applyData(c, p.data);
     if (p.query !== undefined) c.query = p.query;
     if (p.mark !== undefined) c.mark = p.mark;
     if (p.encodings !== undefined) c.encodings = p.encodings;
     if (p.axes !== undefined) c.axes = p.axes;
-    if (p.data) applyData(c, p.data);
   }
   for (const p of delta.widgets) {
     const w = PI2.scene.widgets.find(x => x.node === p.node);
@@ -194,21 +200,27 @@ PI2.applyDelta = function (delta) {
 };
 
 // Apply a batch of render_delta frames in order. Returns false (and marks
-// the client stale) on a version gap — the host should fetch a snapshot
-// and call setScene.
+// the client stale) on a version gap or a frame that fails validation —
+// the host should fetch a snapshot and call setScene.
 PI2.applyFrames = function (frames) {
   for (const f of frames) {
     if (PI2.version !== null && f.from !== PI2.version) {
       PI2.stale = true;
       return false;
     }
-    PI2.applyDelta(f);
+    try {
+      PI2.applyDelta(f);
+    } catch (e) {
+      PI2.stale = true;
+      return false;
+    }
   }
   return true;
 };
 
 // Full-snapshot resync.
 PI2.setScene = function (scene, version) {
+  for (const c of scene.charts) checkRows(c.columns, c.rows);
   PI2.scene = scene;
   PI2.version = version === undefined ? null : version;
   PI2.stale = false;

@@ -38,12 +38,8 @@ pub mod scene;
 pub mod spec;
 
 pub use ascii::{render_chart, render_widget, render_widget_with_state};
-#[allow(deprecated)]
-pub use ascii::{render_interface, render_session};
 pub use html::export_html;
 pub use scene::{
     AsciiRenderer, HtmlRenderer, Renderer, SceneCatchup, SceneDelta, SceneGraph, SceneNodeId,
     SceneState, SpecRenderer,
 };
-#[allow(deprecated)]
-pub use spec::interface_spec;

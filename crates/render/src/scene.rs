@@ -4,10 +4,8 @@
 //! [`Renderer`] trait — re-exported here); this module ships the concrete
 //! backends:
 //!
-//! - [`AsciiRenderer`] — terminal charts and widgets (the old
-//!   `render_interface` / `render_session` free functions),
-//! - [`SpecRenderer`] — Vega-Lite-style JSON specs (the old
-//!   `interface_spec` / `chart_spec`),
+//! - [`AsciiRenderer`] — terminal charts and widgets,
+//! - [`SpecRenderer`] — Vega-Lite-style JSON specs,
 //! - [`HtmlRenderer`] — the self-contained interactive HTML client that
 //!   renders an embedded scene snapshot and applies `render_delta` patch
 //!   frames.
@@ -35,11 +33,11 @@ impl Renderer for AsciiRenderer {
     type Output = String;
 
     fn render(&self, interface: &Interface, updates: &[ChartUpdate]) -> String {
-        crate::ascii::render_interface_impl(interface, updates)
+        crate::ascii::render_interface(interface, updates)
     }
 
     fn render_live(&self, session: &InterfaceSession) -> Result<String, SessionError> {
-        crate::ascii::render_session_impl(session)
+        crate::ascii::render_session(session)
     }
 }
 
@@ -49,9 +47,9 @@ pub struct SpecRenderer;
 
 impl SpecRenderer {
     /// The spec of a single chart, with inline data when an update is
-    /// provided (the old `chart_spec` free function).
+    /// provided.
     pub fn chart(&self, chart: &Chart, update: Option<&ChartUpdate>) -> Json {
-        crate::spec::chart_spec_impl(chart, update)
+        crate::spec::chart_spec(chart, update)
     }
 }
 
@@ -59,7 +57,7 @@ impl Renderer for SpecRenderer {
     type Output = Json;
 
     fn render(&self, interface: &Interface, updates: &[ChartUpdate]) -> Json {
-        crate::spec::interface_spec_impl(interface, updates)
+        crate::spec::interface_spec(interface, updates)
     }
 }
 
@@ -130,19 +128,19 @@ mod tests {
 
         assert_eq!(
             AsciiRenderer.render(&g.interface, &updates),
-            crate::ascii::render_interface_impl(&g.interface, &updates)
+            crate::ascii::render_interface(&g.interface, &updates)
         );
         assert_eq!(
             AsciiRenderer.render_live(&session).unwrap(),
-            crate::ascii::render_session_impl(&session).unwrap()
+            crate::ascii::render_session(&session).unwrap()
         );
         assert_eq!(
             SpecRenderer.render(&g.interface, &updates),
-            crate::spec::interface_spec_impl(&g.interface, &updates)
+            crate::spec::interface_spec(&g.interface, &updates)
         );
         assert_eq!(
             SpecRenderer.chart(&g.interface.charts[0], updates.first()),
-            crate::spec::chart_spec_impl(&g.interface.charts[0], updates.first())
+            crate::spec::chart_spec(&g.interface.charts[0], updates.first())
         );
     }
 

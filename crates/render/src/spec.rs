@@ -8,21 +8,13 @@ use pi2_interface::{
 use serde_json::{json, Value as Json};
 
 /// The JSON spec of a whole interface, optionally with inline data.
-///
-/// Deprecated: use [`crate::SpecRenderer`] through the
-/// [`pi2_core::prelude::Renderer`] trait.
-#[deprecated(since = "0.2.0", note = "use SpecRenderer via the pi2_core::prelude::Renderer trait")]
-pub fn interface_spec(interface: &Interface, updates: &[ChartUpdate]) -> Json {
-    interface_spec_impl(interface, updates)
-}
-
-pub(crate) fn interface_spec_impl(interface: &Interface, updates: &[ChartUpdate]) -> Json {
+pub(crate) fn interface_spec(interface: &Interface, updates: &[ChartUpdate]) -> Json {
     json!({
         "$schema": "pi2-interface/v1",
         "screen": { "width": interface.screen.width, "height": interface.screen.height },
         "charts": interface.charts.iter().map(|c| {
             let data = updates.iter().find(|u| u.chart == c.id);
-            chart_spec_impl(c, data)
+            chart_spec(c, data)
         }).collect::<Vec<_>>(),
         "widgets": interface.widgets.iter().map(widget_spec).collect::<Vec<_>>(),
         "layout": layout_spec(&interface.layout),
@@ -39,14 +31,7 @@ fn field_type_name(t: FieldType) -> &'static str {
 }
 
 /// The spec of one chart, with inline data when an update is provided.
-///
-/// Deprecated: use [`crate::SpecRenderer::chart`].
-#[deprecated(since = "0.2.0", note = "use SpecRenderer::chart")]
-pub fn chart_spec(chart: &Chart, update: Option<&ChartUpdate>) -> Json {
-    chart_spec_impl(chart, update)
-}
-
-pub(crate) fn chart_spec_impl(chart: &Chart, update: Option<&ChartUpdate>) -> Json {
+pub(crate) fn chart_spec(chart: &Chart, update: Option<&ChartUpdate>) -> Json {
     let mut encoding = serde_json::Map::new();
     for enc in &chart.encodings {
         let channel = match enc.channel {
@@ -186,7 +171,7 @@ mod tests {
             .unwrap();
         let session = pi2.session(&g);
         let updates = session.refresh_all().unwrap();
-        let spec = interface_spec_impl(&g.interface, &updates);
+        let spec = interface_spec(&g.interface, &updates);
         let text = serde_json::to_string_pretty(&spec).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed["charts"].as_array().unwrap().len(), g.interface.charts.len());
@@ -203,7 +188,7 @@ mod tests {
             pi2_datasets::sdss::demo_queries().iter().map(|q| q.to_string()).collect();
         let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
         let g = pi2.generate_sql(&refs).unwrap();
-        let spec = interface_spec_impl(&g.interface, &[]);
+        let spec = interface_spec(&g.interface, &[]);
         let interactions = spec["charts"][0]["interactions"].as_array().unwrap();
         assert!(!interactions.is_empty());
         assert_eq!(interactions[0]["type"], "pan-zoom");

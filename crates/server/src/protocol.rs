@@ -17,8 +17,9 @@ use serde_json::{json, Value};
 /// Protocol revision spoken by this server. Carried in `open` and
 /// `resume` responses as `"protocol"`; bumped when verbs or response
 /// shapes change incompatibly. Revision 2 added the scene-graph
-/// `render_delta` verb.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// `render_delta` verb; revision 3 made each frame's chart `data` carry
+/// exactly one of `replace` or `edits`.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Default execution-mode knobs applied when `open` omits them: servers
 /// must not hang on one session's pathological query or search.

@@ -65,6 +65,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Stack size of every thread that runs client SQL: the reactor workers
+/// and the recovery workers that replay journaled cells. Executing and
+/// generating from the largest queries `pi2_sql` accepts (see
+/// [`pi2_sql::MAX_OPERATORS`]) needs up to 8 MiB in a debug build and
+/// 1.5 MiB in a release build, measured with the robustness test
+/// `largest_accepted_sql_runs_and_generates_on_the_reactor`. The 2 MiB
+/// default would overflow, which aborts the process; this leaves a 2×
+/// margin. Stack pages are committed only when touched.
+pub(crate) const WORKER_STACK: usize = 16 << 20;
+
 /// Tuning knobs for the reactor. `Default` is right for production and
 /// for every test; the knobs exist so robustness tests can shrink the
 /// limits to exercisable sizes.
@@ -170,6 +180,7 @@ impl Server {
             let worker_inbox = Arc::clone(&inbox);
             let handle = std::thread::Builder::new()
                 .name(format!("pi2-reactor-{i}"))
+                .stack_size(WORKER_STACK)
                 .spawn(move || worker_loop(&worker_inbox, &worker_state, config))?;
             inboxes.push(inbox);
             workers.push(handle);

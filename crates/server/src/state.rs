@@ -1111,12 +1111,15 @@ impl ServerState {
         let next = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    let Some((id, plan)) = plan_list.get(i) else { break };
-                    let rebuilt = state.rebuild_session(*id, plan);
-                    lock(&results).push((*id, rebuilt));
-                });
+                std::thread::Builder::new()
+                    .stack_size(crate::server::WORKER_STACK)
+                    .spawn_scoped(scope, || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
+                        let Some((id, plan)) = plan_list.get(i) else { break };
+                        let rebuilt = state.rebuild_session(*id, plan);
+                        lock(&results).push((*id, rebuilt));
+                    })
+                    .expect("spawn a recovery worker");
             }
         });
         let mut results = results.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);

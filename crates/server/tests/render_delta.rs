@@ -71,7 +71,7 @@ fn open_toy_interface(client: &LocalClient) -> i64 {
     assert_eq!(opened["ok"].as_bool(), Some(true), "{opened}");
     assert_eq!(
         opened["protocol"].as_i64(),
-        Some(2),
+        Some(3),
         "open response must advertise the protocol revision: {opened}"
     );
     let session = opened["session"].as_i64().expect("session id");

@@ -80,6 +80,138 @@ fn malformed_json_gets_structured_error_and_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_sql_gets_a_parse_error_not_a_stack_overflow() {
+    let (server, state) = start(ServerConfig::new());
+    let mut client = RawClient::connect(&server);
+    client.send(b"{\"cmd\": \"open\", \"scenario\": \"toy\"}\n");
+    let opened = client.read_response();
+    let session = opened["session"].as_i64().expect("session id");
+
+    // Each of these overflowed a reactor worker's stack and aborted the
+    // process before the parser bounded nesting and operator chains.
+    for (sql, error) in [
+        (format!("SELECT {}1{} FROM t", "(".repeat(1_000), ")".repeat(1_000)), "nests deeper"),
+        (format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(20_000)), "nests deeper"),
+        (format!("SELECT 1{} FROM t", "+1".repeat(10_000)), "operators"),
+    ] {
+        let line = json!({"cmd": "run_cell", "session": session, "sql": sql}).to_string();
+        client.send(format!("{line}\n").as_bytes());
+        let r = client.read_response();
+        assert_eq!(r["ok"].as_bool(), Some(false), "{r}");
+        assert_eq!(r["error"]["kind"].as_str(), Some("notebook"), "{r}");
+        let message = r["error"]["message"].as_str().unwrap_or_default();
+        assert!(message.contains(error), "{message}");
+    }
+    assert_alive(&mut client);
+    assert_eq!(state.registry().len(), 1);
+    server.shutdown();
+    server.join();
+}
+
+/// `a = 1` joined by `AND` into a balanced tree of `2^k` leaves.
+fn balanced_and(k: usize) -> String {
+    if k == 0 {
+        return "a = 1".to_string();
+    }
+    let half = balanced_and(k - 1);
+    format!("({half} AND {half})")
+}
+
+/// A query that grows with its argument.
+type Shape = fn(usize) -> String;
+
+/// The largest argument for which `shape` still parses (acceptance is
+/// monotone in it).
+fn largest_accepted(shape: Shape) -> usize {
+    let mut bad = 1;
+    while pi2_sql::parse_query(&shape(bad)).is_ok() {
+        bad *= 2;
+    }
+    let mut ok = bad / 2;
+    while bad - ok > 1 {
+        let mid = (ok + bad) / 2;
+        if pi2_sql::parse_query(&shape(mid)).is_ok() {
+            ok = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    ok
+}
+
+#[test]
+fn largest_accepted_sql_runs_and_generates_on_the_reactor() {
+    // Toy-table queries that grow in nesting or in chain operators until
+    // the parser's bounds reject them. The largest accepted one of each
+    // goes through execution, normalization and generation on a reactor
+    // worker, which must survive it.
+    let shapes: [(&str, Shape); 10] = [
+        ("parentheses", |n| {
+            format!(
+                "SELECT p, count(*) FROM t WHERE {}a = 1{} GROUP BY p",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        }),
+        ("NOT chain", |n| {
+            format!("SELECT p, count(*) FROM t WHERE {}a = 1 GROUP BY p", "NOT ".repeat(n))
+        }),
+        ("unary minus", |n| format!("SELECT p, sum({}a) FROM t GROUP BY p", "- ".repeat(n))),
+        ("function calls", |n| {
+            format!("SELECT p, sum({}a{}) FROM t GROUP BY p", "abs(".repeat(n), ")".repeat(n))
+        }),
+        ("nested subqueries", |n| {
+            let nest = "(SELECT a FROM t WHERE a IN ".repeat(n);
+            format!(
+                "SELECT p, count(*) FROM t WHERE a IN {nest}(SELECT a FROM t){} GROUP BY p",
+                ")".repeat(n)
+            )
+        }),
+        ("+ chain", |n| format!("SELECT p, sum(a{}) FROM t GROUP BY p", " + b".repeat(n))),
+        ("AND chain", |n| {
+            format!("SELECT p, count(*) FROM t WHERE a = 1{} GROUP BY p", " AND b = 2".repeat(n))
+        }),
+        ("OR chain", |n| {
+            format!("SELECT p, count(*) FROM t WHERE a = 1{} GROUP BY p", " OR b = 2".repeat(n))
+        }),
+        ("balanced AND tree", |k| {
+            format!("SELECT p, count(*) FROM t WHERE {} GROUP BY p", balanced_and(k))
+        }),
+        ("chain under nested subqueries", |n| {
+            let nest = "(SELECT a FROM t WHERE a IN ".repeat(12);
+            let chain = " + a".repeat(n);
+            format!(
+                "SELECT p, count(*) FROM t WHERE a IN {nest}(SELECT a{chain} FROM t){} GROUP BY p",
+                ")".repeat(12)
+            )
+        }),
+    ];
+    let (server, _state) = start(ServerConfig::new());
+    let mut client = RawClient::connect(&server);
+    for (name, shape) in shapes {
+        let sql = shape(largest_accepted(shape));
+        client.send(b"{\"cmd\": \"open\", \"scenario\": \"toy\"}\n");
+        let session = client.read_response()["session"].as_i64().expect("session id");
+        // Two cells that differ in their grouping, so generation has a
+        // choice to turn into a widget.
+        let regrouped =
+            sql.replacen("SELECT p, ", "SELECT b, ", 1).replace("GROUP BY p", "GROUP BY b");
+        for sql in [&sql, &regrouped] {
+            let line = json!({"cmd": "run_cell", "session": session, "sql": sql}).to_string();
+            client.send(format!("{line}\n").as_bytes());
+            let r = client.read_response();
+            assert_eq!(r["ok"].as_bool(), Some(true), "{name}: {r}");
+        }
+        client.send(format!("{}\n", json!({"cmd": "generate", "session": session})).as_bytes());
+        let r = client.read_response();
+        assert_eq!(r["ok"].as_bool(), Some(true), "{name}: {r}");
+        assert_alive(&mut client);
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn invalid_utf8_is_rejected_without_killing_the_framing() {
     let (server, state) = start(ServerConfig::new());
     let mut client = RawClient::connect(&server);

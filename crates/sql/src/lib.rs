@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 //! # pi2-sql
 //!
@@ -35,4 +37,4 @@ pub use ast::*;
 pub use error::{ParseError, Result};
 pub use format::format_query;
 pub use normalize::{literal_free, normalize_query};
-pub use parser::{parse_queries, parse_query};
+pub use parser::{parse_queries, parse_query, MAX_DEPTH, MAX_OPERATORS};

@@ -106,7 +106,10 @@ fn sort_key(e: &Expr) -> String {
 }
 
 fn normalize_expr(expr: &mut Expr) {
-    crate::visit::rewrite_expr(expr, &mut |e| match e {
+    // Stop at subquery boundaries: the closure normalizes each subquery
+    // whole, and descending into it again would redo that work once per
+    // enclosing level (exponential in the nesting depth).
+    crate::visit::rewrite_expr_in_scope(expr, &mut |e| match e {
         Expr::Binary { left, op, right } if op.is_comparison() => {
             // Put the "structural" operand (column/function) on the left when
             // the left side is a bare literal, flipping the comparison.

@@ -5,17 +5,41 @@
 //! levels. Function names are lower-cased during parsing so that aggregates
 //! compare canonically; table/column identifiers keep their spelling and are
 //! matched case-insensitively by the execution engine.
+//!
+//! Two bounds keep every accepted tree shallow enough for the recursive
+//! passes that follow the parser (printing, hashing, normalization,
+//! execution, dropping): [`MAX_DEPTH`] on nesting and [`MAX_OPERATORS`] on
+//! the chain operators of one query.
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
 use crate::lexer::tokenize;
 use crate::token::{Symbol, Token, TokenKind};
 
+/// The deepest nesting the parser accepts. Parentheses, subqueries,
+/// function arguments, `NOT`, unary signs and parenthesized joins each open
+/// one level; deeper input is a [`ParseError`]. The parser recurses once per
+/// level, and a debug build spends about 21 KB of stack on each.
+pub const MAX_DEPTH: usize = 64;
+
+/// The most chain operators one query may hold, subqueries included: `AND`,
+/// `OR`, arithmetic and `||` operators, and joins. More is a [`ParseError`].
+/// A chain such as `a = 1 AND b = 2 AND …` parses without recursion but
+/// builds a left-deep tree that later passes walk recursively, one stack
+/// frame per operator, and normalization turns any `AND` tree, however
+/// balanced, into such a chain. Normalization never adds an operator, so
+/// counting them bounds the height of every rewrite too, which a bound on
+/// the parsed tree's height would not.
+///
+/// Executing and generating from a query cost the most stack per chain
+/// operator, about 2 KB in a release build and 15 KB in a debug build, so
+/// threads that run client SQL need stacks sized for this bound.
+pub const MAX_OPERATORS: usize = 512;
+
 /// Parse a single `SELECT` query (an optional trailing `;` is allowed).
 pub fn parse_query(input: &str) -> Result<Query> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let q = p.query()?;
+    let mut p = Parser::new(input)?;
+    let q = p.top_query()?;
     p.eat_symbol(Symbol::Semicolon);
     p.expect_eof()?;
     Ok(q)
@@ -23,15 +47,14 @@ pub fn parse_query(input: &str) -> Result<Query> {
 
 /// Parse a `;`-separated sequence of queries (e.g. a whole query log).
 pub fn parse_queries(input: &str) -> Result<Vec<Query>> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
     loop {
         while p.eat_symbol(Symbol::Semicolon) {}
         if p.at_eof() {
             break;
         }
-        out.push(p.query()?);
+        out.push(p.top_query()?);
     }
     Ok(out)
 }
@@ -39,9 +62,17 @@ pub fn parse_queries(input: &str) -> Result<Vec<Query>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the construct being parsed.
+    depth: usize,
+    /// Chain operators parsed for the current top-level query.
+    operators: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Self> {
+        Ok(Parser { tokens: tokenize(input)?, pos: 0, depth: 0, operators: 0 })
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -137,9 +168,65 @@ impl Parser {
         matches!(self.peek_kind(), TokenKind::Ident(_) | TokenKind::Keyword("DATE"))
     }
 
+    // ---- nesting ----------------------------------------------------------
+
+    /// Parse a construct one level below the current one.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error_here(format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Count one more chain operator against [`MAX_OPERATORS`].
+    fn count_operator(&mut self) -> Result<()> {
+        self.operators += 1;
+        if self.operators > MAX_OPERATORS {
+            return Err(self.error_here(format!("query has more than {MAX_OPERATORS} operators")));
+        }
+        Ok(())
+    }
+
+    /// Parse a left-deep chain `operand (op operand)*`, where `op` consumes
+    /// an operator token and returns it.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        op: impl Fn(&mut Self) -> Option<BinaryOp>,
+    ) -> Result<Expr> {
+        let mut left = operand(self)?;
+        while let Some(op) = op(self) {
+            self.count_operator()?;
+            let right = operand(self)?;
+            left = Expr::binary(left, op, right);
+        }
+        Ok(left)
+    }
+
+    /// A binary operator from `ops`, consumed when the next token is one.
+    fn binary_op(&mut self, ops: &[(Symbol, BinaryOp)]) -> Option<BinaryOp> {
+        let TokenKind::Symbol(sym) = self.peek_kind() else { return None };
+        let op = ops.iter().find(|(s, _)| s == sym)?.1;
+        self.bump();
+        Some(op)
+    }
+
     // ---- queries ----------------------------------------------------------
 
+    /// A query that is not nested in another one.
+    fn top_query(&mut self) -> Result<Query> {
+        self.operators = 0;
+        self.query()
+    }
+
     fn query(&mut self) -> Result<Query> {
+        self.nested(Self::query_body)
+    }
+
+    fn query_body(&mut self) -> Result<Query> {
         self.expect_keyword("SELECT")?;
         let mut q = Query::new();
         q.distinct = self.eat_keyword("DISTINCT");
@@ -258,6 +345,7 @@ impl Parser {
             } else {
                 break;
             };
+            self.count_operator()?;
             let right = self.table_factor()?;
             let on = if kind != JoinKind::Cross {
                 self.expect_keyword("ON")?;
@@ -280,7 +368,7 @@ impl Parser {
                 let alias = self.ident()?;
                 return Ok(TableRef::Subquery { query, alias });
             }
-            let inner = self.table_ref()?;
+            let inner = self.nested(Self::table_ref)?;
             self.expect_symbol(Symbol::RParen)?;
             return Ok(inner);
         }
@@ -293,30 +381,20 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
+        self.chain(Self::and_expr, |p| p.eat_keyword("OR").then_some(BinaryOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = Expr::binary(left, BinaryOp::And, right);
-        }
-        Ok(left)
+        self.chain(Self::not_expr, |p| p.eat_keyword("AND").then_some(BinaryOp::And))
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_keyword("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             // Fold `NOT EXISTS (...)` into the Exists node's negated flag so
             // both spellings produce the same AST.
             return Ok(match inner {
@@ -386,41 +464,27 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Symbol(Symbol::Plus) => BinaryOp::Add,
-                TokenKind::Symbol(Symbol::Minus) => BinaryOp::Sub,
-                TokenKind::Symbol(Symbol::Concat) => BinaryOp::Concat,
-                _ => break,
-            };
-            self.bump();
-            let right = self.multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
+        const OPS: [(Symbol, BinaryOp); 3] = [
+            (Symbol::Plus, BinaryOp::Add),
+            (Symbol::Minus, BinaryOp::Sub),
+            (Symbol::Concat, BinaryOp::Concat),
+        ];
+        self.chain(Self::multiplicative, |p| p.binary_op(&OPS))
     }
 
     fn multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Symbol(Symbol::Star) => BinaryOp::Mul,
-                TokenKind::Symbol(Symbol::Slash) => BinaryOp::Div,
-                TokenKind::Symbol(Symbol::Percent) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let right = self.unary()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
+        const OPS: [(Symbol, BinaryOp); 3] = [
+            (Symbol::Star, BinaryOp::Mul),
+            (Symbol::Slash, BinaryOp::Div),
+            (Symbol::Percent, BinaryOp::Mod),
+        ];
+        self.chain(Self::unary, |p| p.binary_op(&OPS))
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_symbol(Symbol::Minus) {
             // Fold negation into numeric literals for canonical ASTs.
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(match inner {
                 Expr::Literal(Literal::Int(v)) => Expr::int(-v),
                 Expr::Literal(Literal::Float(F64(v))) => Expr::float(-v),
@@ -428,7 +492,7 @@ impl Parser {
             });
         }
         if self.eat_symbol(Symbol::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }

@@ -172,27 +172,33 @@ pub fn collect_table_names(query: &Query) -> Vec<&str> {
         for t in &q.from {
             from_table(t, out);
         }
-        let mut grab = |e: &'a Expr| -> bool {
-            match e {
-                Expr::InSubquery { subquery, .. } | Expr::Exists { subquery, .. } => {
-                    from_query(subquery, out);
-                }
-                Expr::ScalarSubquery(q) => from_query(q, out),
-                _ => {}
-            }
-            true
-        };
         if let Some(w) = &q.where_clause {
-            walk_expr(w, &mut grab);
+            from_expr(w, out);
         }
         if let Some(h) = &q.having {
-            walk_expr(h, &mut grab);
+            from_expr(h, out);
         }
         for item in &q.projection {
             if let SelectItem::Expr { expr, .. } = item {
-                walk_expr(expr, &mut grab);
+                from_expr(expr, out);
             }
         }
+    }
+    // Each subquery is visited once, by `from_query`; the walk does not
+    // descend into it again.
+    fn from_expr<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
+        walk_expr(e, &mut |e| match e {
+            Expr::InSubquery { expr, subquery, .. } => {
+                from_expr(expr, out);
+                from_query(subquery, out);
+                false
+            }
+            Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
+                from_query(subquery, out);
+                false
+            }
+            _ => true,
+        });
     }
     let mut out = Vec::new();
     from_query(query, &mut out);
@@ -241,53 +247,66 @@ fn rewrite_table_ref(t: &mut TableRef, f: &mut dyn FnMut(Expr) -> Expr) {
 
 /// Apply `f` to `expr` and then recursively to its children, in place.
 pub fn rewrite_expr(expr: &mut Expr, f: &mut dyn FnMut(Expr) -> Expr) {
+    rewrite(expr, f, true);
+}
+
+/// [`rewrite_expr`] that does not descend into subqueries: `f` sees each
+/// subquery node but none of the expressions inside it.
+pub(crate) fn rewrite_expr_in_scope(expr: &mut Expr, f: &mut dyn FnMut(Expr) -> Expr) {
+    rewrite(expr, f, false);
+}
+
+fn rewrite(expr: &mut Expr, f: &mut dyn FnMut(Expr) -> Expr, into: bool) {
     let owned = std::mem::replace(expr, Expr::Wildcard);
     *expr = f(owned);
     match expr {
         Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => {}
-        Expr::Unary { expr, .. } => rewrite_expr(expr, f),
+        Expr::Unary { expr, .. } => rewrite(expr, f, into),
         Expr::Binary { left, right, .. } => {
-            rewrite_expr(left, f);
-            rewrite_expr(right, f);
+            rewrite(left, f, into);
+            rewrite(right, f, into);
         }
         Expr::Function { args, .. } => {
             for a in args {
-                rewrite_expr(a, f);
+                rewrite(a, f, into);
             }
         }
         Expr::Case { operand, branches, else_expr } => {
             if let Some(o) = operand {
-                rewrite_expr(o, f);
+                rewrite(o, f, into);
             }
             for (w, t) in branches {
-                rewrite_expr(w, f);
-                rewrite_expr(t, f);
+                rewrite(w, f, into);
+                rewrite(t, f, into);
             }
             if let Some(e) = else_expr {
-                rewrite_expr(e, f);
+                rewrite(e, f, into);
             }
         }
         Expr::InList { expr, list, .. } => {
-            rewrite_expr(expr, f);
+            rewrite(expr, f, into);
             for e in list {
-                rewrite_expr(e, f);
+                rewrite(e, f, into);
             }
         }
         Expr::InSubquery { expr, subquery, .. } => {
-            rewrite_expr(expr, f);
-            rewrite_query_exprs(subquery, f);
+            rewrite(expr, f, into);
+            if into {
+                rewrite_query_exprs(subquery, f);
+            }
         }
-        Expr::Exists { subquery, .. } => rewrite_query_exprs(subquery, f),
+        Expr::Exists { subquery, .. } if into => rewrite_query_exprs(subquery, f),
         Expr::Between { expr, low, high, .. } => {
-            rewrite_expr(expr, f);
-            rewrite_expr(low, f);
-            rewrite_expr(high, f);
+            rewrite(expr, f, into);
+            rewrite(low, f, into);
+            rewrite(high, f, into);
         }
-        Expr::ScalarSubquery(q) => rewrite_query_exprs(q, f),
-        Expr::IsNull { expr, .. } => rewrite_expr(expr, f),
+        Expr::ScalarSubquery(q) if into => rewrite_query_exprs(q, f),
+        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+        Expr::IsNull { expr, .. } => rewrite(expr, f, into),
         Expr::Like { expr, pattern, .. } => {
-            rewrite_expr(expr, f);
-            rewrite_expr(pattern, f);
+            rewrite(expr, f, into);
+            rewrite(pattern, f, into);
         }
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: the same gates the GitHub Actions workflow runs.
+# CI: every gate, in one place. The GitHub Actions workflow runs this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,14 +33,6 @@ PI2_SOAK_SESSIONS=1000 cargo test -q --release -p pi2-server --test soak
 
 echo "== benchmark artifacts (regen + schema check) =="
 cargo run -q --release -p pi2-bench --bin regen_latency > /dev/null
-# The interaction regen includes the latency-vs-data-size sweep at a
-# reduced 1M-row top size by default; set PI2_BENCH_SCALE=10000000 for
-# the full 10M-row run. bench_check enforces the sweep's sub-linearity
-# gate (top-size warm pan p50 <= 10x the mid-size p50).
-PI2_BENCH_SCALE="${PI2_BENCH_SCALE:-1000000}" \
-    cargo run -q --release -p pi2-bench --bin regen_interaction > /dev/null
-cargo run -q --release -p pi2-bench --bin regen_server > /dev/null
-cargo run -q --release -p pi2-bench --bin regen_fleet > /dev/null
 # The load storm sustains >= 1k live sessions over the reactor;
 # bench_check enforces its headline (storm p99 <= 20x single-session p99).
 cargo run -q --release -p pi2-bench --bin regen_load > /dev/null
@@ -48,11 +40,14 @@ cargo run -q --release -p pi2-bench --bin regen_load > /dev/null
 # enforces 100% byte-identical resumes, the 2s resume p99 budget, and
 # zero leakage of closed sessions through recovery.
 cargo run -q --release -p pi2-bench --bin regen_recovery > /dev/null
-# The render storm drives the SDSS gesture cycle through the retained
-# scene graph; bench_check enforces the streaming headline (delta frame
-# bytes <= 25% of a full-spec re-render at p50).
-cargo run -q --release -p pi2-bench --bin regen_render > /dev/null
 cargo run -q --release -p pi2-bench --bin bench_check
+
+# Absolute gates on the interaction, streaming and fleet paths (see
+# tests/gates.rs): delta frame bytes <= 25% of a full spec, warm pan p50
+# at 1M rows <= 10x the 100k p50, fleet cache-hit p50 < 1 ms with one
+# generation per unique fingerprint. The latency gates need --release.
+echo "== performance gates (release) =="
+cargo test -q --release -p pi2-bench --test gates
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

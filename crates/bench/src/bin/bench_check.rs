@@ -1,11 +1,8 @@
 //! Validate the benchmark JSON artifacts (`target/BENCH_latency.json`,
-//! `target/BENCH_interaction.json`, `target/BENCH_server.json`,
-//! `target/BENCH_fleet.json`, `target/BENCH_load.json`,
-//! `target/BENCH_recovery.json`, `target/BENCH_render.json`): present,
-//! parseable, matching the
-//! expected schema, and — where an exhibit makes a headline claim (fleet
-//! cache-hit p50, load-storm tail, crash-recovery fidelity) — meeting it.
-//! Exits non-zero on the first problem so CI fails when a regen binary
+//! `target/BENCH_load.json`, `target/BENCH_recovery.json`): present,
+//! parseable, matching the expected schema, and — where an exhibit makes
+//! a headline claim (load-storm tail, crash-recovery fidelity) — meeting
+//! it. Exits non-zero on the first problem so CI fails when a regen binary
 //! silently stops producing its artifact.
 
 use serde_json::Value;
@@ -59,170 +56,6 @@ fn check_latency(path: &Path) -> Result<(), String> {
         if row.get("stats").and_then(Value::as_object).is_none() {
             return Err(format!("{ctx}: missing `stats` object"));
         }
-    }
-    Ok(())
-}
-
-/// `BENCH_interaction.json`: versioned object with per-(scenario, mode,
-/// event class) latency rows and a speedup summary.
-fn check_interaction(path: &Path) -> Result<(), String> {
-    let v = load(path)?;
-    let ctx = path.display().to_string();
-    if v.get("schema_version").and_then(Value::as_i64) != Some(1) {
-        return Err(format!("{ctx}: `schema_version` must be 1"));
-    }
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing `rows` array"))?;
-    if rows.is_empty() {
-        return Err(format!("{ctx}: no rows"));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("{ctx} rows[{i}]");
-        for key in ["scenario", "mode", "event_class"] {
-            expect_string(row, key, &ctx)?;
-        }
-        for key in ["count", "p50_us", "p95_us", "p99_us", "mean_us", "max_us"] {
-            expect_number(row, key, &ctx)?;
-        }
-    }
-    if v.get("session_stats").and_then(Value::as_object).is_none() {
-        return Err(format!("{ctx}: missing `session_stats` object"));
-    }
-    let sweep = v
-        .get("size_sweep")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing `size_sweep` array"))?;
-    if sweep.len() < 3 {
-        return Err(format!("{ctx}: `size_sweep` needs at least 3 sizes, has {}", sweep.len()));
-    }
-    for (i, point) in sweep.iter().enumerate() {
-        let ctx = format!("{ctx} size_sweep[{i}]");
-        for key in [
-            "rows",
-            "catalog_build_ms",
-            "columnar_build_ms",
-            "warm_pan_p50_us",
-            "delta_pan_p50_us",
-            "cold_pan_p50_us",
-            "blocks_scanned",
-            "blocks_pruned",
-            "delta_hits",
-            "delta_seeds",
-        ] {
-            expect_number(point, key, &ctx)?;
-        }
-        if point["delta_hits"].as_i64() == Some(0) {
-            return Err(format!("{ctx}: no pans were answered by delta recomputation"));
-        }
-        // Tables under a few storage blocks have nothing to prune; only
-        // multi-block sizes must show zone maps earning their keep.
-        if point["rows"].as_i64().unwrap_or(0) >= 10_000
-            && point["blocks_pruned"].as_i64() == Some(0)
-        {
-            return Err(format!("{ctx}: zone maps pruned nothing"));
-        }
-    }
-    let scaling = v.get("scaling").ok_or_else(|| format!("{ctx}: missing `scaling` object"))?;
-    let gctx = format!("{ctx} scaling");
-    expect_number(scaling, "warm_p50_ratio_top_vs_mid", &gctx)?;
-    expect_bool(scaling, "warm_ratio_target_met", &gctx)?;
-    if scaling.get("sizes").and_then(Value::as_array).is_none() {
-        return Err(format!("{gctx}: missing `sizes` array"));
-    }
-    // The sub-linearity gate: warm-gesture latency must not scale with
-    // data size (10x more rows must cost well under 10x the p50).
-    if scaling["warm_ratio_target_met"].as_bool() != Some(true) {
-        return Err(format!(
-            "{gctx}: `warm_ratio_target_met` is false — warm dispatch latency grew \
-             with data size (ratio {})",
-            scaling["warm_p50_ratio_top_vs_mid"]
-        ));
-    }
-    let summary = v.get("summary").ok_or_else(|| format!("{ctx}: missing `summary` object"))?;
-    let sctx = format!("{ctx} summary");
-    expect_number(summary, "sdss_warm_speedup_vs_reference", &sctx)?;
-    expect_number(summary, "sdss_cold_columnar_speedup_vs_reference", &sctx)?;
-    expect_bool(summary, "warm_speedup_target_met", &sctx)?;
-    expect_bool(summary, "cold_beats_reference", &sctx)?;
-    Ok(())
-}
-
-/// `BENCH_server.json`: versioned object with per-phase latency rows and
-/// the storm-vs-single-session summary.
-fn check_server(path: &Path) -> Result<(), String> {
-    let v = load(path)?;
-    let ctx = path.display().to_string();
-    if v.get("schema_version").and_then(Value::as_i64) != Some(1) {
-        return Err(format!("{ctx}: `schema_version` must be 1"));
-    }
-    expect_string(&v, "scenario", &ctx)?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing `rows` array"))?;
-    if rows.is_empty() {
-        return Err(format!("{ctx}: no rows"));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("{ctx} rows[{i}]");
-        expect_string(row, "phase", &ctx)?;
-        for key in ["clients", "count", "p50_us", "p95_us", "p99_us", "mean_us", "max_us"] {
-            expect_number(row, key, &ctx)?;
-        }
-    }
-    let summary = v.get("summary").ok_or_else(|| format!("{ctx}: missing `summary` object"))?;
-    let sctx = format!("{ctx} summary");
-    for key in ["clients", "single_session_p50_us", "storm_p50_us", "p50_ratio"] {
-        expect_number(summary, key, &sctx)?;
-    }
-    expect_bool(summary, "p50_within_2x_single_session", &sctx)?;
-    if v.get("server_stats").and_then(Value::as_object).is_none() {
-        return Err(format!("{ctx}: missing `server_stats` object"));
-    }
-    Ok(())
-}
-
-/// `BENCH_fleet.json`: versioned object with per-fleet-outcome latency
-/// rows and the generation-storm summary. Beyond schema shape, the two
-/// headline claims are *enforced*: a cache-hit p50 time-to-interface
-/// under 1 ms, and exactly one cold generation per unique log
-/// fingerprint (no duplicated search work, nothing shed).
-fn check_fleet(path: &Path) -> Result<(), String> {
-    let v = load(path)?;
-    let ctx = path.display().to_string();
-    if v.get("schema_version").and_then(Value::as_i64) != Some(1) {
-        return Err(format!("{ctx}: `schema_version` must be 1"));
-    }
-    expect_string(&v, "scenario", &ctx)?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing `rows` array"))?;
-    if rows.is_empty() {
-        return Err(format!("{ctx}: no rows"));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("{ctx} rows[{i}]");
-        expect_string(row, "outcome", &ctx)?;
-        for key in ["count", "p50_us", "p95_us", "p99_us", "mean_us", "max_us"] {
-            expect_number(row, key, &ctx)?;
-        }
-    }
-    let summary = v.get("summary").ok_or_else(|| format!("{ctx}: missing `summary` object"))?;
-    let sctx = format!("{ctx} summary");
-    for key in ["clients", "repeated_fraction", "unique_fingerprints", "cache_hit_p50_us"] {
-        expect_number(summary, key, &sctx)?;
-    }
-    for key in ["cache_hit_p50_within_1ms", "one_generation_per_unique_fingerprint"] {
-        expect_bool(summary, key, &sctx)?;
-        if summary[key].as_bool() != Some(true) {
-            return Err(format!("{sctx}: `{key}` is false — headline claim not met"));
-        }
-    }
-    if v.get("server_stats").and_then(Value::as_object).is_none() {
-        return Err(format!("{ctx}: missing `server_stats` object"));
     }
     Ok(())
 }
@@ -342,63 +175,13 @@ fn check_recovery(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// `BENCH_render.json`: the `render_delta` frame-economics gates —
-/// per-event-class latency rows plus the headline byte claim, *enforced*:
-/// patch frames at p50 must cost no more than 25% of the full-spec bytes
-/// a re-rendering client would download per gesture.
-fn check_render(path: &Path) -> Result<(), String> {
-    let v = load(path)?;
-    let ctx = path.display().to_string();
-    if v.get("schema_version").and_then(Value::as_i64) != Some(1) {
-        return Err(format!("{ctx}: `schema_version` must be 1"));
-    }
-    expect_string(&v, "scenario", &ctx)?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing `rows` array"))?;
-    if rows.is_empty() {
-        return Err(format!("{ctx}: no rows"));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = format!("{ctx} rows[{i}]");
-        expect_string(row, "event_class", &ctx)?;
-        for key in ["count", "p50_us", "p95_us", "p99_us", "mean_us", "max_us"] {
-            expect_number(row, key, &ctx)?;
-        }
-    }
-    let bytes = v.get("bytes").ok_or_else(|| format!("{ctx}: missing `bytes` object"))?;
-    let bctx = format!("{ctx} bytes");
-    for key in
-        ["frames", "empty_deltas", "delta_p50", "delta_p99", "full_p50", "full_p99", "ratio_p50"]
-    {
-        expect_number(bytes, key, &bctx)?;
-    }
-    if bytes["frames"].as_i64().unwrap_or(0) == 0 {
-        return Err(format!("{bctx}: the storm produced no patch frames"));
-    }
-    expect_bool(bytes, "ratio_target_met", &bctx)?;
-    if bytes["ratio_target_met"].as_bool() != Some(true) {
-        return Err(format!(
-            "{bctx}: `ratio_target_met` is false — delta frames cost {} of a full spec \
-             (gate: <= {})",
-            bytes["ratio_p50"], bytes["ratio_target"]
-        ));
-    }
-    Ok(())
-}
-
 type Check = fn(&Path) -> Result<(), String>;
 
 fn main() -> ExitCode {
-    let checks: [(&str, Check); 7] = [
+    let checks: [(&str, Check); 3] = [
         ("target/BENCH_latency.json", check_latency),
-        ("target/BENCH_interaction.json", check_interaction),
-        ("target/BENCH_server.json", check_server),
-        ("target/BENCH_fleet.json", check_fleet),
         ("target/BENCH_load.json", check_load),
         ("target/BENCH_recovery.json", check_recovery),
-        ("target/BENCH_render.json", check_render),
     ];
     let mut failed = false;
     for (path, check) in checks {

@@ -11,14 +11,10 @@ pub mod fig4_merged;
 pub mod fig5_multiview;
 pub mod fig6_pipeline;
 pub mod fig7_covid;
-pub mod fleet_storm;
-pub mod interaction_storm;
 pub mod latency;
 pub mod load_storm;
 pub mod recovery_storm;
-pub mod render_delta;
 pub mod search_quality;
-pub mod server_storm;
 pub mod table1;
 
 /// An exhibit generator: renders one paper table or figure as text.
@@ -36,12 +32,8 @@ pub fn all() -> Vec<(&'static str, Exhibit)> {
         ("Figure 6 — generation pipeline trace", fig6_pipeline::run),
         ("Figure 7 — COVID-19 walkthrough (V1→V3)", fig7_covid::run),
         ("TR — generation latency", latency::run),
-        ("TR — interaction dispatch latency", interaction_storm::run),
-        ("TR — server dispatch under client storm", server_storm::run),
-        ("TR — fleet cache under generation storm", fleet_storm::run),
         ("TR — reactor under 1k-session load storm", load_storm::run),
         ("TR — crash recovery under session storm", recovery_storm::run),
-        ("TR — render_delta frames vs full-spec re-render", render_delta::run),
         ("TR — search quality (MCTS vs greedy)", search_quality::run),
         ("Ablations — cost-model terms", ablations::run),
     ]

@@ -54,6 +54,6 @@ pub use pipeline::{
 pub use problem::{ForestAction, InterfaceSearch};
 pub use scene::{Renderer, SceneCatchup, SceneDelta, SceneGraph, SceneNodeId, SceneState};
 pub use session::{
-    ChartUpdate, Event, ExecMode, InterfaceSession, SessionBuilder, SessionError, SessionStats,
-    WidgetState, WidgetValue,
+    ChartUpdate, Event, InterfaceSession, SessionBuilder, SessionError, SessionStats, WidgetState,
+    WidgetValue,
 };

@@ -29,8 +29,8 @@ pub use crate::scene::{
     WidgetPatch,
 };
 pub use crate::session::{
-    ChartUpdate, Event, ExecMode, InterfaceSession, SessionBuilder, SessionError, SessionStats,
-    WidgetState, WidgetValue,
+    ChartUpdate, Event, InterfaceSession, SessionBuilder, SessionError, SessionStats, WidgetState,
+    WidgetValue,
 };
 pub use pi2_engine::{Catalog, EngineError, ExecLimits, ResultSet, Table, Value};
 pub use pi2_interface::{ChartId, Interface, VizInteraction, Widget, WidgetId, WidgetKind};

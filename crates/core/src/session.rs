@@ -162,22 +162,6 @@ pub struct ChartUpdate {
     pub result: Arc<ResultSet>,
 }
 
-/// How a session executes chart queries (see
-/// [`SessionBuilder::exec_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Consult the session's bound-query result cache first; execute
-    /// (columnar fast path where eligible) only on a miss. The default.
-    #[default]
-    Cached,
-    /// Always execute, letting the engine pick its columnar fast path.
-    /// Used to measure cold-path dispatch latency.
-    ColumnarUncached,
-    /// Always execute on the row-at-a-time reference interpreter. Used as
-    /// the pre-optimization baseline in benchmarks.
-    ReferenceUncached,
-}
-
 /// Counters and per-event-class dispatch latency for one session.
 ///
 /// Returned by [`InterfaceSession::stats`]; reset-free (counts accumulate
@@ -186,20 +170,18 @@ pub enum ExecMode {
 pub struct SessionStats {
     /// Successfully dispatched events.
     pub dispatches: u64,
-    /// Bound-query result-cache hits ([`ExecMode::Cached`] only).
+    /// Bound-query result-cache hits.
     pub cache_hits: u64,
-    /// Bound-query result-cache misses ([`ExecMode::Cached`] only).
+    /// Bound-query result-cache misses.
     pub cache_misses: u64,
     /// Instantiated-query memo hits (lowering skipped).
     pub query_memo_hits: u64,
     /// Instantiated-query memo misses (query lowered from the tree).
     pub query_memo_misses: u64,
     /// Cache misses satisfied by incremental (delta) recomputation: only
-    /// the blocks a bound shift could affect were re-evaluated
-    /// ([`ExecMode::Cached`] only).
+    /// the blocks a bound shift could affect were re-evaluated.
     pub delta_hits: u64,
-    /// Cache misses that seeded the delta cache with a full mask
-    /// ([`ExecMode::Cached`] only).
+    /// Cache misses that seeded the delta cache with a full mask.
     pub delta_seeds: u64,
     /// Chart updates returned across all dispatches.
     pub charts_updated: u64,
@@ -305,27 +287,19 @@ pub struct SessionBuilder<'a> {
     forest: DiffForest,
     interface: Interface,
     log: Option<&'a [Query]>,
-    mode: ExecMode,
 }
 
 impl<'a> SessionBuilder<'a> {
     /// Start building a session driving `interface` over `forest`,
     /// executing against `catalog`.
     pub fn new(catalog: Catalog, forest: DiffForest, interface: Interface) -> Self {
-        Self { catalog, forest, interface, log: None, mode: ExecMode::default() }
+        Self { catalog, forest, interface, log: None }
     }
 
     /// Initialize each tree's bindings from the witness bindings of its
     /// first source query in `log` instead of structural defaults.
     pub fn queries(mut self, log: &'a [Query]) -> Self {
         self.log = Some(log);
-        self
-    }
-
-    /// Choose how chart queries are executed (default:
-    /// [`ExecMode::Cached`]).
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -343,7 +317,6 @@ impl<'a> SessionBuilder<'a> {
             interface: self.interface,
             bindings,
             history: Vec::new(),
-            mode: self.mode,
             state: RefCell::new(SessionState::default()),
         }
     }
@@ -358,8 +331,6 @@ pub struct InterfaceSession {
     bindings: Vec<Bindings>,
     /// Event log (for tests, demos, and the notebook's provenance panel).
     history: Vec<Event>,
-    /// How chart queries execute (see [`ExecMode`]).
-    mode: ExecMode,
     /// Caches and counters (interior-mutable: `query_for_chart` and
     /// `refresh_all` memoize through `&self`).
     state: RefCell<SessionState>,
@@ -458,11 +429,6 @@ impl InterfaceSession {
     /// far (a snapshot; the live counters keep accumulating).
     pub fn stats(&self) -> SessionStats {
         self.state.borrow().stats.clone()
-    }
-
-    /// The session's execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// The SQL query a chart currently shows.
@@ -627,53 +593,43 @@ impl InterfaceSession {
             .collect()
     }
 
-    /// Execute one chart query according to the session's [`ExecMode`].
+    /// Execute one chart query: the session's result cache first, then
+    /// incremental (delta) recomputation, then a full execution.
     ///
-    /// In [`ExecMode::Cached`], the cache key is the structural hash of the
-    /// *normalized* query, so binding states that lower to semantically
-    /// identical SQL (modulo normalization) share an entry. Errors are
-    /// never cached.
+    /// The cache key is the structural hash of the *normalized* query, so
+    /// binding states that lower to semantically identical SQL (modulo
+    /// normalization) share an entry. Errors are never cached.
     fn execute_for_session(&self, query: &Query) -> Result<Arc<ResultSet>, SessionError> {
         let internal = |e: pi2_engine::EngineError| SessionError::Internal(e.to_string());
-        match self.mode {
-            ExecMode::ReferenceUncached => {
-                self.catalog.execute_reference(query).map(Arc::new).map_err(internal)
+        let key = pi2_sql::normalize::normalized(query).structural_hash();
+        {
+            let mut st = self.state.borrow_mut();
+            if let Some(hit) = st.result_cache.get(key) {
+                st.stats.cache_hits += 1;
+                return Ok(hit);
             }
-            ExecMode::ColumnarUncached => {
-                self.catalog.execute_uncached(query).map(Arc::new).map_err(internal)
-            }
-            ExecMode::Cached => {
-                let key = pi2_sql::normalize::normalized(query).structural_hash();
-                {
-                    let mut st = self.state.borrow_mut();
-                    if let Some(hit) = st.result_cache.get(key) {
-                        st.stats.cache_hits += 1;
-                        return Ok(hit);
-                    }
-                    st.stats.cache_misses += 1;
-                }
-                // On a miss, try incremental recomputation first: a gesture
-                // that only shifted range bounds re-evaluates just the
-                // affected blocks of the previous dispatch's mask.
-                let delta = {
-                    let mut st = self.state.borrow_mut();
-                    let SessionState { delta_cache, stats, .. } = &mut *st;
-                    let attempt = self.catalog.execute_delta(query, delta_cache);
-                    match &attempt {
-                        Some((_, DeltaOutcome::Incremental { .. })) => stats.delta_hits += 1,
-                        Some((_, DeltaOutcome::Seeded)) => stats.delta_seeds += 1,
-                        None => {}
-                    }
-                    attempt
-                };
-                let result = match delta {
-                    Some((res, _)) => Arc::new(res.map_err(internal)?),
-                    None => Arc::new(self.catalog.execute_uncached(query).map_err(internal)?),
-                };
-                self.state.borrow_mut().result_cache.insert(key, Arc::clone(&result));
-                Ok(result)
-            }
+            st.stats.cache_misses += 1;
         }
+        // On a miss, try incremental recomputation first: a gesture that
+        // only shifted range bounds re-evaluates just the affected blocks
+        // of the previous dispatch's mask.
+        let delta = {
+            let mut st = self.state.borrow_mut();
+            let SessionState { delta_cache, stats, .. } = &mut *st;
+            let attempt = self.catalog.execute_delta(query, delta_cache);
+            match &attempt {
+                Some((_, DeltaOutcome::Incremental { .. })) => stats.delta_hits += 1,
+                Some((_, DeltaOutcome::Seeded)) => stats.delta_seeds += 1,
+                None => {}
+            }
+            attempt
+        };
+        let result = match delta {
+            Some((res, _)) => Arc::new(res.map_err(internal)?),
+            None => Arc::new(self.catalog.execute_uncached(query).map_err(internal)?),
+        };
+        self.state.borrow_mut().result_cache.insert(key, Arc::clone(&result));
+        Ok(result)
     }
 
     // ---- binding helpers ----------------------------------------------------
@@ -1405,35 +1361,25 @@ mod tests {
     }
 
     #[test]
-    fn exec_modes_agree_and_uncached_modes_skip_cache() {
-        let catalog =
-            pi2_datasets::sdss::catalog(&pi2_datasets::sdss::Config { objects: 400, seed: 3 });
-        let pi2 = Pi2::builder(catalog.clone()).strategy(SearchStrategy::FullMerge).build();
-        let queries: Vec<String> =
-            pi2_datasets::sdss::demo_queries().iter().map(|q| q.to_string()).collect();
-        let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
-        let g = pi2.generate_sql(&refs).unwrap();
-        let mut per_mode = Vec::new();
-        for mode in [ExecMode::Cached, ExecMode::ColumnarUncached, ExecMode::ReferenceUncached] {
-            let mut s = SessionBuilder::new(catalog.clone(), g.forest.clone(), g.interface.clone())
-                .queries(&g.queries)
-                .exec_mode(mode)
-                .build();
-            assert_eq!(s.exec_mode(), mode);
-            s.refresh_all().unwrap();
-            let updates = s.dispatch(Event::Pan { chart: 0, dx: 0.25, dy: 0.125 }).unwrap();
-            let st = s.stats();
-            if mode == ExecMode::Cached {
-                assert!(st.cache_misses > 0);
-            } else {
-                assert_eq!((st.cache_hits, st.cache_misses), (0, 0), "{mode:?} must not cache");
+    fn cold_delta_and_warm_pans_match_reference_executor() {
+        let (pi2, g) = sdss_session();
+        let mut s = pi2.session(&g);
+        let catalog = s.catalog.clone();
+        // A fresh window (cold: miss + delta seed), a forward shift of it
+        // (delta: incremental recomputation), then a return to the first
+        // window (warm: result-cache hit). Every path must agree with the
+        // row-at-a-time reference executor.
+        let paths = |st: &SessionStats| [st.delta_seeds, st.delta_hits, st.cache_hits];
+        for (path, dx) in [0.25, 0.25, -0.25].into_iter().enumerate() {
+            let before = paths(&s.stats())[path];
+            let updates = s.dispatch(Event::Pan { chart: 0, dx, dy: 0.0 }).unwrap();
+            assert!(paths(&s.stats())[path] > before, "pan dx={dx} took an unexpected path");
+            assert!(!updates.is_empty(), "pan dx={dx} updated no chart");
+            for u in &updates {
+                let reference = catalog.execute_reference(&u.query).unwrap();
+                assert_eq!(*u.result, reference, "pan dx={dx} disagrees with the oracle");
             }
-            let shape: Vec<(String, Vec<Vec<pi2_engine::Value>>)> =
-                updates.iter().map(|u| (u.query.to_string(), u.result.rows.clone())).collect();
-            per_mode.push(shape);
         }
-        assert_eq!(per_mode[0], per_mode[1], "cached vs columnar-uncached disagree");
-        assert_eq!(per_mode[0], per_mode[2], "cached vs reference-uncached disagree");
     }
 
     #[test]

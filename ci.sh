@@ -52,11 +52,11 @@ cargo test -q --release -p pi2-bench --test gates
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-# pi2-sql, pi2-engine, pi2-difftree and pi2-interface deny
-# clippy::unwrap_used in non-test code (see each crate's src/lib.rs): they
-# parse and execute client SQL, so bad input must surface as an error. This
-# workspace run enforces that ban; the per-crate runs below cover pi2-core,
-# pi2-server and pi2-render.
+# pi2-sql, pi2-engine, pi2-difftree, pi2-interface, pi2-cost and pi2-mcts
+# deny clippy::unwrap_used in non-test code (see each crate's src/lib.rs):
+# they parse, execute, map, cost and search over client SQL, so bad input
+# must surface as an error. This workspace run enforces that ban; the
+# per-crate runs below cover pi2-core, pi2-server and pi2-render.
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -130,7 +130,7 @@ pub struct AxisScene {
 
 /// A chart's retained scene node: mark group, encodings, axes, columnar
 /// data, and its layout frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChartScene {
     /// Scene node id.
     pub node: SceneNodeId,
@@ -157,29 +157,6 @@ pub struct ChartScene {
     pub rows: usize,
     /// Layout frame: the screen rectangle the chart is drawn in.
     pub frame: Rect,
-    /// The result set the columns were transposed from. Identity-only
-    /// cache key for the incremental rebuild fast path; excluded from
-    /// equality and from the JSON codec.
-    pub source: Option<Arc<ResultSet>>,
-}
-
-impl PartialEq for ChartScene {
-    fn eq(&self, other: &Self) -> bool {
-        // `source` is deliberately ignored: a delta-maintained client copy
-        // has no result sets, only columns.
-        self.node == other.node
-            && self.chart == other.chart
-            && self.name == other.name
-            && self.title == other.title
-            && self.mark == other.mark
-            && self.encodings == other.encodings
-            && self.interactions == other.interactions
-            && self.query == other.query
-            && self.axes == other.axes
-            && self.columns == other.columns
-            && self.rows == other.rows
-            && self.frame == other.frame
-    }
 }
 
 /// A widget's retained scene node.
@@ -349,6 +326,33 @@ fn element_rect(frames: &[LayoutFrame], want: FrameKind) -> Rect {
     frames.iter().find(|f| f.kind == want).map(|f| f.rect).unwrap_or_default()
 }
 
+/// A chart's scene node from its current data (`None`: an empty mark
+/// group) laid out in `frame`.
+fn chart_node(c: &pi2_interface::Chart, update: Option<&ChartUpdate>, frame: Rect) -> ChartScene {
+    let (columns, rows, query) = match update {
+        Some(u) => (transpose(&u.result), u.result.rows.len(), u.query.to_string()),
+        None => (Vec::new(), 0, String::new()),
+    };
+    ChartScene {
+        node: SceneNodeId::chart(c.id),
+        chart: c.id,
+        name: c.name.clone(),
+        title: c.title.clone(),
+        mark: c.mark,
+        encodings: c.encodings.clone(),
+        interactions: c.interactions.iter().map(|i| i.kind_name().into()).collect(),
+        query,
+        axes: axes_for(&c.encodings, &columns),
+        columns,
+        rows,
+        frame,
+    }
+}
+
+fn widget_state(states: &[(WidgetId, WidgetState)], id: WidgetId) -> WidgetState {
+    states.iter().find(|(w, _)| *w == id).map(|(_, s)| s.clone()).unwrap_or(WidgetState::Unknown)
+}
+
 fn widget_options(kind: &pi2_interface::WidgetKind) -> Vec<String> {
     use pi2_interface::WidgetKind as K;
     match kind {
@@ -369,19 +373,6 @@ impl SceneGraph {
         updates: &[ChartUpdate],
         widget_states: &[(WidgetId, WidgetState)],
     ) -> SceneGraph {
-        Self::build_with_prev(interface, updates, widget_states, None)
-    }
-
-    /// [`SceneGraph::build`] with an incremental fast path: a chart whose
-    /// update carries the *same* [`Arc`]'d result as `prev`'s node skips
-    /// the columnar transpose and domain scan and reuses the previous
-    /// node wholesale.
-    pub fn build_with_prev(
-        interface: &Interface,
-        updates: &[ChartUpdate],
-        widget_states: &[(WidgetId, WidgetState)],
-        prev: Option<&SceneGraph>,
-    ) -> SceneGraph {
         let screen = (interface.screen.width, interface.screen.height);
         let mut frames = Vec::new();
         let mut counter = 0usize;
@@ -397,44 +388,7 @@ impl SceneGraph {
             .iter()
             .map(|c| {
                 let update = updates.iter().find(|u| u.chart == c.id);
-                let frame = element_rect(&frames, FrameKind::Chart(c.id));
-                let reused = prev.and_then(|p| {
-                    let old = p.charts.iter().find(|s| s.chart == c.id)?;
-                    let (u, src) = (update?, old.source.as_ref()?);
-                    if Arc::ptr_eq(&u.result, src) && old.query == u.query.to_string() {
-                        Some(old.clone())
-                    } else {
-                        None
-                    }
-                });
-                if let Some(old) = reused {
-                    return ChartScene { frame, ..old };
-                }
-                let (columns, rows, query, source) = match update {
-                    Some(u) => (
-                        transpose(&u.result),
-                        u.result.rows.len(),
-                        u.query.to_string(),
-                        Some(Arc::clone(&u.result)),
-                    ),
-                    None => (Vec::new(), 0, String::new(), None),
-                };
-                let axes = axes_for(&c.encodings, &columns);
-                ChartScene {
-                    node: SceneNodeId::chart(c.id),
-                    chart: c.id,
-                    name: c.name.clone(),
-                    title: c.title.clone(),
-                    mark: c.mark,
-                    encodings: c.encodings.clone(),
-                    interactions: c.interactions.iter().map(|i| i.kind_name().into()).collect(),
-                    query,
-                    axes,
-                    columns,
-                    rows,
-                    frame,
-                    source,
-                }
+                chart_node(c, update, element_rect(&frames, FrameKind::Chart(c.id)))
             })
             .collect();
 
@@ -447,16 +401,36 @@ impl SceneGraph {
                 label: w.label.clone(),
                 kind: w.kind.kind_name().to_string(),
                 options: widget_options(&w.kind),
-                state: widget_states
-                    .iter()
-                    .find(|(id, _)| *id == w.id)
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or(WidgetState::Unknown),
+                state: widget_state(widget_states, w.id),
                 frame: element_rect(&frames, FrameKind::Widget(w.id)),
             })
             .collect();
 
         SceneGraph { screen, charts, widgets, frames }
+    }
+
+    /// This scene with the charts in `updates` rebuilt from their fresh
+    /// data and every widget's state replaced; all other nodes are cloned.
+    /// Equal to a [`SceneGraph::build`] over the full data when `updates`
+    /// covers every chart whose data changed since `self` was built.
+    pub(crate) fn with_updates(
+        &self,
+        interface: &Interface,
+        updates: &[ChartUpdate],
+        widget_states: &[(WidgetId, WidgetState)],
+    ) -> SceneGraph {
+        let mut next = self.clone();
+        for node in &mut next.charts {
+            let update = updates.iter().find(|u| u.chart == node.chart);
+            let chart = interface.charts.iter().find(|c| c.id == node.chart);
+            if let (Some(u), Some(c)) = (update, chart) {
+                *node = chart_node(c, Some(u), node.frame);
+            }
+        }
+        for node in &mut next.widgets {
+            node.state = widget_state(widget_states, node.widget);
+        }
+        next
     }
 
     /// Cold full build from a live session: execute every chart and read
@@ -497,7 +471,6 @@ impl SceneGraph {
                 chart.columns = columns;
                 chart.rows = rows;
             }
-            chart.source = None;
         }
         for patch in &delta.widgets {
             let widget = self
@@ -1378,7 +1351,6 @@ pub fn scene_from_json(v: &Json) -> Result<SceneGraph, String> {
                 rows,
                 columns,
                 frame: rect_from_json(c.get("frame").unwrap_or(&Json::Null))?,
-                source: None,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -1613,7 +1585,6 @@ mod tests {
             columns: transpose(&r),
             rows: r.rows.len(),
             frame: Rect { x: 0, y: 0, w: 100, h: 100 },
-            source: Some(r),
         }
     }
 

@@ -174,10 +174,6 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Bound-query result-cache misses.
     pub cache_misses: u64,
-    /// Instantiated-query memo hits (lowering skipped).
-    pub query_memo_hits: u64,
-    /// Instantiated-query memo misses (query lowered from the tree).
-    pub query_memo_misses: u64,
     /// Cache misses satisfied by incremental (delta) recomputation: only
     /// the blocks a bound shift could affect were re-evaluated.
     pub delta_hits: u64,
@@ -199,14 +195,11 @@ impl SessionStats {
             self.latency.iter().map(|(k, h)| format!("\"{k}\":{}", h.to_json())).collect();
         format!(
             "{{\"dispatches\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"query_memo_hits\":{},\"query_memo_misses\":{},\
              \"delta_hits\":{},\"delta_seeds\":{},\
              \"charts_updated\":{},\"charts_skipped\":{},\"latency\":{{{}}}}}",
             self.dispatches,
             self.cache_hits,
             self.cache_misses,
-            self.query_memo_hits,
-            self.query_memo_misses,
             self.delta_hits,
             self.delta_seeds,
             self.charts_updated,
@@ -252,13 +245,9 @@ impl ResultCache {
 }
 
 /// Interior-mutable session state: caches and counters that read-side APIs
-/// (`query_for_chart`, `refresh_all`) update through `&self`.
+/// (`refresh_all`, `scene_sync`) update through `&self`.
 #[derive(Debug, Default)]
 struct SessionState {
-    /// Instantiated query per (tree index, bindings fingerprint): skips
-    /// re-lowering when an event returns a tree to a previously seen
-    /// binding state. Cleared wholesale past [`Self::QUERY_MEMO_CAP`].
-    query_memo: HashMap<(usize, u64), Query>,
     result_cache: ResultCache,
     /// Selection masks from previous dispatches, keyed by query template:
     /// lets a pan/zoom/brush that only shifts range bounds re-evaluate
@@ -268,10 +257,12 @@ struct SessionState {
     /// Retained scene graph + delta history, initialized lazily by the
     /// first `scene_*` call (see [`crate::scene`]).
     scene: Option<crate::scene::SceneState>,
-}
-
-impl SessionState {
-    const QUERY_MEMO_CAP: usize = 1024;
+    /// Trees whose bindings changed since the retained scene last synced:
+    /// the scene damage `dispatch` records for the next
+    /// [`InterfaceSession::scene_sync`]. Marked as each binding changes,
+    /// before any execution, so a dispatch that fails leaves its trees
+    /// stale; cleared only by a successful sync.
+    stale: BTreeSet<usize>,
 }
 
 /// Builder for [`InterfaceSession`].
@@ -316,7 +307,6 @@ impl<'a> SessionBuilder<'a> {
             forest: self.forest,
             interface: self.interface,
             bindings,
-            history: Vec::new(),
             state: RefCell::new(SessionState::default()),
         }
     }
@@ -329,10 +319,8 @@ pub struct InterfaceSession {
     interface: Interface,
     /// Current bindings, per tree.
     bindings: Vec<Bindings>,
-    /// Event log (for tests, demos, and the notebook's provenance panel).
-    history: Vec<Event>,
-    /// Caches and counters (interior-mutable: `query_for_chart` and
-    /// `refresh_all` memoize through `&self`).
+    /// Caches, counters and the retained scene (interior-mutable:
+    /// `refresh_all` and `scene_sync` update them through `&self`).
     state: RefCell<SessionState>,
 }
 
@@ -340,11 +328,6 @@ impl InterfaceSession {
     /// The interface being driven.
     pub fn interface(&self) -> &Interface {
         &self.interface
-    }
-
-    /// The dispatched-event log.
-    pub fn history(&self) -> &[Event] {
-        &self.history
     }
 
     /// Current bindings for tree `t`.
@@ -432,10 +415,6 @@ impl InterfaceSession {
     }
 
     /// The SQL query a chart currently shows.
-    ///
-    /// Memoized per (tree, bindings fingerprint): returning to a
-    /// previously seen binding state (toggling a filter back on, panning
-    /// back) skips re-lowering the DiffTree.
     pub fn query_for_chart(&self, chart: ChartId) -> Result<Query, SessionError> {
         let c = self
             .interface
@@ -443,27 +422,11 @@ impl InterfaceSession {
             .iter()
             .find(|c| c.id == chart)
             .ok_or(SessionError::UnknownChart(chart))?;
-        let key = (c.tree, self.tree_bindings(c.tree)?.fingerprint());
-        {
-            let mut st = self.state.borrow_mut();
-            if let Some(q) = st.query_memo.get(&key) {
-                let q = q.clone();
-                st.stats.query_memo_hits += 1;
-                return Ok(q);
-            }
-            st.stats.query_memo_misses += 1;
-        }
         let tree = self.forest.trees.get(c.tree).ok_or_else(|| {
             SessionError::Internal(format!("chart {chart} references missing tree {}", c.tree))
         })?;
-        let query = pi2_difftree::lower_query(tree, self.tree_bindings(c.tree)?)
-            .map_err(|e| SessionError::Internal(e.to_string()))?;
-        let mut st = self.state.borrow_mut();
-        if st.query_memo.len() >= SessionState::QUERY_MEMO_CAP {
-            st.query_memo.clear();
-        }
-        st.query_memo.insert(key, query.clone());
-        Ok(query)
+        pi2_difftree::lower_query(tree, self.tree_bindings(c.tree)?)
+            .map_err(|e| SessionError::Internal(e.to_string()))
     }
 
     /// Execute and return every chart's current data.
@@ -488,7 +451,6 @@ impl InterfaceSession {
             Event::Zoom { chart, factor } => self.apply_panzoom(*chart, Gesture::Zoom(*factor))?,
             Event::Click { chart, value } => self.apply_click(*chart, value)?,
         };
-        self.history.push(event);
         let charts: Vec<ChartId> = self
             .interface
             .charts
@@ -522,12 +484,36 @@ impl InterfaceSession {
     /// Bring the retained scene graph up to date with the session's
     /// current bindings, returning the damage delta when anything changed.
     /// Initializes the scene (at version 1, with no delta) on first call.
+    ///
+    /// Only the charts on trees that dispatch marked stale are re-looked-up
+    /// (through the result cache) and rebuilt, plus every widget's state;
+    /// all other nodes are kept from the retained scene. With nothing
+    /// stale, this returns `Ok(None)` without touching a chart.
     pub fn scene_sync(&self) -> Result<Option<crate::scene::SceneDelta>, SessionError> {
-        let fresh = self.scene_build()?;
+        let charts = {
+            let st = self.state.borrow();
+            let cold = st.scene.is_none();
+            if !cold && st.stale.is_empty() {
+                return Ok(None);
+            }
+            self.interface
+                .charts
+                .iter()
+                .filter(|c| cold || st.stale.contains(&c.tree))
+                .map(|c| c.id)
+                .collect()
+        };
+        let updates = self.updates_for(charts)?;
+        let states = self.widget_states();
         let mut st = self.state.borrow_mut();
+        st.stale.clear();
         match st.scene.as_mut() {
-            Some(scene) => Ok(scene.sync(fresh)),
+            Some(scene) => {
+                let fresh = scene.graph().with_updates(&self.interface, &updates, &states);
+                Ok(scene.sync(fresh))
+            }
             None => {
+                let fresh = crate::scene::SceneGraph::build(&self.interface, &updates, &states);
                 st.scene = Some(crate::scene::SceneState::new(fresh));
                 Ok(None)
             }
@@ -566,20 +552,6 @@ impl InterfaceSession {
             .as_ref()
             .ok_or_else(|| SessionError::Internal("scene state missing after sync".into()))?;
         Ok(scene.deltas_since(since))
-    }
-
-    /// Build a fresh scene from the current session state, reusing the
-    /// retained scene's nodes for charts whose cached result is unchanged.
-    fn scene_build(&self) -> Result<crate::scene::SceneGraph, SessionError> {
-        let updates = self.refresh_all()?;
-        let states = self.widget_states();
-        let st = self.state.borrow();
-        Ok(crate::scene::SceneGraph::build_with_prev(
-            &self.interface,
-            &updates,
-            &states,
-            st.scene.as_ref().map(|s| s.graph()),
-        ))
     }
 
     fn updates_for(&self, charts: Vec<ChartId>) -> Result<Vec<ChartUpdate>, SessionError> {
@@ -714,7 +686,7 @@ impl InterfaceSession {
     /// Set `t`'s binding, returning whether the *effective* value changed.
     /// Restating the current value (explicit or default) is a no-op, so
     /// dispatch can skip re-executing charts whose queries cannot have
-    /// changed.
+    /// changed. A change marks the tree stale for the next scene sync.
     fn apply_binding(&mut self, t: Target, b: Binding) -> Result<bool, SessionError> {
         let current = match self.tree_bindings(t.tree)?.get(t.node) {
             Some(cur) => cur.clone(),
@@ -724,6 +696,7 @@ impl InterfaceSession {
             return Ok(false);
         }
         self.tree_bindings_mut(t.tree)?.set(t.node, b);
+        self.state.get_mut().stale.insert(t.tree);
         Ok(true)
     }
 
@@ -1083,15 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn history_records_events() {
-        let (pi2, g) = sdss_session();
-        let mut s = pi2.session(&g);
-        s.dispatch(Event::Pan { chart: 0, dx: 0.1, dy: 0.0 }).unwrap();
-        s.dispatch(Event::Zoom { chart: 0, factor: 0.5 }).unwrap();
-        assert_eq!(s.history().len(), 2);
-    }
-
-    #[test]
     fn toggle_and_buttons_drive_fig4_interface() {
         let pi2 = Pi2::builder(pi2_datasets::toy::default_catalog())
             .strategy(SearchStrategy::FullMerge)
@@ -1265,7 +1229,7 @@ mod tests {
     }
 
     #[test]
-    fn pan_cycle_hits_result_cache_and_query_memo() {
+    fn pan_cycle_hits_result_cache() {
         let (pi2, g) = sdss_session();
         let mut s = pi2.session(&g);
         s.refresh_all().unwrap();
@@ -1274,10 +1238,6 @@ mod tests {
         s.dispatch(Event::Pan { chart: 0, dx: -0.25, dy: 0.0 }).unwrap();
         let st = s.stats();
         assert!(st.cache_hits > st0.cache_hits, "panning back must hit the result cache: {st:?}");
-        assert!(
-            st.query_memo_hits > st0.query_memo_hits,
-            "panning back must hit the query memo: {st:?}"
-        );
     }
 
     #[test]
@@ -1391,5 +1351,65 @@ mod tests {
         assert!(json.contains("\"dispatches\":1"), "{json}");
         assert!(json.contains("\"pan\":{\"count\":1"), "{json}");
         assert!(json.contains("\"cache_misses\""), "{json}");
+    }
+
+    // ---- scene sync from dispatch damage ------------------------------------
+
+    fn lookups(s: &InterfaceSession) -> u64 {
+        let st = s.stats();
+        st.cache_hits + st.cache_misses
+    }
+
+    #[test]
+    fn scene_sync_rebuilds_only_dispatched_charts() {
+        let mut s = covid_brush_session();
+        assert_eq!(s.interface().charts.len(), 2);
+        s.scene_sync().unwrap();
+        let day = |d: &str| pi2_sql::Date::parse(d).unwrap().0 as f64;
+        let before = lookups(&s);
+        let (updates, delta) = s
+            .dispatch_with_delta(Event::Brush {
+                chart: 0,
+                low: day("2021-12-05"),
+                high: day("2021-12-10"),
+            })
+            .unwrap();
+        assert_eq!(updates.len(), 1, "the brush moves only the detail chart");
+        assert!(delta.is_some());
+        // One lookup in dispatch, one in the sync: the overview chart,
+        // whose tree the brush left alone, is not looked up again.
+        assert_eq!(lookups(&s), before + 2);
+        // Render-delta reads after the sync find nothing stale and touch
+        // no chart.
+        let (st0, version) = (s.stats(), s.scene_version());
+        assert_eq!(s.scene_deltas_since(version).unwrap(), crate::scene::SceneCatchup::UpToDate);
+        assert!(s.scene_sync().unwrap().is_none());
+        let (snapshot, snapshot_version) = s.scene_snapshot().unwrap();
+        let st = s.stats();
+        assert_eq!((st.cache_hits, st.cache_misses), (st0.cache_hits, st0.cache_misses));
+        assert_eq!(snapshot_version, version);
+        assert_eq!(snapshot, crate::scene::SceneGraph::build_from(&s).unwrap());
+    }
+
+    #[test]
+    fn failed_dispatch_leaves_its_tree_stale_until_a_sync_succeeds() {
+        let (pi2, g) = sdss_session();
+        let mut s = pi2.session(&g);
+        let (mut client, v0) = s.scene_snapshot().unwrap();
+        // Every chart execution now overruns its row budget: the pan moves
+        // the bindings, then fails to execute, and so does the next sync.
+        s.catalog.set_limits(pi2_engine::ExecLimits::rows(0));
+        assert!(s.dispatch(Event::Pan { chart: 0, dx: 0.25, dy: 0.0 }).is_err());
+        assert!(s.scene_sync().is_err());
+        assert_eq!(s.scene_version(), v0);
+        // Once execution succeeds, the sync still knows the pan's tree is
+        // stale and catches the scene up to a cold build.
+        s.catalog.set_limits(pi2_engine::ExecLimits::default());
+        let delta = s.scene_sync().unwrap().expect("the failed pan's tree is still stale");
+        client.apply(&delta).unwrap();
+        let cold = crate::scene::SceneGraph::build_from(&s).unwrap();
+        assert_eq!(client, cold);
+        assert_eq!(s.scene_snapshot().unwrap(), (cold, v0 + 1));
+        assert!(s.scene_sync().unwrap().is_none());
     }
 }

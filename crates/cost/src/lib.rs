@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 //! # pi2-cost
 //!

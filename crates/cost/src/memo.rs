@@ -14,7 +14,9 @@
 //!
 //! Entries store the winning interface, its cost breakdown, and the
 //! candidate count, so a hit skips both mapping and costing entirely.
-//! Storage is lock-sharded for the parallel search's concurrent lookups.
+//! Storage is lock-sharded for the parallel search's concurrent lookups,
+//! and bounded: a shard that fills is cleared wholesale, so a memo shared
+//! by a long-lived server holds at most 4096 entries.
 
 use crate::CostBreakdown;
 use parking_lot::Mutex;
@@ -37,6 +39,11 @@ pub struct CostedChoice {
 }
 
 const MEMO_SHARDS: usize = 16;
+
+/// Entries a [`CostMemo`] holds at most (the engine's query-cache
+/// capacity), split evenly across its shards.
+const MEMO_CAP: usize = 4096;
+const SHARD_CAP: usize = MEMO_CAP / MEMO_SHARDS;
 
 /// One lock shard: memoized outcomes keyed by `(context, structural hash)`.
 /// `None` records a deterministic mapping failure.
@@ -92,7 +99,11 @@ impl CostMemo {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = compute().map(Arc::new);
-        self.shard(key).lock().insert(key, entry.clone());
+        let mut shard = self.shard(key).lock();
+        if shard.len() >= SHARD_CAP && !shard.contains_key(&key) {
+            shard.clear();
+        }
+        shard.insert(key, entry.clone());
         entry
     }
 
@@ -226,6 +237,20 @@ mod tests {
             assert!(got.is_none());
         }
         assert_eq!(computed, 1);
+    }
+
+    #[test]
+    fn len_stays_within_the_cap_and_values_stay_right() {
+        let memo = CostMemo::new();
+        let keys = 2 * MEMO_CAP as u64 + 17;
+        for round in 0..2 {
+            for k in 0..keys {
+                let got = memo.get_or_compute(round, k, || Some(entry(k as f64)));
+                assert_eq!(got.unwrap().breakdown.total, k as f64);
+                assert!(memo.len() <= MEMO_CAP, "memo grew to {} entries", memo.len());
+            }
+        }
+        assert_eq!(memo.hits() + memo.misses(), 2 * keys);
     }
 
     #[test]

@@ -49,6 +49,12 @@ cargo run -q --release -p pi2-bench --bin bench_check
 echo "== performance gates (release) =="
 cargo test -q --release -p pi2-bench --test gates
 
+# perfbench is a workspace of its own that builds against the scene codec
+# and the session API by path: an API break must fail here, not in a
+# benchmark run.
+echo "== perfbench tests (release) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -27,7 +27,8 @@ use pi2_interface::{
 };
 use pi2_sql::Literal;
 use serde_json::{json, Value as Json};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// How many trailing [`SceneDelta`]s a [`SceneState`] retains for clients
@@ -637,17 +638,84 @@ impl SceneDelta {
 // Diff pass
 // ---------------------------------------------------------------------------
 
+/// The row-key hasher: FxHash's multiply-rotate step over 64-bit words,
+/// then SplitMix64's finalizer so every key bit depends on every input
+/// bit. It is not collision-resistant, and need not be: keys only propose
+/// anchors, and [`edit_script`] verifies every anchor by value.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl RowHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Hashes a `u64` key to itself: the row keys are already mixed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One key per row over every column, column by column.
 fn row_keys(columns: &[ColumnSlice], rows: usize) -> Vec<u64> {
-    use std::hash::{Hash, Hasher};
-    (0..rows)
-        .map(|i| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for c in columns {
-                c.values[i].hash(&mut h);
-            }
-            h.finish()
-        })
-        .collect()
+    let mut hashers: Vec<RowHasher> = (0..rows).map(|_| RowHasher::default()).collect();
+    for c in columns {
+        for (h, v) in hashers.iter_mut().zip(c.values.iter()) {
+            v.hash(h);
+        }
+    }
+    hashers.iter().map(Hasher::finish).collect()
 }
 
 fn slice_columns(columns: &[ColumnSlice], range: std::ops::Range<usize>) -> Vec<ColumnSlice> {
@@ -669,22 +737,22 @@ fn slice_columns(columns: &[ColumnSlice], range: std::ops::Range<usize>) -> Vec<
 /// surviving rows. Returns `None` when no anchor survives value
 /// verification.
 fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<Vec<RowEdit>> {
-    use std::collections::HashMap;
     #[derive(Clone, Copy)]
     enum Seen {
         Once(usize),
         Dup,
     }
+    type Seens = HashMap<u64, Seen, BuildHasherDefault<KeyHasher>>;
+    fn seen(keys: &[u64]) -> Seens {
+        let mut seen = Seens::with_capacity_and_hasher(keys.len(), Default::default());
+        for (i, k) in keys.iter().enumerate() {
+            seen.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(i));
+        }
+        seen
+    }
     let ka = row_keys(&old.columns, old.rows);
     let kb = row_keys(&new.columns, new.rows);
-    let mut seen_old: HashMap<u64, Seen> = HashMap::with_capacity(ka.len());
-    for (i, k) in ka.iter().enumerate() {
-        seen_old.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(i));
-    }
-    let mut seen_new: HashMap<u64, Seen> = HashMap::with_capacity(kb.len());
-    for (j, k) in kb.iter().enumerate() {
-        seen_new.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(j));
-    }
+    let (seen_old, seen_new) = (seen(&ka), seen(&kb));
     // Candidate anchors in new-row order; a kept chain must also be
     // increasing in old-row order (longest increasing subsequence).
     let mut cand: Vec<(usize, usize)> = Vec::new();
@@ -1056,22 +1124,34 @@ fn parse_field_type(s: &str) -> Result<FieldType, String> {
     })
 }
 
+/// A JSON object from already-built values, moved in order. (`json!`
+/// converts each value expression with `to_value`, which copies a `Json`
+/// subtree; the encoders below nest per-cell trees, so they build with
+/// this instead.)
+fn object<const N: usize>(entries: [(&str, Json); N]) -> Json {
+    Json::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 fn f64_json(v: f64) -> Json {
     if v.is_finite() {
         Json::Number(serde_json::Number::Float(v))
     } else {
-        json!({ "$float": format!("{v:?}") })
+        object([("$float", Json::String(format!("{v:?}")))])
     }
+}
+
+fn date_json(d: pi2_sql::Date) -> Json {
+    object([("$date", Json::String(d.to_string()))])
 }
 
 fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
-        Value::Bool(b) => json!(b),
-        Value::Int(i) => json!(i),
+        Value::Bool(b) => Json::Bool(*b),
+        Value::Int(i) => Json::Number(serde_json::Number::Int(*i)),
         Value::Float(f) => f64_json(*f),
-        Value::Str(s) => json!(s),
-        Value::Date(d) => json!({ "$date": d.to_string() }),
+        Value::Str(s) => Json::String(s.clone()),
+        Value::Date(d) => date_json(*d),
     }
 }
 
@@ -1102,11 +1182,11 @@ fn value_from_json(v: &Json) -> Result<Value, String> {
 fn literal_to_json(l: &Literal) -> Json {
     match l {
         Literal::Null => Json::Null,
-        Literal::Bool(b) => json!(b),
-        Literal::Int(i) => json!(i),
+        Literal::Bool(b) => Json::Bool(*b),
+        Literal::Int(i) => Json::Number(serde_json::Number::Int(*i)),
         Literal::Float(f) => f64_json(f.0),
-        Literal::Str(s) => json!(s),
-        Literal::Date(d) => json!({ "$date": d.to_string() }),
+        Literal::Str(s) => Json::String(s.clone()),
+        Literal::Date(d) => date_json(*d),
     }
 }
 
@@ -1125,9 +1205,9 @@ fn widget_state_to_json(s: &WidgetState) -> Json {
     match s {
         WidgetState::Picked(i) => json!({ "picked": i }),
         WidgetState::Toggled(b) => json!({ "toggled": b }),
-        WidgetState::Value(l) => json!({ "value": literal_to_json(l) }),
+        WidgetState::Value(l) => object([("value", literal_to_json(l))]),
         WidgetState::Range(lo, hi) => {
-            json!({ "range": [literal_to_json(lo), literal_to_json(hi)] })
+            object([("range", Json::Array(vec![literal_to_json(lo), literal_to_json(hi)]))])
         }
         WidgetState::Flags(f) => json!({ "flags": f }),
         WidgetState::Unknown => json!({ "unknown": true }),
@@ -1179,10 +1259,10 @@ fn columns_json(columns: &[ColumnSlice]) -> Json {
         columns
             .iter()
             .map(|c| {
-                json!({
-                    "field": c.field,
-                    "values": c.values.iter().map(value_to_json).collect::<Vec<_>>(),
-                })
+                object([
+                    ("field", Json::String(c.field.clone())),
+                    ("values", Json::Array(c.values.iter().map(value_to_json).collect())),
+                ])
             })
             .collect(),
     )
@@ -1253,43 +1333,53 @@ fn axis_from_json(v: &Json) -> Result<AxisScene, String> {
 
 /// Encode a scene snapshot for the wire.
 pub fn scene_to_json(g: &SceneGraph) -> Json {
-    json!({
-        "screen": [g.screen.0, g.screen.1],
-        "charts": g.charts.iter().map(|c| json!({
-            "node": c.node.raw,
-            "chart": c.chart,
-            "name": c.name,
-            "title": c.title,
-            "mark": mark_name(c.mark),
-            "encodings": c.encodings.iter().map(encoding_json).collect::<Vec<_>>(),
-            "interactions": c.interactions,
-            "query": c.query,
-            "axes": c.axes.iter().map(axis_json).collect::<Vec<_>>(),
-            "rows": c.rows,
-            "columns": columns_json(&c.columns),
-            "frame": rect_json(c.frame),
-        })).collect::<Vec<_>>(),
-        "widgets": g.widgets.iter().map(|w| json!({
-            "node": w.node.raw,
-            "widget": w.widget,
-            "label": w.label,
-            "kind": w.kind,
-            "options": w.options,
-            "state": widget_state_to_json(&w.state),
-            "frame": rect_json(w.frame),
-        })).collect::<Vec<_>>(),
-        "frames": g.frames.iter().map(|f| json!({
-            "node": f.node.raw,
-            "kind": match f.kind {
-                FrameKind::Horizontal => json!("horizontal"),
-                FrameKind::Vertical => json!("vertical"),
-                FrameKind::Chart(id) => json!({ "chart": id }),
-                FrameKind::Widget(id) => json!({ "widget": id }),
-            },
-            "rect": rect_json(f.rect),
-            "children": f.children.iter().map(|c| c.raw).collect::<Vec<_>>(),
-        })).collect::<Vec<_>>(),
-    })
+    let charts = g.charts.iter().map(|c| {
+        object([
+            ("node", json!(c.node.raw)),
+            ("chart", json!(c.chart)),
+            ("name", json!(c.name)),
+            ("title", json!(c.title)),
+            ("mark", json!(mark_name(c.mark))),
+            ("encodings", Json::Array(c.encodings.iter().map(encoding_json).collect())),
+            ("interactions", json!(c.interactions)),
+            ("query", json!(c.query)),
+            ("axes", Json::Array(c.axes.iter().map(axis_json).collect())),
+            ("rows", json!(c.rows)),
+            ("columns", columns_json(&c.columns)),
+            ("frame", rect_json(c.frame)),
+        ])
+    });
+    let widgets = g.widgets.iter().map(|w| {
+        object([
+            ("node", json!(w.node.raw)),
+            ("widget", json!(w.widget)),
+            ("label", json!(w.label)),
+            ("kind", json!(w.kind)),
+            ("options", json!(w.options)),
+            ("state", widget_state_to_json(&w.state)),
+            ("frame", rect_json(w.frame)),
+        ])
+    });
+    let frames = g.frames.iter().map(|f| {
+        let kind = match f.kind {
+            FrameKind::Horizontal => json!("horizontal"),
+            FrameKind::Vertical => json!("vertical"),
+            FrameKind::Chart(id) => json!({ "chart": id }),
+            FrameKind::Widget(id) => json!({ "widget": id }),
+        };
+        object([
+            ("node", json!(f.node.raw)),
+            ("kind", kind),
+            ("rect", rect_json(f.rect)),
+            ("children", json!(f.children.iter().map(|c| c.raw).collect::<Vec<_>>())),
+        ])
+    });
+    object([
+        ("screen", json!([g.screen.0, g.screen.1])),
+        ("charts", Json::Array(charts.collect())),
+        ("widgets", Json::Array(widgets.collect())),
+        ("frames", Json::Array(frames.collect())),
+    ])
 }
 
 fn node_from_json(v: Option<&Json>) -> Result<SceneNodeId, String> {
@@ -1423,54 +1513,55 @@ pub fn scene_from_json(v: &Json) -> Result<SceneGraph, String> {
 
 /// Encode one delta frame for the wire.
 pub fn delta_to_json(d: &SceneDelta) -> Json {
-    json!({
-        "from": d.from_version,
-        "to": d.to_version,
-        "charts": d.charts.iter().map(|p| {
-            let mut o = serde_json::Map::new();
-            o.insert("node".into(), json!(p.node.raw));
-            o.insert("chart".into(), json!(p.chart));
-            if let Some(q) = &p.query {
-                o.insert("query".into(), json!(q));
-            }
-            if let Some(m) = p.mark {
-                o.insert("mark".into(), json!(mark_name(m)));
-            }
-            if let Some(e) = &p.encodings {
-                o.insert("encodings".into(), Json::Array(e.iter().map(encoding_json).collect()));
-            }
-            if let Some(a) = &p.axes {
-                o.insert("axes".into(), Json::Array(a.iter().map(axis_json).collect()));
-            }
-            if let Some(data) = &p.data {
-                let d = match data {
-                    DataPatch::Replace(columns) => json!({ "replace": columns_json(columns) }),
-                    // Compact op encoding: a positive integer keeps that
-                    // many old rows, a negative one drops them, and an
-                    // array is an inserted column block. Scattered-churn
-                    // scripts carry hundreds of ops, so per-op bytes
-                    // dominate the frame.
-                    DataPatch::Edits(edits) => json!({
-                        "edits": edits
-                            .iter()
-                            .map(|op| match op {
-                                RowEdit::Keep(n) => json!(*n as i64),
-                                RowEdit::Drop(n) => json!(-(*n as i64)),
-                                RowEdit::Insert(cols) => columns_json(cols),
-                            })
-                            .collect::<Vec<_>>(),
-                    }),
-                };
-                o.insert("data".into(), d);
-            }
-            Json::Object(o)
-        }).collect::<Vec<_>>(),
-        "widgets": d.widgets.iter().map(|p| json!({
-            "node": p.node.raw,
-            "widget": p.widget,
-            "state": widget_state_to_json(&p.state),
-        })).collect::<Vec<_>>(),
-    })
+    let charts = d.charts.iter().map(|p| {
+        let mut o = serde_json::Map::new();
+        o.insert("node".into(), json!(p.node.raw));
+        o.insert("chart".into(), json!(p.chart));
+        if let Some(q) = &p.query {
+            o.insert("query".into(), json!(q));
+        }
+        if let Some(m) = p.mark {
+            o.insert("mark".into(), json!(mark_name(m)));
+        }
+        if let Some(e) = &p.encodings {
+            o.insert("encodings".into(), Json::Array(e.iter().map(encoding_json).collect()));
+        }
+        if let Some(a) = &p.axes {
+            o.insert("axes".into(), Json::Array(a.iter().map(axis_json).collect()));
+        }
+        if let Some(data) = &p.data {
+            let d = match data {
+                DataPatch::Replace(columns) => object([("replace", columns_json(columns))]),
+                // Compact op encoding: a positive integer keeps that many
+                // old rows, a negative one drops them, and an array is an
+                // inserted column block. Scattered-churn scripts carry
+                // hundreds of ops, so per-op bytes dominate the frame.
+                DataPatch::Edits(edits) => {
+                    let ops = edits.iter().map(|op| match op {
+                        RowEdit::Keep(n) => json!(*n as i64),
+                        RowEdit::Drop(n) => json!(-(*n as i64)),
+                        RowEdit::Insert(cols) => columns_json(cols),
+                    });
+                    object([("edits", Json::Array(ops.collect()))])
+                }
+            };
+            o.insert("data".into(), d);
+        }
+        Json::Object(o)
+    });
+    let widgets = d.widgets.iter().map(|p| {
+        object([
+            ("node", json!(p.node.raw)),
+            ("widget", json!(p.widget)),
+            ("state", widget_state_to_json(&p.state)),
+        ])
+    });
+    object([
+        ("from", json!(d.from_version)),
+        ("to", json!(d.to_version)),
+        ("charts", Json::Array(charts.collect())),
+        ("widgets", Json::Array(widgets.collect())),
+    ])
 }
 
 fn edit_from_json(op: &Json) -> Result<RowEdit, String> {
@@ -1548,6 +1639,7 @@ pub fn delta_from_json(v: &Json) -> Result<SceneDelta, String> {
 mod tests {
     use super::*;
     use pi2_engine::{DataType, Field, Schema};
+    use proptest::prelude::*;
 
     fn result(xs: &[i64]) -> Arc<ResultSet> {
         Arc::new(ResultSet {
@@ -1836,6 +1928,90 @@ mod tests {
         // Every chart and widget got a non-empty frame.
         assert!(scene.charts.iter().all(|c| c.frame.w > 0 && c.frame.h > 0));
         assert!(scene.widgets.iter().all(|w| w.frame.w > 0 && w.frame.h > 0));
+    }
+
+    type Row = (i64, i64);
+
+    /// A two-int-column chart over `rows`.
+    fn pair_scene(rows: &[Row]) -> ChartScene {
+        let column = |field: &str, pick: fn(&Row) -> i64| ColumnSlice {
+            field: field.into(),
+            values: Arc::new(rows.iter().map(|r| Value::Int(pick(r))).collect()),
+        };
+        ChartScene {
+            columns: vec![column("x", |r| r.0), column("y", |r| r.1)],
+            rows: rows.len(),
+            ..chart_scene(&[], "q")
+        }
+    }
+
+    /// Old rows from a small domain, so duplicates are common, and new
+    /// rows mixing old rows (in any order) with fresh draws from a
+    /// slightly larger domain.
+    fn old_and_new_rows() -> impl Strategy<Value = (Vec<Row>, Vec<Row>)> {
+        let old = proptest::collection::vec((0i64..10, 0i64..3), 0..40);
+        let picks =
+            proptest::collection::vec((any::<bool>(), 0usize..64, (0i64..14, 0i64..3)), 0..40);
+        (old, picks).prop_map(|(old, picks)| {
+            let new = picks
+                .into_iter()
+                .map(|(shared, i, fresh)| match old.len() {
+                    n if shared && n > 0 => old[i % n],
+                    _ => fresh,
+                })
+                .collect();
+            (old, new)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn edit_scripts_rebuild_the_new_rows(rows in old_and_new_rows()) {
+            let (old_rows, new_rows) = rows;
+            let (old, new) = (pair_scene(&old_rows), pair_scene(&new_rows));
+            let count = |rows: &[Row], r: &Row| rows.iter().filter(|x| *x == r).count();
+            let anchored =
+                new_rows.iter().any(|r| count(&old_rows, r) == 1 && count(&new_rows, r) == 1);
+            match diff_data(&old, &new) {
+                None => prop_assert_eq!(&old_rows, &new_rows),
+                Some(DataPatch::Replace(columns)) => {
+                    prop_assert!(!anchored, "replaced although a unique row survives");
+                    prop_assert_eq!(columns, new.columns);
+                }
+                Some(DataPatch::Edits(edits)) => {
+                    prop_assert!(anchored, "edits without a unique surviving row");
+                    let (columns, n) = apply_edits(&old.columns, old.rows, &edits)
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert_eq!(n, new.rows);
+                    prop_assert_eq!(columns, new.columns);
+                }
+            }
+        }
+
+        #[test]
+        fn sorted_pan_is_drop_keep_insert(
+            steps in proptest::collection::vec(1i64..5, 3..80),
+            shift in 1usize..80,
+        ) {
+            let xs: Vec<Row> = steps
+                .iter()
+                .scan(0i64, |x, step| {
+                    *x += step;
+                    Some((*x, *x % 3))
+                })
+                .collect();
+            let k = 1 + shift % (xs.len() / 2);
+            prop_assume!(2 * k < xs.len());
+            let (old, new) = (pair_scene(&xs[..xs.len() - k]), pair_scene(&xs[k..]));
+            let want = vec![
+                RowEdit::Drop(k),
+                RowEdit::Keep(xs.len() - 2 * k),
+                RowEdit::Insert(pair_scene(&xs[xs.len() - k..]).columns),
+            ];
+            prop_assert_eq!(diff_data(&old, &new), Some(DataPatch::Edits(want)));
+        }
     }
 
     fn toy_interface() -> Interface {

@@ -29,7 +29,7 @@
 
 use serde_json::{json, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -213,8 +213,9 @@ impl Journal {
     pub fn open(config: JournalConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
         let path = config.dir.join(JOURNAL_FILE);
-        let (frames, report) = scan_frames(&path)?;
-        let max_lsn = frames.iter().map(|f| f.lsn).max().unwrap_or(report.max_lsn);
+        let mut reader = FrameReader::open(&path)?;
+        while reader.next_frame()?.is_some() {}
+        let max_lsn = reader.report.max_lsn;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let bytes = file.metadata()?.len();
         Ok(Self { config, inner: Mutex::new(Inner { file, bytes, next_lsn: max_lsn + 1 }) })
@@ -243,14 +244,7 @@ impl Journal {
         let mut inner = lock_inner(self);
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let mut payload = serde_json::Map::new();
-        payload.insert("lsn".into(), json!(lsn));
-        payload.insert("session".into(), json!(session));
-        if let Some(token) = token {
-            payload.insert("token".into(), json!(token));
-        }
-        payload.insert("req".into(), req.clone());
-        let body = serde_json::to_vec(&Value::Object(payload)).map_err(io_err)?;
+        let body = frame_body(lsn, session, token, req).map_err(io_err)?;
         let mut frame = Vec::with_capacity(8 + body.len());
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -300,27 +294,23 @@ impl Journal {
     /// Rewrite the journal keeping only frames for which `keep(session,
     /// lsn)` is true (frames made redundant by checkpoints, and frames of
     /// closed sessions, are dropped). Unreadable frames are dropped too.
+    /// Frames stream through one at a time; a kept frame is copied
+    /// verbatim (header, checksum and payload bytes).
     pub fn compact(&self, keep: &dyn Fn(u64, u64) -> bool) -> std::io::Result<()> {
         let mut inner = lock_inner(self);
         let path = self.config.dir.join(JOURNAL_FILE);
-        let (frames, _report) = scan_frames(&path)?;
+        let mut reader = FrameReader::open(&path)?;
         let tmp = self.config.dir.join("journal.log.tmp");
-        let mut out = File::create(&tmp)?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
         let mut bytes = 0u64;
-        for frame in frames.iter().filter(|f| keep(f.session, f.lsn)) {
-            let mut payload = serde_json::Map::new();
-            payload.insert("lsn".into(), json!(frame.lsn));
-            payload.insert("session".into(), json!(frame.session));
-            if let Some(token) = &frame.token {
-                payload.insert("token".into(), json!(token.as_str()));
+        while let Some(frame) = reader.next_frame()? {
+            if keep(frame.session, frame.lsn) {
+                out.write_all(&frame.header)?;
+                out.write_all(&frame.body)?;
+                bytes += (frame.header.len() + frame.body.len()) as u64;
             }
-            payload.insert("req".into(), frame.req.clone());
-            let body = serde_json::to_vec(&Value::Object(payload)).map_err(io_err)?;
-            out.write_all(&(body.len() as u32).to_le_bytes())?;
-            out.write_all(&crc32(&body).to_le_bytes())?;
-            out.write_all(&body)?;
-            bytes += 8 + body.len() as u64;
         }
+        let out = out.into_inner().map_err(std::io::IntoInnerError::into_error)?;
         sync_file(&out)?;
         drop(out);
         std::fs::rename(&tmp, &path)?;
@@ -394,68 +384,134 @@ pub fn scan(dir: &Path) -> std::io::Result<(Vec<Frame>, ScanReport)> {
 }
 
 fn scan_frames(path: &Path) -> std::io::Result<(Vec<Frame>, ScanReport)> {
-    let mut report = ScanReport::default();
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), report)),
-        Err(e) => return Err(e),
-    };
-    report.bytes = bytes.len() as u64;
+    let mut reader = FrameReader::open(path)?;
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if pos + 8 > bytes.len() {
-            report.truncated_tail = true;
-            report.warnings.push(format!("torn frame header at byte {pos}"));
-            break;
-        }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        let crc =
-            u32::from_le_bytes([bytes[pos + 4], bytes[pos + 5], bytes[pos + 6], bytes[pos + 7]]);
-        if len > MAX_FRAME_BYTES {
-            // The length header itself is garbage: framing is lost.
-            report.truncated_tail = true;
-            report.warnings.push(format!("implausible frame length {len} at byte {pos}"));
-            break;
-        }
-        let body_start = pos + 8;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            report.truncated_tail = true;
-            report.warnings.push(format!("torn frame payload at byte {pos}"));
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        pos = body_end;
-        if crc32(body) != crc {
-            report.frames_skipped += 1;
-            report.warnings.push(format!("checksum mismatch in frame ending at byte {pos}"));
-            continue;
-        }
-        let doc: Value = match serde_json::from_slice(body) {
-            Ok(v) => v,
-            Err(e) => {
-                report.frames_skipped += 1;
-                report.warnings.push(format!("unparseable frame payload: {e}"));
-                continue;
-            }
-        };
-        let (Some(lsn), Some(session)) =
-            (doc.get("lsn").and_then(Value::as_u64), doc.get("session").and_then(Value::as_u64))
-        else {
-            report.frames_skipped += 1;
-            report.warnings.push("frame payload missing lsn/session".to_string());
-            continue;
-        };
-        report.max_lsn = report.max_lsn.max(lsn);
+    while let Some(frame) = reader.next_frame()? {
         frames.push(Frame {
-            lsn,
-            session,
-            token: doc.get("token").and_then(Value::as_str).map(str::to_string),
-            req: doc.get("req").cloned().unwrap_or(Value::Null),
+            lsn: frame.lsn,
+            session: frame.session,
+            token: frame.doc.get("token").and_then(Value::as_str).map(str::to_string),
+            req: frame.doc.get("req").cloned().unwrap_or(Value::Null),
         });
     }
-    Ok((frames, report))
+    Ok((frames, reader.report))
+}
+
+/// A frame payload, `{"lsn", "session", "token"?, "req"}`. The request
+/// is printed in place after the head rather than copied into one tree.
+fn frame_body(
+    lsn: u64,
+    session: u64,
+    token: Option<&str>,
+    req: &Value,
+) -> Result<Vec<u8>, serde_json::Error> {
+    let mut head = serde_json::Map::new();
+    head.insert("lsn".into(), json!(lsn));
+    head.insert("session".into(), json!(session));
+    if let Some(token) = token {
+        head.insert("token".into(), json!(token));
+    }
+    let mut body = serde_json::to_vec(&Value::Object(head))?;
+    body.pop(); // the head's closing brace: `req` goes last
+    body.extend_from_slice(b",\"req\":");
+    body.extend(serde_json::to_vec(req)?);
+    body.push(b'}');
+    Ok(body)
+}
+
+/// An intact frame: its raw bytes and its parsed payload.
+struct RawFrame {
+    header: [u8; 8],
+    body: Vec<u8>,
+    doc: Value,
+    lsn: u64,
+    session: u64,
+}
+
+/// Reads journal frames one at a time, applying the corruption policy
+/// (see the module docs) and recording what it skipped in `report`.
+struct FrameReader {
+    input: Option<BufReader<File>>,
+    pos: u64,
+    report: ScanReport,
+}
+
+impl FrameReader {
+    /// A reader over `path`; a missing journal reads as an empty one.
+    fn open(path: &Path) -> std::io::Result<Self> {
+        let mut report = ScanReport::default();
+        let input = match File::open(path) {
+            Ok(file) => {
+                report.bytes = file.metadata()?.len();
+                Some(BufReader::new(file))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        Ok(Self { input, pos: 0, report })
+    }
+
+    /// Mark the scan as ended at a torn or unframeable tail.
+    fn torn(&mut self, warning: String) -> std::io::Result<Option<RawFrame>> {
+        self.report.truncated_tail = true;
+        self.report.warnings.push(warning);
+        self.input = None;
+        Ok(None)
+    }
+
+    /// The next intact frame, or `None` at the end of the journal or at a
+    /// torn tail.
+    fn next_frame(&mut self) -> std::io::Result<Option<RawFrame>> {
+        loop {
+            let Some(input) = self.input.as_mut() else { return Ok(None) };
+            let pos = self.pos;
+            if pos >= self.report.bytes {
+                return Ok(None);
+            }
+            let mut header = [0u8; 8];
+            if self.report.bytes - pos < 8 {
+                return self.torn(format!("torn frame header at byte {pos}"));
+            }
+            input.read_exact(&mut header)?;
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+            if len > MAX_FRAME_BYTES {
+                // The length header itself is garbage: framing is lost.
+                return self.torn(format!("implausible frame length {len} at byte {pos}"));
+            }
+            let end = pos + 8 + u64::from(len);
+            if end > self.report.bytes {
+                return self.torn(format!("torn frame payload at byte {pos}"));
+            }
+            let mut body = vec![0u8; len as usize];
+            input.read_exact(&mut body)?;
+            self.pos = end;
+            let report = &mut self.report;
+            if crc32(&body) != crc {
+                report.frames_skipped += 1;
+                report.warnings.push(format!("checksum mismatch in frame ending at byte {end}"));
+                continue;
+            }
+            let doc: Value = match serde_json::from_slice(&body) {
+                Ok(v) => v,
+                Err(e) => {
+                    report.frames_skipped += 1;
+                    report.warnings.push(format!("unparseable frame payload: {e}"));
+                    continue;
+                }
+            };
+            let (Some(lsn), Some(session)) = (
+                doc.get("lsn").and_then(Value::as_u64),
+                doc.get("session").and_then(Value::as_u64),
+            ) else {
+                report.frames_skipped += 1;
+                report.warnings.push("frame payload missing lsn/session".to_string());
+                continue;
+            };
+            report.max_lsn = report.max_lsn.max(lsn);
+            return Ok(Some(RawFrame { header, body, doc, lsn, session }));
+        }
+    }
 }
 
 /// Load every published checkpoint in `dir` (ignoring `.tmp` leftovers),
@@ -522,6 +578,10 @@ mod tests {
         assert_eq!(frames[0].token.as_deref(), Some("tok-a"));
         assert_eq!(frames[1].req["sql"], "SELECT 1");
         assert_eq!(frames[2].session, 2);
+        // The payload is the one-object encoding, `req` last.
+        let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let want = json!({"lsn": a, "session": 1, "token": "tok-a", "req": {"cmd": "open"}});
+        assert_eq!(&raw_frames(&bytes)[0][8..], serde_json::to_vec(&want).unwrap().as_slice());
         // Reopening continues the LSN sequence.
         drop(journal);
         let journal = Journal::open(JournalConfig::new(&dir)).unwrap();
@@ -616,21 +676,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The raw frames of a journal file, split by their length headers.
+    fn raw_frames(bytes: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        let mut rest = bytes;
+        while rest.len() >= 8 {
+            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+            let (frame, tail) = rest.split_at(8 + len);
+            frames.push(frame);
+            rest = tail;
+        }
+        frames
+    }
+
     #[test]
     fn compaction_keeps_only_selected_frames() {
         let dir = temp_dir("compact");
         let journal = Journal::open(JournalConfig::new(&dir)).unwrap();
-        journal.append(1, None, &json!({"cmd": "a"})).unwrap();
+        let open_lsn =
+            journal.append(1, Some("tok \"1\""), &json!({"cmd": "open", "x": 0.5})).unwrap();
         journal.append(2, None, &json!({"cmd": "b"})).unwrap();
         let keep_lsn = journal.append(1, None, &json!({"cmd": "c"})).unwrap();
-        journal.compact(&|session, lsn| session == 1 && lsn >= keep_lsn).unwrap();
+        journal.append(2, None, &json!({"cmd": "d"})).unwrap();
+        journal.append(1, None, &json!({"cmd": "e", "events": [{"dx": -1e-3}]})).unwrap();
+        let original = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        journal
+            .compact(&|session, lsn| session == 1 && (lsn == open_lsn || lsn >= keep_lsn))
+            .unwrap();
+        // Kept frames are copied byte for byte, in order.
+        let compacted = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let originals = raw_frames(&original);
+        assert_eq!(raw_frames(&compacted), [originals[0], originals[2], originals[4]]);
+        assert_eq!(journal.bytes(), compacted.len() as u64);
         let (frames, _) = scan(&dir).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].req["cmd"], "c");
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[0].token.as_deref(), Some("tok \"1\""));
+        assert_eq!(frames[1].req["cmd"], "c");
+        assert_eq!(frames[2].req["cmd"], "e");
+        // Keeping every frame leaves the file as it was.
+        journal.compact(&|_, _| true).unwrap();
+        assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), compacted);
         // Appends continue to work on the compacted file.
         journal.append(3, None, &json!({"cmd": "d"})).unwrap();
         let (frames, _) = scan(&dir).unwrap();
-        assert_eq!(frames.len(), 2);
+        assert_eq!(frames.len(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -167,20 +167,20 @@ impl RenderDeltaResponse {
         self
     }
 
-    /// The response body in wire form.
-    pub fn to_json(&self) -> Value {
-        let mut doc = json!({
-            "ok": true,
-            "scene_version": self.scene_version,
-            "frames": self.frames.clone(),
-        });
+    /// The response body in wire form. Consumes the response: the frames
+    /// and the snapshot are moved into the document, not copied.
+    pub fn to_json(self) -> Value {
+        let mut doc = serde_json::Map::new();
+        doc.insert("ok".into(), json!(true));
+        doc.insert("scene_version".into(), json!(self.scene_version));
+        doc.insert("frames".into(), Value::Array(self.frames));
         if self.resync {
-            doc["resync"] = json!(true);
-            if let Some(scene) = &self.scene {
-                doc["scene"] = scene.clone();
+            doc.insert("resync".into(), json!(true));
+            if let Some(scene) = self.scene {
+                doc.insert("scene".into(), scene);
             }
         }
-        doc
+        Value::Object(doc)
     }
 }
 
@@ -921,12 +921,19 @@ mod tests {
         assert_eq!(options, RenderDeltaOptions::new().since(Some(2)));
 
         let body = RenderDeltaResponse::new(5).frames(vec![json!({"from": 4, "to": 5})]).to_json();
+        assert_eq!(
+            body.to_string(),
+            r#"{"ok":true,"scene_version":5,"frames":[{"from":4,"to":5}]}"#
+        );
         assert_eq!(body["scene_version"].as_u64(), Some(5));
         assert_eq!(body["frames"].as_array().map(Vec::len), Some(1));
         assert!(body["resync"].is_null());
         assert!(body["scene"].is_null());
 
         let body = RenderDeltaResponse::new(5).resync(json!({"charts": []})).to_json();
+        let want =
+            r#"{"ok":true,"scene_version":5,"frames":[],"resync":true,"scene":{"charts":[]}}"#;
+        assert_eq!(body.to_string(), want);
         assert_eq!(body["resync"].as_bool(), Some(true));
         assert!(body["scene"].as_object().is_some());
         assert_eq!(body["frames"].as_array().map(Vec::len), Some(0));

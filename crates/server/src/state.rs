@@ -624,8 +624,10 @@ impl ServerState {
                         "version": version,
                         "applied": outcome.applied,
                         "coalesced": outcome.coalesced,
-                        "updates": updates,
                     });
+                    // Moved in, not handed to `json!`, which would copy
+                    // every row of `data`.
+                    resp["updates"] = Value::Array(updates);
                     if !outcome.errors.is_empty() {
                         resp["errors"] = Value::Array(
                             outcome.errors.iter().map(|e| json!(e.to_string())).collect(),

@@ -44,8 +44,9 @@ cargo run -q --release -p pi2-bench --bin bench_check
 
 # Absolute gates on the interaction, streaming and fleet paths (see
 # tests/gates.rs): delta frame bytes <= 25% of a full spec, warm pan p50
-# at 1M rows <= 10x the 100k p50, fleet cache-hit p50 < 1 ms with one
-# generation per unique fingerprint. The latency gates need --release.
+# at 1M rows <= 10x the 100k p50, each fresh pan at 1M rows scans <= a
+# quarter of the table's zone-map blocks, fleet cache-hit p50 < 1 ms with
+# one generation per unique fingerprint. The latency gates need --release.
 echo "== performance gates (release) =="
 cargo test -q --release -p pi2-bench --test gates
 

@@ -110,23 +110,6 @@ impl BitMask {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
-    /// Clear the bit at `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
-    /// Assign the bit at `i`.
-    #[inline]
-    pub fn assign(&mut self, i: usize, b: bool) {
-        if b {
-            self.set(i);
-        } else {
-            self.clear(i);
-        }
-    }
-
     /// Clear every bit.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
@@ -135,20 +118,7 @@ impl BitMask {
     /// Set or clear all bits in `range`, word-at-a-time where possible.
     pub fn fill_range(&mut self, range: Range<usize>, fill: bool) {
         debug_assert!(range.end <= self.len);
-        if range.is_empty() {
-            return;
-        }
-        let (start, end) = (range.start, range.end);
-        let (first_word, last_word) = (start >> 6, (end - 1) >> 6);
-        // Mask of bits within [start, end) that fall in word `w`.
-        let word_mask = |w: usize| -> u64 {
-            let lo = if w == first_word { start & 63 } else { 0 };
-            let hi = if w == last_word { ((end - 1) & 63) + 1 } else { 64 };
-            let above = if hi == 64 { !0u64 } else { (1u64 << hi) - 1 };
-            above & !((1u64 << lo) - 1)
-        };
-        for w in first_word..=last_word {
-            let m = word_mask(w);
+        for (w, m) in word_masks(range) {
             if fill {
                 self.words[w] |= m;
             } else {
@@ -161,18 +131,34 @@ impl BitMask {
     pub fn copy_range_from(&mut self, other: &BitMask, range: Range<usize>) {
         debug_assert_eq!(self.len, other.len);
         debug_assert!(range.end <= self.len);
-        if range.is_empty() {
-            return;
-        }
-        let (start, end) = (range.start, range.end);
-        let (first_word, last_word) = (start >> 6, (end - 1) >> 6);
-        for w in first_word..=last_word {
-            let lo = if w == first_word { start & 63 } else { 0 };
-            let hi = if w == last_word { ((end - 1) & 63) + 1 } else { 64 };
-            let above = if hi == 64 { !0u64 } else { (1u64 << hi) - 1 };
-            let m = above & !((1u64 << lo) - 1);
+        for (w, m) in word_masks(range) {
             self.words[w] = (self.words[w] & !m) | (other.words[w] & m);
         }
+    }
+
+    /// Clear each set bit in `range` whose row `keep` rejects, visiting only
+    /// the set bits, a word at a time. Returns whether any bit in `range` is
+    /// still set. The first error stops the walk; bits visited before it
+    /// keep their new values.
+    pub fn retain_in<E>(
+        &mut self,
+        range: Range<usize>,
+        mut keep: impl FnMut(usize) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<bool, E> {
+        debug_assert!(range.end <= self.len);
+        let mut any = false;
+        for (w, m) in word_masks(range) {
+            let mut bits = self.words[w] & m;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep((w << 6) | bit as usize)? {
+                    self.words[w] &= !(1u64 << bit);
+                }
+            }
+            any |= self.words[w] & m != 0;
+        }
+        Ok(any)
     }
 
     /// Number of set bits.
@@ -201,6 +187,19 @@ impl BitMask {
             }
         }
     }
+}
+
+/// The words that `range` touches, each with the mask of its bits that
+/// fall inside the range.
+fn word_masks(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    let (start, end) = (range.start, range.end);
+    let words = if start < end { (start >> 6)..(((end - 1) >> 6) + 1) } else { 0..0 };
+    words.map(move |w| {
+        let lo = if w == start >> 6 { start & 63 } else { 0 };
+        let hi = if w == (end - 1) >> 6 { ((end - 1) & 63) + 1 } else { 64 };
+        let above = if hi == 64 { !0u64 } else { (1u64 << hi) - 1 };
+        (w, above & !((1u64 << lo) - 1))
+    })
 }
 
 /// Iterator over set bit positions of a [`BitMask`].
@@ -706,6 +705,28 @@ mod tests {
         let full = BitMask::new(200, true);
         m.copy_range_from(&full, 64..70);
         assert!(m.get(64) && m.get(69) && !m.get(63) && !m.get(70));
+    }
+
+    #[test]
+    fn bitmask_retain_in_visits_only_set_bits() {
+        let mut m = BitMask::new(300, true);
+        m.fill_range(100..200, false);
+        let mut visited = Vec::new();
+        let any = m.retain_in(50..250, |i| {
+            visited.push(i);
+            Ok::<_, ()>(i % 2 == 0)
+        });
+        assert_eq!(any, Ok(true));
+        let expected: Vec<usize> = (50..100).chain(200..250).collect();
+        assert_eq!(visited, expected, "only set bits inside the range are visited");
+        assert_eq!(m.count_ones(), 50 + 25 + 25 + 50);
+        assert!(m.get(49) && m.get(50) && !m.get(51) && !m.get(249) && m.get(250));
+
+        assert_eq!(m.retain_in(50..100, |_| Ok::<_, ()>(false)), Ok(false));
+        assert_eq!(m.retain_in(0..0, |_| Ok::<_, ()>(false)), Ok(false));
+        // The first error stops the walk; earlier rows keep their update.
+        assert_eq!(m.retain_in(0..50, |i| if i < 10 { Ok(false) } else { Err(i) }), Err(10));
+        assert!(!m.get(9) && m.get(10));
     }
 
     #[test]

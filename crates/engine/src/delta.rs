@@ -14,19 +14,21 @@
 //! clause is an AND-tree whose every conjunct takes a typed loop that
 //! cannot fail (column-vs-constant comparisons with matching types, typed
 //! `BETWEEN`, `IS NULL` on a column) and at least one conjunct is a
-//! shiftable range. Anything else returns `None` and the caller falls back
-//! to full execution — so the delta path can never produce an error or a
-//! row set that full execution would not. Debug builds additionally
-//! recompute the full mask and assert bit-for-bit agreement, which the
-//! conformance corpus replays continuously; release parity is covered by
-//! the `columnar-parity` oracle's delta arm.
+//! shiftable range. The columnar executor owns that classification, and
+//! decides every block of such a WHERE across all its conjuncts at once,
+//! so the dirty blocks of a gesture are refined the same way. Anything
+//! else returns `None` and the caller falls back to full execution — so
+//! the delta path can never produce an error or a row set that full
+//! execution would not. Debug builds additionally recompute the full mask
+//! and assert bit-for-bit agreement, which the conformance corpus replays
+//! continuously; release parity is covered by the `columnar-parity`
+//! oracle's delta arm.
 
 use crate::catalog::Catalog;
-use crate::columnar::{block_count, block_range, BitMask, ColumnData};
+use crate::columnar::{block_count, block_range, BitMask};
 use crate::error::Result;
 use crate::exec_columnar::{prepare, Prepared};
 use crate::result::ResultSet;
-use crate::value::Value;
 use pi2_sql::{BinaryOp, Expr, Literal, Query};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -95,21 +97,6 @@ pub enum DeltaOutcome {
     },
 }
 
-/// One shiftable `BETWEEN` conjunct: which column it ranges over and its
-/// current bounds, encoded as f64 exactly as the typed loops compare them
-/// (numerics directly, dates by day number).
-struct Shift {
-    col: usize,
-    lo: f64,
-    hi: f64,
-}
-
-struct Analysis {
-    /// Structural hash of the query with shiftable bounds erased.
-    key: u64,
-    shifts: Vec<Shift>,
-}
-
 /// Try to execute `q` incrementally. `None` means the query is outside the
 /// delta fragment (caller falls back to full execution); `Some` carries the
 /// result — byte-identical to full execution — and how it was obtained.
@@ -119,123 +106,74 @@ pub(crate) fn execute(
     cache: &mut DeltaCache,
 ) -> Option<(Result<ResultSet>, DeltaOutcome)> {
     let p = prepare(catalog, q)?;
-    let analysis = analyze(q, &p)?;
     let ctx = p.ctx(catalog);
+    // Every conjunct takes a typed loop that cannot fail, and at least one
+    // is a shiftable range: `(column, lo, hi)` in query order.
+    let ranges = ctx.typed_ranges()?;
+    if ranges.is_empty() {
+        return None;
+    }
+    let key = template_key(q);
     let version = catalog.version();
     let len = p.table.len;
     let total_blocks = block_count(len);
+    let bounds: Vec<(f64, f64)> = ranges.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
 
+    // Take the entry out instead of cloning its mask: it is refined in
+    // place and put back under the new bounds.
     let hit = cache
         .entries
-        .get(&analysis.key)
-        .filter(|e| {
-            e.version == version && e.mask.len() == len && e.bounds.len() == analysis.shifts.len()
-        })
-        .map(|e| (e.bounds.clone(), e.mask.clone()));
-
-    let bounds: Vec<(f64, f64)> = analysis.shifts.iter().map(|s| (s.lo, s.hi)).collect();
-    let Some((old_bounds, mut mask)) = hit else {
+        .remove(&key)
+        .filter(|e| e.version == version && e.mask.len() == len && e.bounds.len() == bounds.len());
+    let Some(Entry { bounds: old_bounds, mut mask, .. }) = hit else {
         let mask = match ctx.compute_mask() {
             Ok(m) => m,
             Err(e) => return Some((Err(e), DeltaOutcome::Seeded)),
         };
         let result = ctx.run_with_mask(q, &mask);
-        cache.insert(analysis.key, Entry { version, bounds, mask });
+        cache.insert(key, Entry { version, bounds, mask });
         return Some((result, DeltaOutcome::Seeded));
     };
 
-    let dirty = dirty_blocks(&p, &analysis.shifts, &old_bounds, total_blocks);
+    let dirty = dirty_blocks(&p, &ranges, &old_bounds, total_blocks);
     for &b in &dirty {
         mask.fill_range(block_range(b, len), true);
     }
+    let outcome = DeltaOutcome::Incremental { dirty_blocks: dirty.len(), total_blocks };
     if let Err(e) = ctx.refine_blocks(&mut mask, &dirty) {
-        return Some((
-            Err(e),
-            DeltaOutcome::Incremental { dirty_blocks: dirty.len(), total_blocks },
-        ));
+        return Some((Err(e), outcome));
     }
     #[cfg(debug_assertions)]
     if let Ok(full) = ctx.compute_mask() {
         debug_assert!(mask == full, "delta-recomputed mask diverged from full recomputation");
     }
     let result = ctx.run_with_mask(q, &mask);
-    let outcome = DeltaOutcome::Incremental { dirty_blocks: dirty.len(), total_blocks };
-    cache.insert(analysis.key, Entry { version, bounds, mask });
+    cache.insert(key, Entry { version, bounds, mask });
     Some((result, outcome))
 }
 
-/// Classify the WHERE clause and build the template key. `None` when the
-/// query is outside the delta fragment.
-fn analyze(q: &Query, p: &Prepared) -> Option<Analysis> {
-    q.where_clause.as_ref()?;
+/// The query's cache template: its structural hash with the bounds of
+/// every `BETWEEN` conjunct erased. Called only on queries whose conjuncts
+/// all take typed loops, so those are exactly the shiftable ranges.
+fn template_key(q: &Query) -> u64 {
+    fn erase(e: &mut Expr) {
+        match e {
+            Expr::Binary { left, op: BinaryOp::And, right } => {
+                erase(left);
+                erase(right);
+            }
+            Expr::Between { low, high, .. } => {
+                **low = Expr::Literal(Literal::Null);
+                **high = Expr::Literal(Literal::Null);
+            }
+            _ => {}
+        }
+    }
     let mut template = q.clone();
-    let mut shifts = Vec::new();
-    let w = template.where_clause.as_mut()?;
-    if !classify(w, p, &mut shifts) || shifts.is_empty() {
-        return None;
+    if let Some(w) = template.where_clause.as_mut() {
+        erase(w);
     }
-    Some(Analysis { key: template.structural_hash(), shifts })
-}
-
-/// Walk an AND-tree of conjuncts, erasing shiftable bounds in place (the
-/// expression becomes the cache template) and recording their values.
-/// Returns false as soon as any conjunct falls outside the typed,
-/// cannot-error fragment.
-fn classify(e: &mut Expr, p: &Prepared, shifts: &mut Vec<Shift>) -> bool {
-    match e {
-        Expr::Binary { left, op: BinaryOp::And, right } => {
-            classify(left, p, shifts) && classify(right, p, shifts)
-        }
-        Expr::Between { expr, low, high, negated: false } => {
-            let Expr::Column(c) = &**expr else { return false };
-            let Some(col) = p.resolve_column(c) else { return false };
-            let (Expr::Literal(l), Expr::Literal(h)) = (&**low, &**high) else {
-                return false;
-            };
-            let (lo, hi) = (Value::from_literal(l), Value::from_literal(h));
-            let bounds = match (&p.table.columns[col].data, &lo, &hi) {
-                (ColumnData::Int(_) | ColumnData::Float(_), _, _)
-                    if lo.data_type().is_numeric() && hi.data_type().is_numeric() =>
-                {
-                    match (lo.as_f64(), hi.as_f64()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => return false,
-                    }
-                }
-                (ColumnData::Date(_), Value::Date(a), Value::Date(b)) => (a.0 as f64, b.0 as f64),
-                _ => return false,
-            };
-            shifts.push(Shift { col, lo: bounds.0, hi: bounds.1 });
-            **low = Expr::Literal(Literal::Null);
-            **high = Expr::Literal(Literal::Null);
-            true
-        }
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            let (c, lit) = match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => (c, l),
-                _ => return false,
-            };
-            let Some(col) = p.resolve_column(c) else { return false };
-            let k = Value::from_literal(lit);
-            // A NULL constant clears the mask on every column type without
-            // evaluating rows; otherwise the (column, constant) pair must
-            // have a typed loop, which cannot error.
-            k.is_null()
-                || matches!(
-                    (&p.table.columns[col].data, &k),
-                    (ColumnData::Int(_), Value::Int(_) | Value::Float(_))
-                        | (ColumnData::Float(_), Value::Int(_) | Value::Float(_))
-                        | (ColumnData::Str(_), Value::Str(_))
-                        | (ColumnData::Date(_), Value::Date(_))
-                        | (ColumnData::Bool(_), Value::Bool(_))
-                )
-        }
-        // IS [NOT] NULL on a bare column never errors.
-        Expr::IsNull { expr, .. } => {
-            matches!(&**expr, Expr::Column(c) if p.resolve_column(c).is_some())
-        }
-        _ => false,
-    }
+    template.structural_hash()
 }
 
 /// Blocks whose rows' membership can differ between the old and new bounds
@@ -244,7 +182,7 @@ fn classify(e: &mut Expr, p: &Prepared, shifts: &mut Vec<Shift>) -> bool {
 /// when its zone range intersects one of those hulls.
 fn dirty_blocks(
     p: &Prepared,
-    shifts: &[Shift],
+    ranges: &[(usize, f64, f64)],
     old_bounds: &[(f64, f64)],
     total_blocks: usize,
 ) -> Vec<usize> {
@@ -254,15 +192,15 @@ fn dirty_blocks(
     let intersects = |z: (f64, f64), h: (f64, f64)| le(z.0, h.1) && le(h.0, z.1);
 
     let mut dirty = vec![false; total_blocks];
-    for (s, &(lo0, hi0)) in shifts.iter().zip(old_bounds) {
-        let lo_hull = (fmin(lo0, s.lo), fmax(lo0, s.lo));
-        let hi_hull = (fmin(hi0, s.hi), fmax(hi0, s.hi));
+    for (&(col, lo, hi), &(lo0, hi0)) in ranges.iter().zip(old_bounds) {
+        let lo_hull = (fmin(lo0, lo), fmax(lo0, lo));
+        let hi_hull = (fmin(hi0, hi), fmax(hi0, hi));
         if lo_hull.0.total_cmp(&lo_hull.1) == Ordering::Equal
             && hi_hull.0.total_cmp(&hi_hull.1) == Ordering::Equal
         {
             continue; // bounds unchanged for this conjunct
         }
-        let zones = &p.table.columns[s.col].zones;
+        let zones = &p.table.columns[col].zones;
         for (b, z) in zones.iter().enumerate() {
             if dirty[b] {
                 continue;
@@ -287,7 +225,7 @@ fn dirty_blocks(
 mod tests {
     use super::*;
     use crate::table::Table;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn catalog(rows: i64) -> Catalog {
         let mut t = Table::builder("t")
@@ -356,6 +294,45 @@ mod tests {
         assert!(execute(&c, &q("SELECT x FROM t WHERE x BETWEEN 1 AND y"), &mut cache).is_none());
         // No WHERE at all.
         assert!(execute(&c, &q("SELECT x FROM t"), &mut cache).is_none());
+    }
+
+    /// The delta path and the executor's per-block pre-pass share one
+    /// classifier: every query the delta path accepts has its full mask
+    /// decided block by block across all conjuncts, which records each
+    /// block exactly once in the scan counters (left-to-right refinement
+    /// records a block once per typed conjunct).
+    #[test]
+    fn every_delta_query_is_decided_per_block_by_the_prepass() {
+        let c = catalog(20_000);
+        let blocks = block_count(20_000) as u64;
+        let sqls = [
+            "SELECT x FROM t WHERE x BETWEEN 100 AND 9000",
+            "SELECT x FROM t WHERE c = 'a' AND y BETWEEN 10.5 AND 4000",
+            "SELECT x FROM t WHERE y BETWEEN 0 AND 5000 AND 7000 > x AND c IS NOT NULL",
+            "SELECT x FROM t WHERE x BETWEEN 1 AND 2 AND x = NULL",
+            "SELECT x FROM t WHERE (x BETWEEN 1.5 AND 12000 AND x IS NULL) AND c <= 'b'",
+            "SELECT x FROM t WHERE x BETWEEN 1 AND 5 OR c = 'a'",
+            "SELECT x FROM t WHERE x BETWEEN 1 AND y",
+            "SELECT x FROM t WHERE x + 1 > 5 AND x BETWEEN 1 AND 5",
+            "SELECT x FROM t WHERE c > 3 AND x BETWEEN 1 AND 5",
+            "SELECT x FROM t WHERE x NOT BETWEEN 1 AND 5",
+            "SELECT x FROM t WHERE c BETWEEN 'a' AND 'b'",
+            "SELECT x FROM t WHERE c = 'a'",
+        ];
+        let mut accepted = 0;
+        for sql in sqls {
+            let query = q(sql);
+            if execute(&c, &query, &mut DeltaCache::new()).is_none() {
+                continue;
+            }
+            accepted += 1;
+            let p = prepare(&c, &query).expect("delta queries are columnar");
+            let (s0, p0) = c.scan_counts();
+            p.ctx(&c).compute_mask().expect("typed loops cannot fail");
+            let (s1, p1) = c.scan_counts();
+            assert_eq!((s1 - s0) + (p1 - p0), blocks, "{sql}: not decided once per block");
+        }
+        assert_eq!(accepted, 5, "the delta path's accepted shapes changed");
     }
 
     #[test]

@@ -60,26 +60,25 @@ impl<'c> ExecCtx<'c> {
             .collect();
 
         // Evaluate rows (+ ORDER BY keys alongside).
-        let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        let mut out = Output::default();
         if q.is_aggregating() {
-            self.execute_grouped(q, &input.schema, rows, &items, outer, &mut out_rows)?;
+            self.execute_grouped(q, &input.schema, rows, &items, outer, &mut out)?;
         } else {
             if q.having.is_some() {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
             for row in rows {
-                self.check_limits(out_rows.len())?;
+                self.check_limits(out.rows.len())?;
                 let scope = Scope { schema: &input.schema, row: &row, parent: outer, aggs: None };
-                let mut out = Vec::with_capacity(items.len());
+                let mut values = Vec::with_capacity(items.len());
                 for (expr, _) in &items {
-                    out.push(self.eval(expr, &scope)?);
+                    values.push(self.eval(expr, &scope)?);
                 }
-                let keys = self.order_keys(q, &items, &out, &scope)?;
-                out_rows.push((out, keys));
+                self.push_output(q, &items, values, &scope, &mut out)?;
             }
         }
 
-        Ok(finalize_result(q, out_fields, out_rows))
+        Ok(finalize_result(q, out_fields, out))
     }
 
     /// Grouped execution: hash-aggregate `rows`, filter with HAVING, project.
@@ -91,7 +90,7 @@ impl<'c> ExecCtx<'c> {
         rows: Vec<Vec<Value>>,
         items: &[(Expr, Option<String>)],
         outer: Option<&Scope<'_>>,
-        out_rows: &mut Vec<(Vec<Value>, Vec<Value>)>,
+        out: &mut Output,
     ) -> Result<()> {
         // Aggregate calls appearing anywhere downstream of grouping.
         let mut agg_exprs: Vec<Expr> = Vec::new();
@@ -135,7 +134,7 @@ impl<'c> ExecCtx<'c> {
 
         let null_row = vec![Value::Null; schema.fields.len()];
         for (_, group_rows) in groups {
-            self.check_limits(out_rows.len())?;
+            self.check_limits(out.rows.len())?;
             let mut aggs = AggBindings::default();
             for agg in &agg_exprs {
                 let v = self.compute_aggregate(agg, schema, &group_rows, outer)?;
@@ -148,12 +147,11 @@ impl<'c> ExecCtx<'c> {
                     continue;
                 }
             }
-            let mut out = Vec::with_capacity(items.len());
+            let mut values = Vec::with_capacity(items.len());
             for (expr, _) in items {
-                out.push(self.eval(expr, &scope)?);
+                values.push(self.eval(expr, &scope)?);
             }
-            let keys = self.order_keys(q, items, &out, &scope)?;
-            out_rows.push((out, keys));
+            self.push_output(q, items, values, &scope, out)?;
         }
         Ok(())
     }
@@ -217,16 +215,22 @@ impl<'c> ExecCtx<'c> {
         }
     }
 
-    /// Evaluate ORDER BY keys for one output row. A bare column matching a
-    /// projection alias (or an integer literal position) sorts by the output
-    /// column; anything else evaluates in the row scope.
-    fn order_keys(
+    /// Append one output row, and its ORDER BY keys when the query sorts. A
+    /// bare column matching a projection alias (or an integer literal
+    /// position) sorts by the output column; anything else evaluates in the
+    /// row scope.
+    fn push_output(
         &self,
         q: &Query,
         items: &[(Expr, Option<String>)],
-        out: &[Value],
+        values: Vec<Value>,
         scope: &Scope<'_>,
-    ) -> Result<Vec<Value>> {
+        out: &mut Output,
+    ) -> Result<()> {
+        if q.order_by.is_empty() {
+            out.rows.push(values);
+            return Ok(());
+        }
         let mut keys = Vec::with_capacity(q.order_by.len());
         for o in &q.order_by {
             if let Expr::Column(ColumnRef { table: None, column }) = &o.expr {
@@ -234,20 +238,22 @@ impl<'c> ExecCtx<'c> {
                     alias.as_deref().is_some_and(|a| a.eq_ignore_ascii_case(column))
                         || matches!(expr, Expr::Column(c) if c.column.eq_ignore_ascii_case(column) && c.table.is_none())
                 }) {
-                    keys.push(out[idx].clone());
+                    keys.push(values[idx].clone());
                     continue;
                 }
             }
             if let Expr::Literal(Literal::Int(pos)) = &o.expr {
                 let idx = *pos as usize;
-                if idx >= 1 && idx <= out.len() {
-                    keys.push(out[idx - 1].clone());
+                if idx >= 1 && idx <= values.len() {
+                    keys.push(values[idx - 1].clone());
                     continue;
                 }
             }
             keys.push(self.eval(&o.expr, scope)?);
         }
-        Ok(keys)
+        out.rows.push(values);
+        out.keys.push(keys);
+        Ok(())
     }
 
     // ---- FROM construction -------------------------------------------------
@@ -453,27 +459,44 @@ impl ExecCtx<'_> {
     }
 }
 
-/// The shared query tail: DISTINCT, ORDER BY (over precomputed sort keys),
-/// OFFSET/LIMIT, and dynamic type refinement. Both the reference and the
+/// Projected output rows and, when the query sorts, their ORDER BY keys
+/// (`keys[i]` belongs to `rows[i]`; `keys` stays empty otherwise).
+#[derive(Default)]
+pub(crate) struct Output {
+    pub(crate) rows: Vec<Vec<Value>>,
+    pub(crate) keys: Vec<Vec<Value>>,
+}
+
+/// The shared query tail: DISTINCT, ORDER BY (over the precomputed sort
+/// keys), OFFSET/LIMIT, and dynamic type refinement. Both the reference and the
 /// columnar executors funnel through this, so the post-projection semantics
 /// cannot drift between them.
-pub(crate) fn finalize_result(
-    q: &Query,
-    mut out_fields: Vec<Field>,
-    mut out_rows: Vec<(Vec<Value>, Vec<Value>)>,
-) -> ResultSet {
-    // DISTINCT
+pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output) -> ResultSet {
+    let Output { mut rows, mut keys } = out;
+    debug_assert!(keys.len() == if q.order_by.is_empty() { 0 } else { rows.len() });
+    // DISTINCT (keeps each row's first occurrence and its keys).
     if q.distinct {
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        out_rows.retain(|(row, _)| seen.insert(row.clone()));
+        let mut seen: HashSet<&[Value]> = HashSet::new();
+        let first: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
+        let mut it = first.iter();
+        rows.retain(|_| it.next().copied().unwrap_or(false));
+        if !keys.is_empty() {
+            let mut it = first.iter();
+            keys.retain(|_| it.next().copied().unwrap_or(false));
+        }
     }
 
-    // ORDER BY (stable sort; DESC flips per key).
-    if !q.order_by.is_empty() {
+    // OFFSET / LIMIT, after ORDER BY (a stable sort; DESC flips per key).
+    let offset = q.offset.unwrap_or(0) as usize;
+    let limit = q.limit.map_or(usize::MAX, |l| l as usize);
+    let final_rows: Vec<Vec<Value>> = if q.order_by.is_empty() {
+        rows.into_iter().skip(offset).take(limit).collect()
+    } else {
         let dirs: Vec<SortDir> = q.order_by.iter().map(|o| o.dir).collect();
-        out_rows.sort_by(|(_, ka), (_, kb)| {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| {
             for (i, dir) in dirs.iter().enumerate() {
-                let ord = ka[i].cmp(&kb[i]);
+                let ord = keys[a][i].cmp(&keys[b][i]);
                 let ord = match dir {
                     SortDir::Asc => ord,
                     SortDir::Desc => ord.reverse(),
@@ -484,15 +507,8 @@ pub(crate) fn finalize_result(
             }
             std::cmp::Ordering::Equal
         });
-    }
-
-    // OFFSET / LIMIT
-    let offset = q.offset.unwrap_or(0) as usize;
-    let mut final_rows: Vec<Vec<Value>> =
-        out_rows.into_iter().skip(offset).map(|(r, _)| r).collect();
-    if let Some(limit) = q.limit {
-        final_rows.truncate(limit as usize);
-    }
+        order.into_iter().skip(offset).take(limit).map(|i| std::mem::take(&mut rows[i])).collect()
+    };
 
     // Dynamic type refinement for columns the static pass couldn't type.
     for (i, f) in out_fields.iter_mut().enumerate() {

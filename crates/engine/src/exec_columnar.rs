@@ -10,13 +10,16 @@
 //! group keys over the selected row set.
 //!
 //! The selection mask is a bit-packed [`BitMask`], and typed loops walk it
-//! one zone-map block at a time: a block whose `[min, max]` cannot satisfy
-//! the predicate is cleared 64 rows per word without touching column data,
-//! and a block that trivially satisfies it (and holds no NULLs) is skipped
-//! outright. Every prune carries a `debug_assert` that re-scans the block
-//! and proves the shortcut agrees with the row-by-row answer, so the
-//! conformance fuzz loop (which replays its corpus under `cargo test`,
-//! debug assertions on) exercises pruning soundness continuously.
+//! one zone-map block at a time. When every conjunct of the WHERE clause
+//! is a typed loop, each block is decided across all of them before any
+//! row is read: a block some conjunct's `[min, max]` rules out is cleared
+//! 64 rows per word without touching column data, conjuncts the block
+//! trivially satisfies (holding no NULLs) are skipped, and the rest visit
+//! only the rows still selected. Every prune carries a `debug_assert` that
+//! re-scans the block and proves the shortcut agrees with the row-by-row
+//! answer, so the conformance fuzz loop (which replays its corpus under
+//! `cargo test`, debug assertions on) exercises pruning soundness
+//! continuously.
 //! String comparisons run on dictionary codes: the dictionary is sorted, so
 //! a constant's binary-searched rank turns every string predicate into a
 //! `u32` comparison.
@@ -39,7 +42,7 @@ use crate::eval::{
     three_valued_cmp, to_bool3, RelField, RelSchema,
 };
 use crate::exec::{
-    collect_aggregates, expand_projection, finalize_result, infer_type, output_name,
+    collect_aggregates, expand_projection, finalize_result, infer_type, output_name, Output,
 };
 use crate::functions::eval_scalar;
 use crate::result::ResultSet;
@@ -51,6 +54,8 @@ use pi2_sql::{
 };
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Execute `q` on the columnar path, or `None` when the query's shape is
@@ -115,11 +120,6 @@ impl Prepared {
             started: std::time::Instant::now(),
             scan: catalog.scan_stats(),
         }
-    }
-
-    /// Resolve a column reference to its index in the table schema.
-    pub(crate) fn resolve_column(&self, c: &ColumnRef) -> Option<usize> {
-        self.schema.resolve(c).ok().flatten()
     }
 }
 
@@ -376,6 +376,7 @@ impl Plan {
 }
 
 /// What a zone map says about one block under a predicate.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Decision {
     /// No row in the block can satisfy the predicate: clear it wholesale.
     AllFail,
@@ -390,12 +391,7 @@ enum Decision {
 /// are stored as [`Value`]s whose total order agrees with every typed
 /// comparison loop, the set of orderings a row can produce is exactly the
 /// closed interval between `min.cmp(konst)` and `max.cmp(konst)`.
-fn prune_decision(
-    zone: Option<&ZoneMap>,
-    konst: &Value,
-    keep: &impl Fn(Ordering) -> bool,
-) -> Decision {
-    let Some(zone) = zone else { return Decision::Scan };
+fn prune_decision(zone: &ZoneMap, konst: &Value, keep: impl Fn(Ordering) -> bool) -> Decision {
     // An all-NULL block compares NULL everywhere: nothing survives.
     let Some((zmin, zmax)) = &zone.min_max else { return Decision::AllFail };
     let lo = zmin.cmp(konst);
@@ -420,104 +416,89 @@ fn prune_decision(
     }
 }
 
-/// Block-at-a-time mask refinement for a typed comparison loop: prune via
-/// the zone map where possible, scan otherwise. Debug builds re-check every
-/// pruned block row by row, so block pruning provably never changes the
-/// selected row set.
-#[allow(clippy::too_many_arguments)]
-fn blockwise<T>(
-    len: usize,
-    column: &Column,
-    data: &[T],
-    mask: &mut BitMask,
-    blocks: &[usize],
-    scan: &ScanStats,
-    konst: &Value,
-    cmp: impl Fn(&T) -> Ordering,
-    keep: impl Fn(Ordering) -> bool,
-) {
-    let mut scanned = 0u64;
-    let mut pruned = 0u64;
-    for &b in blocks {
-        let range = block_range(b, len);
-        match prune_decision(column.zones.get(b), konst, &keep) {
-            Decision::AllFail => {
-                debug_assert!(
-                    range.clone().all(|i| column.is_null(i) || !keep(cmp(&data[i]))),
-                    "zone pruning dropped a matching row in block {b}"
-                );
-                mask.fill_range(range, false);
-                pruned += 1;
-            }
-            Decision::AllPass => {
-                debug_assert!(
-                    range.clone().all(|i| !column.is_null(i) && keep(cmp(&data[i]))),
-                    "zone pruning kept a non-matching row in block {b}"
-                );
-                pruned += 1;
-            }
-            Decision::Scan => {
-                scanned += 1;
-                for i in range {
-                    if mask.get(i) && (column.is_null(i) || !keep(cmp(&data[i]))) {
-                        mask.clear(i);
-                    }
-                }
-            }
-        }
+/// Decide a block for `col BETWEEN lo AND hi` with the bounds as f64.
+/// Int → f64 and day-number → f64 casts are monotone, so zone bounds
+/// compared as f64 bracket every row's casted value and the decision stays
+/// sound.
+fn range_decision(zone: &ZoneMap, lo: f64, hi: f64) -> Decision {
+    let Some((zmin, zmax)) = &zone.min_max else { return Decision::AllFail };
+    let (Some(zmin), Some(zmax)) = (zmin.as_f64(), zmax.as_f64()) else {
+        return Decision::Scan;
+    };
+    if zmax.total_cmp(&lo) == Ordering::Less || zmin.total_cmp(&hi) == Ordering::Greater {
+        Decision::AllFail
+    } else if zone.null_count == 0
+        && zmin.total_cmp(&lo) != Ordering::Less
+        && zmax.total_cmp(&hi) != Ordering::Greater
+    {
+        Decision::AllPass
+    } else {
+        Decision::Scan
     }
-    scan.record(scanned, pruned);
 }
 
-/// Block-at-a-time refinement for a typed range loop (`BETWEEN`), with the
-/// zone decision supplied by the caller (numeric and date ranges compare
-/// differently). Same debug-build soundness checks as [`blockwise`].
-#[allow(clippy::too_many_arguments)]
-fn blockwise_range<T: Copy>(
-    len: usize,
-    column: &Column,
-    data: &[T],
-    mask: &mut BitMask,
-    blocks: &[usize],
-    scan: &ScanStats,
-    in_range: impl Fn(T) -> bool,
-    zone_decision: impl Fn(&ZoneMap) -> Decision,
-) {
-    let mut scanned = 0u64;
-    let mut pruned = 0u64;
-    for &b in blocks {
-        let range = block_range(b, len);
-        let decision = match column.zones.get(b) {
-            Some(z) => zone_decision(z),
-            None => Decision::Scan,
-        };
-        match decision {
-            Decision::AllFail => {
-                debug_assert!(
-                    range.clone().all(|i| column.is_null(i) || !in_range(data[i])),
-                    "zone pruning dropped a matching row in block {b}"
-                );
-                mask.fill_range(range, false);
-                pruned += 1;
-            }
-            Decision::AllPass => {
-                debug_assert!(
-                    range.clone().all(|i| !column.is_null(i) && in_range(data[i])),
-                    "zone pruning kept a non-matching row in block {b}"
-                );
-                pruned += 1;
-            }
-            Decision::Scan => {
-                scanned += 1;
-                for i in range {
-                    if mask.get(i) && (column.is_null(i) || !in_range(data[i])) {
-                        mask.clear(i);
-                    }
-                }
-            }
-        }
+/// Decide a block for `col IS NULL` (`negated`: `IS NOT NULL`) from its
+/// null count alone.
+fn null_decision(zone: &ZoneMap, negated: bool) -> Decision {
+    let is_null_holds = if zone.min_max.is_none() {
+        true
+    } else if zone.null_count == 0 {
+        false
+    } else {
+        return Decision::Scan;
+    };
+    if is_null_holds != negated {
+        Decision::AllPass
+    } else {
+        Decision::AllFail
     }
-    scan.record(scanned, pruned);
+}
+
+/// A WHERE conjunct compiled to a typed loop that cannot fail: a zone
+/// decision per block and a row test. The pre-pass calls it once per block
+/// (a dynamic call), and the row loop inside [`TypedLoop::scan`] is
+/// monomorphic.
+trait TypedLoop {
+    /// What block `b`'s zone map says about this conjunct.
+    fn decide(&self, b: usize) -> Decision;
+    /// Whether row `row` satisfies the conjunct (NULL fails).
+    fn keep(&self, row: usize) -> bool;
+    /// Clear the selected rows of `range` that fail; true when any row of
+    /// `range` is still selected.
+    fn scan(&self, mask: &mut BitMask, range: Range<usize>) -> bool;
+}
+
+struct Loop<D, K> {
+    decide: D,
+    keep: K,
+}
+
+impl<D: Fn(usize) -> Decision, K: Fn(usize) -> bool> TypedLoop for Loop<D, K> {
+    fn decide(&self, b: usize) -> Decision {
+        (self.decide)(b)
+    }
+
+    fn keep(&self, row: usize) -> bool {
+        (self.keep)(row)
+    }
+
+    fn scan(&self, mask: &mut BitMask, range: Range<usize>) -> bool {
+        let Ok(any) = mask.retain_in(range, |i| Ok::<_, Infallible>((self.keep)(i)));
+        any
+    }
+}
+
+/// A typed loop over `column` whose blocks are decided by `zone` (blocks
+/// without a zone map are scanned).
+fn zoned<'a>(
+    column: &'a Column,
+    zone: impl Fn(&ZoneMap) -> Decision + 'a,
+    keep: impl Fn(usize) -> bool + 'a,
+) -> Box<dyn TypedLoop + 'a> {
+    Box::new(Loop {
+        decide: move |b: usize| column.zones.get(b).map_or(Decision::Scan, &zone),
+        keep,
+    })
 }
 
 /// Execution context for one columnar query run.
@@ -564,36 +545,30 @@ impl ColCtx<'_> {
                 Field::new(output_name(expr, alias), infer_type(expr, self.schema))
             })
             .collect();
-        let selected: Vec<usize> = mask.iter_ones().collect();
 
-        let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        let mut out = Output::default();
         if q.is_aggregating() {
-            self.run_grouped(self.plan, selected, &mut out_rows)?;
+            self.run_grouped(mask.iter_ones(), &mut out)?;
         } else {
             if q.having.is_some() {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
-            for row in selected {
-                self.check_limits(out_rows.len())?;
-                let mut out = Vec::with_capacity(self.plan.items.len());
+            for row in mask.iter_ones() {
+                self.check_limits(out.rows.len())?;
+                let mut values = Vec::with_capacity(self.plan.items.len());
                 for e in &self.plan.items {
-                    out.push(self.eval(e, Some(row), &[])?);
+                    values.push(self.eval(e, Some(row), &[])?);
                 }
-                let keys = self.order_key_values(self.plan, &out, Some(row), &[])?;
-                out_rows.push((out, keys));
+                self.push_output(values, Some(row), &[], &mut out)?;
             }
         }
 
-        Ok(finalize_result(q, out_fields, out_rows))
+        Ok(finalize_result(q, out_fields, out))
     }
 
     /// Hash-aggregate the selected rows, filter with HAVING, project.
-    fn run_grouped(
-        &self,
-        plan: &Plan,
-        selected: Vec<usize>,
-        out_rows: &mut Vec<(Vec<Value>, Vec<Value>)>,
-    ) -> Result<()> {
+    fn run_grouped(&self, selected: impl Iterator<Item = usize>, out: &mut Output) -> Result<()> {
+        let plan = self.plan;
         // Group rows by GROUP BY keys (first-seen order, like the reference).
         let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
@@ -617,7 +592,7 @@ impl ColCtx<'_> {
         }
 
         for (_, group_rows) in groups {
-            self.check_limits(out_rows.len())?;
+            self.check_limits(out.rows.len())?;
             let mut agg_values = Vec::with_capacity(plan.aggs.len());
             for agg in &plan.aggs {
                 agg_values.push(self.compute_aggregate(agg, &group_rows)?);
@@ -630,12 +605,11 @@ impl ColCtx<'_> {
                     continue;
                 }
             }
-            let mut out = Vec::with_capacity(plan.items.len());
+            let mut values = Vec::with_capacity(plan.items.len());
             for e in &plan.items {
-                out.push(self.eval(e, rep, &agg_values)?);
+                values.push(self.eval(e, rep, &agg_values)?);
             }
-            let keys = self.order_key_values(plan, &out, rep, &agg_values)?;
-            out_rows.push((out, keys));
+            self.push_output(values, rep, &agg_values, out)?;
         }
         Ok(())
     }
@@ -688,21 +662,26 @@ impl ColCtx<'_> {
         }
     }
 
-    fn order_key_values(
+    /// Append one output row, and its ORDER BY keys when the query sorts.
+    fn push_output(
         &self,
-        plan: &Plan,
-        out: &[Value],
+        values: Vec<Value>,
         row: Option<usize>,
         aggs: &[Value],
-    ) -> Result<Vec<Value>> {
-        let mut keys = Vec::with_capacity(plan.order_keys.len());
-        for spec in &plan.order_keys {
-            keys.push(match spec {
-                KeySpec::Output(i) => out[*i].clone(),
-                KeySpec::Compiled(e) => self.eval(e, row, aggs)?,
-            });
+        out: &mut Output,
+    ) -> Result<()> {
+        if !self.plan.order_keys.is_empty() {
+            let mut keys = Vec::with_capacity(self.plan.order_keys.len());
+            for spec in &self.plan.order_keys {
+                keys.push(match spec {
+                    KeySpec::Output(i) => values[*i].clone(),
+                    KeySpec::Compiled(e) => self.eval(e, row, aggs)?,
+                });
+            }
+            out.keys.push(keys);
         }
-        Ok(keys)
+        out.rows.push(values);
+        Ok(())
     }
 
     fn check_limits(&self, rows: usize) -> Result<()> {
@@ -715,47 +694,72 @@ impl ColCtx<'_> {
 
     /// Clear mask slots whose rows do not satisfy `e` (strictly-true
     /// semantics, as in the reference WHERE loop), visiting only the listed
-    /// blocks. Conjunctions refine sequentially, so the right side is only
-    /// evaluated on rows the left side kept — the same evaluation set as
-    /// the reference's short-circuit.
+    /// blocks.
+    ///
+    /// When every conjunct of `e` takes a typed loop that cannot fail, each
+    /// block is decided across the whole conjunction before any row is read
+    /// ([`Self::refine_typed`]). Otherwise the conjuncts refine left to
+    /// right, each over the blocks that still hold rows, so the right side
+    /// is only evaluated on rows the left side kept.
     fn refine(&self, e: &CExpr, mask: &mut BitMask, blocks: &[usize]) -> Result<()> {
-        match e {
-            // Splitting `l AND r` into sequential refinement is only valid
-            // when both sides can evaluate to nothing but Bool/NULL (or fail
-            // identically on both paths): the reference feeds AND operands
-            // through `to_bool3`, which *errors* on other types, whereas
-            // mask refinement would silently treat them as false.
-            CExpr::Binary { left, op: BinaryOp::And, right }
-                if self.is_predicate(left) && self.is_predicate(right) =>
-            {
-                self.refine(left, mask, blocks)?;
-                self.refine(right, mask, blocks)
-            }
-            CExpr::Binary { left, op, right } if op.is_comparison() => {
-                // Column-vs-constant comparisons get typed loops.
-                if let (CExpr::Col(c), CExpr::Const(k)) = (left.as_ref(), right.as_ref()) {
-                    if self.refine_cmp(*c, *op, k, false, mask, blocks)? {
-                        return Ok(());
-                    }
-                } else if let (CExpr::Const(k), CExpr::Col(c)) = (left.as_ref(), right.as_ref()) {
-                    if self.refine_cmp(*c, *op, k, true, mask, blocks)? {
-                        return Ok(());
-                    }
+        let conjuncts = self.conjuncts(e);
+        let loops: Vec<_> = conjuncts.iter().map(|c| self.typed_loop(c)).collect();
+        if loops.iter().all(Option::is_some) {
+            let loops: Vec<_> = loops.into_iter().flatten().collect();
+            self.refine_typed(&loops, mask, blocks);
+            return Ok(());
+        }
+        let mut live = blocks.to_vec();
+        for (c, l) in conjuncts.into_iter().zip(loops) {
+            live = match l {
+                Some(l) => self.refine_typed(&[l], mask, &live),
+                None => self.refine_generic(c, mask, &live)?,
+            };
+        }
+        Ok(())
+    }
+
+    /// Flatten `e`'s AND chain into its conjuncts, in query order.
+    ///
+    /// `l AND r` splits only when both sides can evaluate to nothing but
+    /// Bool/NULL (or fail identically on both paths): the reference feeds
+    /// AND operands through `to_bool3`, which *errors* on other types,
+    /// whereas mask refinement would silently treat them as false.
+    fn conjuncts<'e>(&self, e: &'e CExpr) -> Vec<&'e CExpr> {
+        fn walk<'e>(ctx: &ColCtx<'_>, e: &'e CExpr, out: &mut Vec<&'e CExpr>) {
+            match e {
+                CExpr::Binary { left, op: BinaryOp::And, right }
+                    if ctx.is_predicate(left) && ctx.is_predicate(right) =>
+                {
+                    walk(ctx, left, out);
+                    walk(ctx, right, out);
                 }
-                self.refine_generic(e, mask, blocks)
+                _ => out.push(e),
             }
-            CExpr::Between { expr, low, high, negated: false } => {
-                if let (CExpr::Col(c), CExpr::Const(lo), CExpr::Const(hi)) =
+        }
+        let mut out = Vec::new();
+        walk(self, e, &mut out);
+        out
+    }
+
+    /// When every WHERE conjunct takes a typed loop (so none can fail), the
+    /// `BETWEEN` conjuncts as `(column, lo, hi)` in query order, with the
+    /// bounds as the loops compare them (dates by day number); `None`
+    /// otherwise. This is the delta path's classifier, so it accepts
+    /// exactly the queries [`Self::refine`] decides per block.
+    pub(crate) fn typed_ranges(&self) -> Option<Vec<(usize, f64, f64)>> {
+        let mut ranges = Vec::new();
+        for c in self.conjuncts(self.plan.where_clause.as_ref()?) {
+            self.typed_loop(c)?;
+            if let CExpr::Between { expr, low, high, .. } = c {
+                if let (CExpr::Col(col), CExpr::Const(lo), CExpr::Const(hi)) =
                     (expr.as_ref(), low.as_ref(), high.as_ref())
                 {
-                    if self.refine_between(*c, lo, hi, mask, blocks)? {
-                        return Ok(());
-                    }
+                    ranges.push((*col, lo.as_f64()?, hi.as_f64()?));
                 }
-                self.refine_generic(e, mask, blocks)
             }
-            _ => self.refine_generic(e, mask, blocks),
         }
+        Some(ranges)
     }
 
     /// True when `e` can only evaluate to `Bool`/`NULL` — or fail with the
@@ -781,49 +785,142 @@ impl ColCtx<'_> {
         }
     }
 
-    /// Per-row fallback refinement (still cheap: no name resolution, no row
-    /// materialization).
-    fn refine_generic(&self, e: &CExpr, mask: &mut BitMask, blocks: &[usize]) -> Result<()> {
+    /// Refine `mask` over `blocks` by a conjunction of typed loops and
+    /// return the blocks that may still hold rows. Every conjunct's zone
+    /// decision for a block is read before any row: one `AllFail` clears
+    /// the block (counted as pruned); `AllPass` conjuncts are skipped; the
+    /// rest scan the block's selected rows in query order until it is
+    /// empty. A block counts as scanned when any conjunct read its rows,
+    /// as pruned otherwise. Debug builds re-check row by row every decision
+    /// that spared a scan, so pruning provably never changes the selected
+    /// row set.
+    fn refine_typed(
+        &self,
+        loops: &[Box<dyn TypedLoop + '_>],
+        mask: &mut BitMask,
+        blocks: &[usize],
+    ) -> Vec<usize> {
         let len = self.table.len;
+        let (mut scanned, mut pruned) = (0u64, 0u64);
+        let mut live = Vec::with_capacity(blocks.len());
+        let mut decisions = Vec::with_capacity(loops.len());
         for &b in blocks {
-            for i in block_range(b, len) {
-                if mask.get(i) && !self.eval(e, Some(i), &[])?.is_truthy() {
-                    mask.clear(i);
+            let range = block_range(b, len);
+            decisions.clear();
+            decisions.extend(loops.iter().map(|l| l.decide(b)));
+            if let Some(i) = decisions.iter().position(|&d| d == Decision::AllFail) {
+                debug_assert!(
+                    range.clone().all(|row| !loops[i].keep(row)),
+                    "zone pruning dropped a matching row in block {b}"
+                );
+                mask.fill_range(range, false);
+                pruned += 1;
+                continue;
+            }
+            let (mut any, mut walked) = (true, false);
+            for (l, &d) in loops.iter().zip(&decisions) {
+                if d == Decision::AllPass {
+                    debug_assert!(
+                        range.clone().all(|row| l.keep(row)),
+                        "zone pruning kept a non-matching row in block {b}"
+                    );
+                } else if any {
+                    any = l.scan(mask, range.clone());
+                    walked = true;
                 }
             }
+            if walked {
+                scanned += 1;
+            } else {
+                pruned += 1;
+            }
+            if any {
+                live.push(b);
+            }
         }
-        Ok(())
+        self.scan.record(scanned, pruned);
+        live
+    }
+
+    /// Per-row fallback refinement (still cheap: no name resolution, no row
+    /// materialization). Returns the blocks that still hold rows.
+    fn refine_generic(
+        &self,
+        e: &CExpr,
+        mask: &mut BitMask,
+        blocks: &[usize],
+    ) -> Result<Vec<usize>> {
+        let len = self.table.len;
+        let mut live = Vec::with_capacity(blocks.len());
+        for &b in blocks {
+            if mask
+                .retain_in(block_range(b, len), |i| Ok(self.eval(e, Some(i), &[])?.is_truthy()))?
+            {
+                live.push(b);
+            }
+        }
+        Ok(live)
+    }
+
+    /// The typed loop for conjunct `e`, or `None` when `e` has none — then
+    /// it takes the generic path, which also owns reproducing the
+    /// reference's type-mismatch errors. This is the one table of shapes
+    /// that cannot fail: a column compared with a constant of a matching
+    /// type (or with NULL), a numeric or date `BETWEEN` with constant
+    /// bounds, and `IS [NOT] NULL` on a column.
+    fn typed_loop<'s>(&'s self, e: &'s CExpr) -> Option<Box<dyn TypedLoop + 's>> {
+        match e {
+            CExpr::Binary { left, op, right } if op.is_comparison() => {
+                match (left.as_ref(), right.as_ref()) {
+                    (CExpr::Col(c), CExpr::Const(k)) => self.cmp_loop(*c, *op, k, false),
+                    (CExpr::Const(k), CExpr::Col(c)) => self.cmp_loop(*c, *op, k, true),
+                    _ => None,
+                }
+            }
+            CExpr::Between { expr, low, high, negated: false } => {
+                match (expr.as_ref(), low.as_ref(), high.as_ref()) {
+                    (CExpr::Col(c), CExpr::Const(lo), CExpr::Const(hi)) => {
+                        self.range_loop(*c, lo, hi)
+                    }
+                    _ => None,
+                }
+            }
+            CExpr::IsNull { expr, negated } => {
+                let CExpr::Col(c) = expr.as_ref() else { return None };
+                let (column, negated) = (self.col(*c), *negated);
+                Some(zoned(
+                    column,
+                    move |z| null_decision(z, negated),
+                    move |i| column.is_null(i) != negated,
+                ))
+            }
+            _ => None,
+        }
     }
 
     /// Typed loop for `col <op> const` (or `const <op> col` when `flipped`).
-    /// Returns false when no typed loop applies, so the caller can fall back
-    /// to the generic path — which also owns reproducing the reference's
-    /// type-mismatch errors.
-    fn refine_cmp(
-        &self,
+    fn cmp_loop<'s>(
+        &'s self,
         col: usize,
         op: BinaryOp,
-        konst: &Value,
+        konst: &'s Value,
         flipped: bool,
-        mask: &mut BitMask,
-        blocks: &[usize],
-    ) -> Result<bool> {
-        let column = self.col(col);
-        let len = self.table.len;
+    ) -> Option<Box<dyn TypedLoop + 's>> {
         // NULL constant: every comparison is NULL, nothing survives.
         if konst.is_null() {
-            for &b in blocks {
-                mask.fill_range(block_range(b, len), false);
-            }
-            return Ok(true);
+            return Some(Box::new(Loop { decide: |_| Decision::AllFail, keep: |_| false }));
         }
-        let keep = |ord: Ordering| -> bool {
-            apply_comparison(op, if flipped { ord.reverse() } else { ord })
-        };
+        let column = self.col(col);
+        let keep =
+            move |ord: Ordering| apply_comparison(op, if flipped { ord.reverse() } else { ord });
         macro_rules! typed_loop {
             ($data:expr, $cmp:expr) => {{
-                blockwise(len, column, $data, mask, blocks, &self.scan, konst, $cmp, keep);
-                Ok(true)
+                let (data, cmp) = ($data, $cmp);
+                Some(zoned(
+                    column,
+                    move |z| prune_decision(z, konst, keep),
+                    move |i| !column.is_null(i) && keep(cmp(&data[i])),
+                ))
             }};
         }
         match (&column.data, konst) {
@@ -856,112 +953,39 @@ impl ColCtx<'_> {
             }
             (ColumnData::Date(data), Value::Date(k)) => typed_loop!(data, |x: &i32| x.cmp(&k.0)),
             (ColumnData::Bool(data), Value::Bool(k)) => typed_loop!(data, |x: &bool| x.cmp(k)),
-            _ => Ok(false),
+            _ => None,
         }
     }
 
-    /// Typed loop for `col BETWEEN lo AND hi` with non-null constant
-    /// bounds: numeric bounds over numeric columns (compared as f64 with
-    /// `total_cmp`, like the reference's cross-type comparison) and date
-    /// bounds over date columns. Other combinations take the generic path,
-    /// which also owns reproducing the reference's type errors.
-    fn refine_between(
-        &self,
+    /// Typed loop for `col BETWEEN lo AND hi`: numeric bounds over a
+    /// numeric column, or date bounds over a date column, compared as f64
+    /// with `total_cmp` (like the reference's cross-type comparison; day
+    /// numbers convert exactly).
+    fn range_loop<'s>(
+        &'s self,
         col: usize,
         lo: &Value,
         hi: &Value,
-        mask: &mut BitMask,
-        blocks: &[usize],
-    ) -> Result<bool> {
+    ) -> Option<Box<dyn TypedLoop + 's>> {
         let column = self.col(col);
-        let len = self.table.len;
-
-        // Date range over a date column: exact day-number comparison.
-        if let (ColumnData::Date(data), Value::Date(lo), Value::Date(hi)) = (&column.data, lo, hi) {
-            let (lo, hi) = (lo.0, hi.0);
-            blockwise_range(
-                len,
-                column,
-                data,
-                mask,
-                blocks,
-                &self.scan,
-                |x| x >= lo && x <= hi,
-                |z| match &z.min_max {
-                    None => Decision::AllFail,
-                    Some((Value::Date(zmin), Value::Date(zmax))) => {
-                        if zmax.0 < lo || zmin.0 > hi {
-                            Decision::AllFail
-                        } else if z.null_count == 0 && zmin.0 >= lo && zmax.0 <= hi {
-                            Decision::AllPass
-                        } else {
-                            Decision::Scan
-                        }
-                    }
-                    Some(_) => Decision::Scan,
-                },
-            );
-            return Ok(true);
-        }
-
-        if !lo.data_type().is_numeric() || !hi.data_type().is_numeric() {
-            return Ok(false);
-        }
-        let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) else {
-            return Ok(false);
+        let numeric = lo.data_type().is_numeric() && hi.data_type().is_numeric();
+        let dates = matches!((lo, hi), (Value::Date(_), Value::Date(_)));
+        let (lo, hi) = (lo.as_f64()?, hi.as_f64()?);
+        let in_range = move |x: f64| {
+            x.total_cmp(&lo) != Ordering::Less && x.total_cmp(&hi) != Ordering::Greater
         };
-        let in_range =
-            |x: f64| x.total_cmp(&lo) != Ordering::Less && x.total_cmp(&hi) != Ordering::Greater;
-        // i64 → f64 casts are monotone, so zone bounds compared as f64
-        // bracket every row's casted value and the decisions stay sound.
-        let zone_decision = |z: &ZoneMap| match &z.min_max {
-            None => Decision::AllFail,
-            Some((zmin, zmax)) => match (zmin.as_f64(), zmax.as_f64()) {
-                (Some(zmin), Some(zmax)) => {
-                    if zmax.total_cmp(&lo) == Ordering::Less
-                        || zmin.total_cmp(&hi) == Ordering::Greater
-                    {
-                        Decision::AllFail
-                    } else if z.null_count == 0
-                        && zmin.total_cmp(&lo) != Ordering::Less
-                        && zmax.total_cmp(&hi) != Ordering::Greater
-                    {
-                        Decision::AllPass
-                    } else {
-                        Decision::Scan
-                    }
-                }
-                _ => Decision::Scan,
-            },
-        };
+        let zone = move |z: &ZoneMap| range_decision(z, lo, hi);
         match &column.data {
-            ColumnData::Int(data) => {
-                blockwise_range(
-                    len,
-                    column,
-                    data,
-                    mask,
-                    blocks,
-                    &self.scan,
-                    |x| in_range(x as f64),
-                    zone_decision,
-                );
-                Ok(true)
+            ColumnData::Int(d) if numeric => {
+                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(d[i] as f64)))
             }
-            ColumnData::Float(data) => {
-                blockwise_range(
-                    len,
-                    column,
-                    data,
-                    mask,
-                    blocks,
-                    &self.scan,
-                    in_range,
-                    zone_decision,
-                );
-                Ok(true)
+            ColumnData::Float(d) if numeric => {
+                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(d[i])))
             }
-            _ => Ok(false),
+            ColumnData::Date(d) if dates => {
+                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(f64::from(d[i]))))
+            }
+            _ => None,
         }
     }
 

@@ -1,6 +1,8 @@
 //! Property tests for the block-structured storage layer: dictionary
 //! encode/decode round-trips, zone-map pruning parity against the
-//! reference executor on random predicates, and delta-recompute vs.
+//! reference executor on random predicates (single conjuncts, and
+//! conjunctions whose blocks the executor decides across every conjunct
+//! before scanning), error and row-limit parity, and delta-recompute vs.
 //! full-execute equivalence over random pan/zoom sequences.
 //!
 //! These run in debug builds, so every pruned block and every delta mask
@@ -8,7 +10,7 @@
 //! `debug_assert`s while the properties check end-to-end results.
 
 use pi2_engine::columnar::{ColumnData, ColumnarTable, BLOCK_ROWS};
-use pi2_engine::{Catalog, DataType, DeltaCache, Table, Value};
+use pi2_engine::{Catalog, DataType, DeltaCache, ExecLimits, Table, Value};
 use pi2_sql::parse_query;
 use proptest::prelude::*;
 
@@ -22,24 +24,30 @@ fn str_table(vals: &[Option<String>]) -> Table {
 
 /// A table whose columns are value-clustered (ascending ints, ascending
 /// floats, plateaued strings) so zone maps actually prune, with optional
-/// periodic NULLs to exercise null-count handling.
-fn clustered_catalog(n: usize, null_every: usize) -> Catalog {
+/// periodic NULLs to exercise null-count handling, plus `m`, an int
+/// scattered over 0..1000 in every block, whose zones never prune. With
+/// `null_heavy`, the second block is NULL in `x` and `f` throughout and
+/// the third block is NULL in every other row of both.
+fn clustered_catalog(n: usize, null_every: usize, null_heavy: bool) -> Catalog {
     let mut t = Table::builder("t")
         .column("x", DataType::Int)
         .column("f", DataType::Float)
         .column("s", DataType::Str)
+        .column("m", DataType::Int)
         .build();
     for i in 0..n {
-        let null = null_every > 0 && i % (null_every + 2) == 0;
+        let heavy = null_heavy && (i / BLOCK_ROWS == 1 || (i / BLOCK_ROWS == 2 && i % 2 == 0));
+        let null = heavy || (null_every > 0 && i % (null_every + 2) == 0);
         let x = if null { Value::Null } else { Value::Int(i as i64) };
-        let f = Value::Float(i as f64 * 0.5 - n as f64 / 4.0);
+        let f = if heavy { Value::Null } else { Value::Float(i as f64 * 0.5 - n as f64 / 4.0) };
         let s = match (i * 4) / n.max(1) {
             0 => "alpha",
             1 => "beta",
             2 => "gamma",
             _ => "delta",
         };
-        t.push_row(vec![x, f, Value::str(s)]).expect("valid row");
+        let m = Value::Int((i as i64 * 7919) % 1000);
+        t.push_row(vec![x, f, Value::str(s), m]).expect("valid row");
     }
     let mut c = Catalog::new();
     c.register(t);
@@ -60,6 +68,32 @@ fn assert_parity(c: &Catalog, sql: &str) -> std::result::Result<(), TestCaseErro
         }
         (f, r) => {
             prop_assert!(false, "status mismatch for {}: fast={:?} reference={:?}", sql, f, r)
+        }
+    }
+    Ok(())
+}
+
+/// Delta execution (seeded or incremental, against `cache`) must be
+/// byte-identical to the reference executor.
+fn assert_delta_parity(
+    c: &Catalog,
+    cache: &mut DeltaCache,
+    sql: &str,
+) -> std::result::Result<(), TestCaseError> {
+    let q = parse_query(sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
+    let Some((res, _)) = c.execute_delta(&q, cache) else {
+        return Err(TestCaseError::fail(format!("delta should apply to {sql}")));
+    };
+    match (res, c.execute_reference(&q)) {
+        (Ok(d), Ok(r)) => {
+            prop_assert_eq!(&d.schema.fields, &r.schema.fields, "schema for {}", sql);
+            prop_assert_eq!(&d.rows, &r.rows, "rows for {}", sql);
+        }
+        (Err(d), Err(r)) => {
+            prop_assert_eq!(d.to_string(), r.to_string(), "error for {}", sql);
+        }
+        (d, r) => {
+            prop_assert!(false, "status mismatch for {}: delta={:?} reference={:?}", sql, d, r)
         }
     }
     Ok(())
@@ -102,11 +136,12 @@ proptest! {
     fn pruned_scans_match_unpruned_reference(
         n in 1usize..(3 * BLOCK_ROWS),
         null_every in 0usize..4,
+        null_heavy in any::<bool>(),
         op in prop_oneof![Just("="), Just("<"), Just("<="), Just(">"), Just(">="), Just("!=")],
         k in -100i64..15_000,
         sk in prop_oneof![Just("alpha"), Just("beta"), Just("zeta"), Just("")],
     ) {
-        let c = clustered_catalog(n, null_every);
+        let c = clustered_catalog(n, null_every, null_heavy);
         assert_parity(&c, &format!("SELECT count(*) AS n FROM t WHERE x {op} {k}"))?;
         assert_parity(&c, &format!("SELECT x, f FROM t WHERE f {op} {k}.25"))?;
         assert_parity(&c, &format!("SELECT x FROM t WHERE s {op} '{sk}'"))?;
@@ -124,9 +159,10 @@ proptest! {
     fn delta_recompute_matches_full_execute(
         n in 1usize..(3 * BLOCK_ROWS),
         null_every in 0usize..4,
+        null_heavy in any::<bool>(),
         windows in proptest::collection::vec((0i64..13_000, 0i64..2_000), 1..10),
     ) {
-        let c = clustered_catalog(n, null_every);
+        let c = clustered_catalog(n, null_every, null_heavy);
         let mut cache = DeltaCache::new();
         for (lo, width) in windows {
             let hi = lo + width;
@@ -138,25 +174,121 @@ proptest! {
                 ),
             ];
             for sql in sqls {
-                let q = parse_query(&sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
-                let Some((res, _)) = c.execute_delta(&q, &mut cache) else {
-                    return Err(TestCaseError::fail(format!("delta should apply to {sql}")));
-                };
-                match (res, c.execute_reference(&q)) {
-                    (Ok(d), Ok(r)) => {
-                        prop_assert_eq!(&d.schema.fields, &r.schema.fields, "schema for {}", &sql);
-                        prop_assert_eq!(&d.rows, &r.rows, "rows for {}", &sql);
-                    }
-                    (Err(d), Err(r)) => {
-                        prop_assert_eq!(d.to_string(), r.to_string(), "error for {}", &sql);
-                    }
-                    (d, r) => prop_assert!(
-                        false,
-                        "status mismatch for {}: delta={:?} reference={:?}",
-                        &sql, d, r
-                    ),
-                }
+                assert_delta_parity(&c, &mut cache, &sql)?;
             }
         }
+    }
+
+    #[test]
+    fn conjunctions_match_reference_with_the_loose_conjunct_first_or_last(
+        n in 1usize..(3 * BLOCK_ROWS),
+        null_every in 0usize..4,
+        null_heavy in any::<bool>(),
+        lo in -100i64..13_000,
+        width in 0i64..3_000,
+        mlo in 0i64..1_000,
+    ) {
+        let c = clustered_catalog(n, null_every, null_heavy);
+        let tight = format!("x BETWEEN {lo} AND {}", lo + width);
+        let loose = format!("m BETWEEN {mlo} AND {}", mlo + 300);
+        for (first, last) in [(&loose, &tight), (&tight, &loose)] {
+            assert_parity(&c, &format!("SELECT x, m FROM t WHERE {first} AND {last}"))?;
+            assert_parity(
+                &c,
+                &format!("SELECT count(*) AS n FROM t WHERE {first} AND s != 'gamma' AND {last}"),
+            )?;
+            assert_parity(
+                &c,
+                &format!(
+                    "SELECT x, f FROM t WHERE {first} AND f IS NOT NULL AND {last} \
+                     ORDER BY f DESC, x LIMIT 50"
+                ),
+            )?;
+            assert_parity(&c, &format!("SELECT x, m FROM t WHERE {first} AND f IS NULL"))?;
+            assert_parity(
+                &c,
+                &format!("SELECT DISTINCT s FROM t WHERE {first} AND {last} AND {mlo} > m"),
+            )?;
+            assert_parity(&c, &format!("SELECT x FROM t WHERE {first} AND {last} AND f = NULL"))?;
+            assert_parity(
+                &c,
+                &format!("SELECT x FROM t WHERE {first} AND f BETWEEN {lo}.5 AND 100 AND {last}"),
+            )?;
+        }
+    }
+
+    #[test]
+    fn delta_pans_over_two_ranges_match_full_execute(
+        n in 1usize..(3 * BLOCK_ROWS),
+        null_every in 0usize..4,
+        null_heavy in any::<bool>(),
+        start in (0i64..12_000, -3_000i64..3_000),
+        size in (0i64..3_000, 0i64..2_000),
+        steps in proptest::collection::vec(
+            (prop_oneof![Just(0i64), -1_500i64..1_500], prop_oneof![Just(0i64), -1_500i64..1_500]),
+            1..10,
+        ),
+    ) {
+        let c = clustered_catalog(n, null_every, null_heavy);
+        let mut cache = DeltaCache::new();
+        let (mut xlo, mut flo) = start;
+        for (dx, dy) in steps {
+            let (xhi, fhi) = (xlo + size.0, flo + size.1);
+            assert_delta_parity(
+                &c,
+                &mut cache,
+                &format!(
+                    "SELECT x, f FROM t WHERE f BETWEEN {flo}.5 AND {fhi}.5 \
+                     AND x BETWEEN {xlo} AND {xhi}"
+                ),
+            )?;
+            xlo += dx;
+            flo += dy;
+        }
+    }
+
+    #[test]
+    fn failing_conjunct_before_a_pruned_one_errors_like_reference(
+        n in 1usize..(3 * BLOCK_ROWS),
+        null_every in 0usize..4,
+        null_heavy in any::<bool>(),
+        k in -100i64..13_000,
+    ) {
+        let c = clustered_catalog(n, null_every, null_heavy);
+        // `x < -1000` is AllFail in every block's zone map; the reference
+        // still evaluates the failing conjunct first and raises its error.
+        let failing = ["s + 1 > 0", "m > 'abc'", "m BETWEEN 'a' AND 'z'", "NOT m"];
+        for f in failing {
+            let sql = format!("SELECT x FROM t WHERE {f} AND x < -1000");
+            let q = parse_query(&sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
+            prop_assert!(c.execute_reference(&q).is_err(), "reference should fail: {}", sql);
+            assert_parity(&c, &sql)?;
+            assert_parity(
+                &c,
+                &format!("SELECT x FROM t WHERE {f} AND x BETWEEN {k} AND {} AND m < 5", k + 100),
+            )?;
+        }
+    }
+
+    #[test]
+    fn row_limit_errors_match_reference(
+        n in 1usize..(3 * BLOCK_ROWS),
+        null_every in 0usize..4,
+        null_heavy in any::<bool>(),
+        max_rows in 0usize..300,
+        lo in -100i64..13_000,
+        width in 0i64..3_000,
+    ) {
+        let mut c = clustered_catalog(n, null_every, null_heavy);
+        c.set_limits(ExecLimits::rows(max_rows));
+        let w = format!("m BETWEEN 0 AND 700 AND x BETWEEN {lo} AND {}", lo + width);
+        assert_parity(&c, &format!("SELECT x, m FROM t WHERE {w}"))?;
+        assert_parity(&c, &format!("SELECT x, s FROM t WHERE {w} ORDER BY m DESC, x"))?;
+        assert_parity(&c, &format!("SELECT DISTINCT s, m FROM t WHERE {w}"))?;
+        assert_parity(&c, &format!("SELECT x FROM t WHERE {w} ORDER BY 1 DESC LIMIT 5 OFFSET 3"))?;
+        assert_parity(
+            &c,
+            &format!("SELECT m, count(*) AS n FROM t WHERE {w} GROUP BY m ORDER BY n DESC, m"),
+        )?;
     }
 }

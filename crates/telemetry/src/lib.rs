@@ -212,48 +212,6 @@ fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
-/// A fixed-bucket histogram for small non-negative integer samples
-/// (e.g. rollout depths); the last bucket absorbs overflow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` buckets for values `0..buckets-1`;
-    /// larger samples land in the final bucket.
-    pub fn new(buckets: usize) -> Self {
-        Histogram { buckets: vec![0; buckets.max(1)] }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: usize) {
-        let idx = value.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Bucket counts, index = sample value (last bucket = overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Merge another histogram of the same shape into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, v) in other.buckets.iter().enumerate() {
-            let idx = i.min(self.buckets.len() - 1);
-            self.buckets[idx] += v;
-        }
-    }
-}
-
 /// A log-scaled latency histogram for wall-clock durations.
 ///
 /// Buckets are base-2 exponential with [`LatencyHistogram::SUB_BITS`] bits of
@@ -457,20 +415,6 @@ mod tests {
         a.absorb(&b.snapshot());
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.timer("t").count, 1);
-    }
-
-    #[test]
-    fn histogram_overflow_and_merge() {
-        let mut h = Histogram::new(4);
-        h.record(0);
-        h.record(2);
-        h.record(9); // overflow -> last bucket
-        assert_eq!(h.buckets(), &[1, 0, 1, 1]);
-        let mut other = Histogram::new(4);
-        other.record(2);
-        h.merge(&other);
-        assert_eq!(h.buckets(), &[1, 0, 2, 1]);
-        assert_eq!(h.total(), 4);
     }
 
     #[test]

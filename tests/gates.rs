@@ -82,6 +82,10 @@ struct SweepPoint {
     warm_pan_p50: Duration,
     blocks_pruned: u64,
     delta_hits: u64,
+    /// The most zone-map blocks any one fresh pan scanned row by row.
+    max_pan_blocks_scanned: u64,
+    /// Zone-map blocks in the table.
+    table_blocks: u64,
 }
 
 /// A session over the fully merged SDSS demo forest at `rows` objects,
@@ -112,8 +116,9 @@ fn sdss_pan_session(rows: usize) -> (InterfaceSession, usize, Catalog) {
 }
 
 /// Warm pans replay a closed dyadic cycle (one priming cycle, then eleven
-/// measured cycles of result-cache hits); forward-only pans then visit a
-/// fresh window each time, answered by delta recomputation.
+/// measured cycles of result-cache hits); then forward-only pans, first
+/// along `ra` (`dx`) and then along `dec` (`dy`), each visit a fresh window
+/// answered by delta recomputation.
 fn sweep_point(rows: usize) -> SweepPoint {
     let (mut session, chart, catalog) = sdss_pan_session(rows);
     let pan = |dx| Event::Pan { chart, dx, dy: 0.0 };
@@ -129,19 +134,29 @@ fn sweep_point(rows: usize) -> SweepPoint {
             warm.record(started.elapsed());
         }
     }
-    for _ in 0..17 {
-        session.dispatch(pan(0.25)).expect("delta pan");
+    let fresh =
+        (0..17).map(|_| pan(0.25)).chain((0..12).map(|_| Event::Pan { chart, dx: 0.0, dy: 0.25 }));
+    let mut max_pan_blocks_scanned = 0;
+    for event in fresh {
+        let before = catalog.scan_counts().0;
+        session.dispatch(event).expect("delta pan");
+        max_pan_blocks_scanned = max_pan_blocks_scanned.max(catalog.scan_counts().0 - before);
     }
     SweepPoint {
         warm_pan_p50: warm.percentile(0.50),
         blocks_pruned: catalog.scan_counts().1,
         delta_hits: session.stats().delta_hits,
+        max_pan_blocks_scanned,
+        table_blocks: pi2_engine::columnar::block_count(rows) as u64,
     }
 }
 
 /// SDSS pans at 10k, 100k and 1M rows: every size answers fresh pans by
 /// delta recomputation, zone maps prune blocks, and warm-pan latency does
-/// not scale with data size (10x the rows costs at most 10x the p50).
+/// not scale with data size (10x the rows costs at most 10x the p50). At
+/// 1M rows each fresh pan scans at most a quarter of the table's blocks:
+/// a `dec` move dirties every block (rows are stored in `ra` order), and
+/// only the `ra` conjunct's zones can clear them.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "latency gate: run with --release")]
 fn interaction_sweep_prunes_and_warm_pans_scale_sublinearly() {
@@ -152,6 +167,13 @@ fn interaction_sweep_prunes_and_warm_pans_scale_sublinearly() {
         assert!(p.delta_hits > 0, "{rows} rows: no pan was answered by delta recomputation");
         assert!(p.blocks_pruned > 0, "{rows} rows: zone maps pruned nothing");
     }
+    let largest = &points[2];
+    assert!(
+        largest.max_pan_blocks_scanned * 4 <= largest.table_blocks,
+        "a fresh pan at 1M rows scanned {} of {} blocks (bound: a quarter)",
+        largest.max_pan_blocks_scanned,
+        largest.table_blocks
+    );
     let (mid, top) = (points[1].warm_pan_p50, points[2].warm_pan_p50);
     let ratio = top.as_secs_f64() / mid.as_secs_f64().max(1e-9);
     assert!(

@@ -28,19 +28,18 @@ cargo run -q --release -p pi2-server -- --smoke --scenario sdss
 echo "== recovery smoke (journaled server killed -9, restarted, resumed) =="
 cargo run -q --release -p pi2-server -- --recovery-smoke
 
-echo "== reactor soak smoke (1k-session churn over TCP, release) =="
-PI2_SOAK_SESSIONS=1000 cargo test -q --release -p pi2-server --test soak
+# Release-only server gates: the 1k-session churn soak; the load storm
+# (>= 1000 sessions live, storm p99 <= 20x single-session p99, nothing
+# left after teardown); and the recovery storm (1000 journaled sessions
+# crashed mid-storm all resume byte-identical, resume+render p99 <= 2s,
+# no session or checkpoint survives close-all and a second crash).
+echo "== server storm gates (release) =="
+cargo test -q --release -p pi2-server --test soak --test recovery
 
-echo "== benchmark artifacts (regen + schema check) =="
+# The generation-latency exhibit prints its tables only; its determinism
+# column is gated by crates/bench/tests/determinism.rs.
+echo "== generation latency exhibit (release) =="
 cargo run -q --release -p pi2-bench --bin regen_latency > /dev/null
-# The load storm sustains >= 1k live sessions over the reactor;
-# bench_check enforces its headline (storm p99 <= 20x single-session p99).
-cargo run -q --release -p pi2-bench --bin regen_load > /dev/null
-# The recovery storm kills 1k journaled sessions mid-storm; bench_check
-# enforces 100% byte-identical resumes, the 2s resume p99 budget, and
-# zero leakage of closed sessions through recovery.
-cargo run -q --release -p pi2-bench --bin regen_recovery > /dev/null
-cargo run -q --release -p pi2-bench --bin bench_check
 
 # Absolute gates on the interaction, streaming and fleet paths (see
 # tests/gates.rs): delta frame bytes <= 25% of a full spec, warm pan p50

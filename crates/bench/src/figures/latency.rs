@@ -1,8 +1,7 @@
 //! Generation latency vs. query-log size (the technical report's
 //! quantitative evaluation shape): how long PI2 takes to produce an
 //! interface as the log grows, per scenario and strategy — plus the
-//! parallel-search speedup table and a `BENCH_latency.json` dump of every
-//! measured row for trend tracking.
+//! parallel-search speedup table.
 
 use crate::{fmt_duration, text_table};
 use pi2_core::{GeneratedInterface, Pi2, SearchStrategy};
@@ -140,7 +139,6 @@ fn parallel_speedup() -> String {
     let log = speedup_log();
 
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     let mut baseline: Option<(std::time::Duration, GeneratedInterface)> = None;
     let mut speedup_cold = 0.0;
     let mut speedup_warm = 0.0;
@@ -174,15 +172,6 @@ fn parallel_speedup() -> String {
             format!("{:.4}", g.cost.total),
             if deterministic { "yes" } else { "NO" }.to_string(),
         ]);
-        json_rows.push(format!(
-            "{{\"workers\":{workers},\"per_worker_iterations\":{per_worker},\
-             \"cold_ms\":{:.3},\"warm_ms\":{:.3},\"deterministic\":{deterministic},\
-             \"cost\":{:.4},\"stats\":{}}}",
-            cold.as_secs_f64() * 1e3,
-            warm.as_secs_f64() * 1e3,
-            g.cost.total,
-            g2.stats.to_json()
-        ));
         if baseline.is_none() {
             baseline = Some((cold, g));
         }
@@ -210,11 +199,5 @@ fn parallel_speedup() -> String {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
 
-    let json = format!("[{}]", json_rows.join(","));
-    let path = std::path::Path::new("target").join("BENCH_latency.json");
-    match std::fs::create_dir_all("target").and_then(|_| std::fs::write(&path, &json)) {
-        Ok(_) => out.push_str(&format!("wrote {}\n", path.display())),
-        Err(e) => out.push_str(&format!("could not write {}: {e}\n", path.display())),
-    }
     out
 }

@@ -12,8 +12,6 @@ pub mod fig5_multiview;
 pub mod fig6_pipeline;
 pub mod fig7_covid;
 pub mod latency;
-pub mod load_storm;
-pub mod recovery_storm;
 pub mod search_quality;
 pub mod table1;
 
@@ -32,8 +30,6 @@ pub fn all() -> Vec<(&'static str, Exhibit)> {
         ("Figure 6 — generation pipeline trace", fig6_pipeline::run),
         ("Figure 7 — COVID-19 walkthrough (V1→V3)", fig7_covid::run),
         ("TR — generation latency", latency::run),
-        ("TR — reactor under 1k-session load storm", load_storm::run),
-        ("TR — crash recovery under session storm", recovery_storm::run),
         ("TR — search quality (MCTS vs greedy)", search_quality::run),
         ("Ablations — cost-model terms", ablations::run),
     ]

@@ -162,8 +162,7 @@ impl GenerationStats {
     }
 
     /// Flat JSON object with every counter and timer of the run plus
-    /// `elapsed_ms`, compatible with the bench harness's `BENCH_*.json`
-    /// schema.
+    /// `elapsed_ms` and `candidates_considered`.
     pub fn to_json(&self) -> String {
         let inner = self.telemetry.to_json();
         let mut out = String::from(inner.trim_end_matches('}'));
@@ -297,10 +296,10 @@ impl Pi2Builder {
 
 /// The PI2 interface generator.
 ///
-/// Holds a [`CostMemo`] shared by every `generate` call, so regenerating
-/// after a notebook edit reuses the map/cost work of all forests the
-/// previous searches already visited (the paper's `regen_latency`
-/// scenario).
+/// Holds a [`CostMemo`] shared by every `generate` call. The memo's
+/// context key includes the query log, so it answers a regeneration over
+/// the same log (`regen_latency`'s warm row hits every lookup); after a
+/// notebook edit the log differs and it almost never hits.
 pub struct Pi2 {
     catalog: Catalog,
     screen: ScreenSpec,

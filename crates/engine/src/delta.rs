@@ -179,7 +179,9 @@ fn template_key(q: &Query) -> u64 {
 /// Blocks whose rows' membership can differ between the old and new bounds
 /// of any shiftable conjunct: a row changes membership only if its value
 /// lies in the closed hull of a moving bound, so a block is dirty exactly
-/// when its zone range intersects one of those hulls.
+/// when its zone range intersects one of those hulls. The bounds are exact
+/// in f64 (see `typed_ranges`); an INT zone value beyond ±2^53 rounds, but
+/// rounding is monotone, so the f64 test can only mark extra blocks dirty.
 fn dirty_blocks(
     p: &Prepared,
     ranges: &[(usize, f64, f64)],

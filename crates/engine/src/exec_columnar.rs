@@ -416,21 +416,22 @@ fn prune_decision(zone: &ZoneMap, konst: &Value, keep: impl Fn(Ordering) -> bool
     }
 }
 
-/// Decide a block for `col BETWEEN lo AND hi` with the bounds as f64.
-/// Int → f64 and day-number → f64 casts are monotone, so zone bounds
-/// compared as f64 bracket every row's casted value and the decision stays
-/// sound.
-fn range_decision(zone: &ZoneMap, lo: f64, hi: f64) -> Decision {
+/// Decide a block for `col BETWEEN lo AND hi` by comparing the zone's min
+/// and max with the bounds as the reference compares values
+/// ([`cmp_values`]: INT against INT exactly, mixed numerics as f64). Every
+/// typed range loop's row test is monotone in the row value under that
+/// comparison, so the zone bounds bracket every row's outcome.
+fn range_decision(zone: &ZoneMap, lo: &Value, hi: &Value) -> Decision {
     let Some((zmin, zmax)) = &zone.min_max else { return Decision::AllFail };
-    let (Some(zmin), Some(zmax)) = (zmin.as_f64(), zmax.as_f64()) else {
+    let cmp = |v: &Value, bound: &Value| cmp_values(v, bound).ok().flatten();
+    let (Some(min_lo), Some(min_hi), Some(max_lo), Some(max_hi)) =
+        (cmp(zmin, lo), cmp(zmin, hi), cmp(zmax, lo), cmp(zmax, hi))
+    else {
         return Decision::Scan;
     };
-    if zmax.total_cmp(&lo) == Ordering::Less || zmin.total_cmp(&hi) == Ordering::Greater {
+    if max_lo == Ordering::Less || min_hi == Ordering::Greater {
         Decision::AllFail
-    } else if zone.null_count == 0
-        && zmin.total_cmp(&lo) != Ordering::Less
-        && zmax.total_cmp(&hi) != Ordering::Greater
-    {
+    } else if zone.null_count == 0 && min_lo != Ordering::Less && max_hi != Ordering::Greater {
         Decision::AllPass
     } else {
         Decision::Scan
@@ -451,6 +452,32 @@ fn null_decision(zone: &ZoneMap, negated: bool) -> Decision {
         Decision::AllPass
     } else {
         Decision::AllFail
+    }
+}
+
+/// A numeric `BETWEEN` bound as an INT row value compares with it in the
+/// reference: exactly against an INT, as f64 against a FLOAT.
+#[derive(Clone, Copy)]
+enum IntBound {
+    Int(i64),
+    Float(f64),
+}
+
+impl IntBound {
+    fn of(v: &Value) -> Option<Self> {
+        match v {
+            Value::Int(k) => Some(IntBound::Int(*k)),
+            Value::Float(k) => Some(IntBound::Float(*k)),
+            _ => None,
+        }
+    }
+
+    /// How row value `x` orders against the bound.
+    fn order(self, x: i64) -> Ordering {
+        match self {
+            IntBound::Int(k) => x.cmp(&k),
+            IntBound::Float(k) => (x as f64).total_cmp(&k),
+        }
     }
 }
 
@@ -698,25 +725,25 @@ impl ColCtx<'_> {
     ///
     /// When every conjunct of `e` takes a typed loop that cannot fail, each
     /// block is decided across the whole conjunction before any row is read
-    /// ([`Self::refine_typed`]). Otherwise the conjuncts refine left to
-    /// right, each over the blocks that still hold rows, so the right side
-    /// is only evaluated on rows the left side kept.
+    /// ([`Self::refine_typed`]). Otherwise the whole conjunction is evaluated
+    /// row by row ([`Self::refine_generic`]), as the reference's `AND` does:
+    /// it evaluates a conjunct on every row where the conjuncts before it
+    /// are TRUE *or NULL*, whereas refinement drops both, so a conjunct that
+    /// errors on a row an earlier conjunct left NULL would go unseen. The
+    /// fallback is conservative: a typed loop is the only proof that a
+    /// conjunct cannot fail, so conjuncts that cannot fail but have no
+    /// typed loop (`IN`, `LIKE`, `NOT BETWEEN`, `OR`, a Bool column) also
+    /// send their conjunction down the row-by-row path, without zone
+    /// pruning.
     fn refine(&self, e: &CExpr, mask: &mut BitMask, blocks: &[usize]) -> Result<()> {
-        let conjuncts = self.conjuncts(e);
-        let loops: Vec<_> = conjuncts.iter().map(|c| self.typed_loop(c)).collect();
-        if loops.iter().all(Option::is_some) {
-            let loops: Vec<_> = loops.into_iter().flatten().collect();
-            self.refine_typed(&loops, mask, blocks);
-            return Ok(());
+        let loops: Option<Vec<_>> = self.conjuncts(e).iter().map(|c| self.typed_loop(c)).collect();
+        match loops {
+            Some(loops) => {
+                self.refine_typed(&loops, mask, blocks);
+                Ok(())
+            }
+            None => self.refine_generic(e, mask, blocks),
         }
-        let mut live = blocks.to_vec();
-        for (c, l) in conjuncts.into_iter().zip(loops) {
-            live = match l {
-                Some(l) => self.refine_typed(&[l], mask, &live),
-                None => self.refine_generic(c, mask, &live)?,
-            };
-        }
-        Ok(())
     }
 
     /// Flatten `e`'s AND chain into its conjuncts, in query order.
@@ -744,10 +771,16 @@ impl ColCtx<'_> {
 
     /// When every WHERE conjunct takes a typed loop (so none can fail), the
     /// `BETWEEN` conjuncts as `(column, lo, hi)` in query order, with the
-    /// bounds as the loops compare them (dates by day number); `None`
-    /// otherwise. This is the delta path's classifier, so it accepts
-    /// exactly the queries [`Self::refine`] decides per block.
+    /// bounds as f64 (dates by day number); `None` otherwise. This is the
+    /// delta path's classifier, so it accepts only queries [`Self::refine`]
+    /// decides per block. It also declines an INT bound beyond ±2^53: the
+    /// delta path tracks bound movement in f64, where two such bounds can
+    /// round alike and hide a move the exact INT comparison sees.
     pub(crate) fn typed_ranges(&self) -> Option<Vec<(usize, f64, f64)>> {
+        let exact = |v: &Value| match v {
+            Value::Int(k) if k.unsigned_abs() > 1 << 53 => None,
+            _ => v.as_f64(),
+        };
         let mut ranges = Vec::new();
         for c in self.conjuncts(self.plan.where_clause.as_ref()?) {
             self.typed_loop(c)?;
@@ -755,7 +788,7 @@ impl ColCtx<'_> {
                 if let (CExpr::Col(col), CExpr::Const(lo), CExpr::Const(hi)) =
                     (expr.as_ref(), low.as_ref(), high.as_ref())
                 {
-                    ranges.push((*col, lo.as_f64()?, hi.as_f64()?));
+                    ranges.push((*col, exact(lo)?, exact(hi)?));
                 }
             }
         }
@@ -785,8 +818,7 @@ impl ColCtx<'_> {
         }
     }
 
-    /// Refine `mask` over `blocks` by a conjunction of typed loops and
-    /// return the blocks that may still hold rows. Every conjunct's zone
+    /// Refine `mask` over `blocks` by a conjunction of typed loops. Every conjunct's zone
     /// decision for a block is read before any row: one `AllFail` clears
     /// the block (counted as pruned); `AllPass` conjuncts are skipped; the
     /// rest scan the block's selected rows in query order until it is
@@ -799,10 +831,9 @@ impl ColCtx<'_> {
         loops: &[Box<dyn TypedLoop + '_>],
         mask: &mut BitMask,
         blocks: &[usize],
-    ) -> Vec<usize> {
+    ) {
         let len = self.table.len;
         let (mut scanned, mut pruned) = (0u64, 0u64);
-        let mut live = Vec::with_capacity(blocks.len());
         let mut decisions = Vec::with_capacity(loops.len());
         for &b in blocks {
             let range = block_range(b, len);
@@ -834,32 +865,18 @@ impl ColCtx<'_> {
             } else {
                 pruned += 1;
             }
-            if any {
-                live.push(b);
-            }
         }
         self.scan.record(scanned, pruned);
-        live
     }
 
     /// Per-row fallback refinement (still cheap: no name resolution, no row
-    /// materialization). Returns the blocks that still hold rows.
-    fn refine_generic(
-        &self,
-        e: &CExpr,
-        mask: &mut BitMask,
-        blocks: &[usize],
-    ) -> Result<Vec<usize>> {
+    /// materialization).
+    fn refine_generic(&self, e: &CExpr, mask: &mut BitMask, blocks: &[usize]) -> Result<()> {
         let len = self.table.len;
-        let mut live = Vec::with_capacity(blocks.len());
         for &b in blocks {
-            if mask
-                .retain_in(block_range(b, len), |i| Ok(self.eval(e, Some(i), &[])?.is_truthy()))?
-            {
-                live.push(b);
-            }
+            mask.retain_in(block_range(b, len), |i| Ok(self.eval(e, Some(i), &[])?.is_truthy()))?;
         }
-        Ok(live)
+        Ok(())
     }
 
     /// The typed loop for conjunct `e`, or `None` when `e` has none — then
@@ -958,27 +975,34 @@ impl ColCtx<'_> {
     }
 
     /// Typed loop for `col BETWEEN lo AND hi`: numeric bounds over a
-    /// numeric column, or date bounds over a date column, compared as f64
-    /// with `total_cmp` (like the reference's cross-type comparison; day
-    /// numbers convert exactly).
+    /// numeric column, or date bounds over a date column, compared like the
+    /// reference's `cmp_values`. An INT column compares each bound by its
+    /// own type ([`IntBound`]); float and date columns compare as f64 with
+    /// `total_cmp` (day numbers and the float cast of an INT bound are what
+    /// the reference compares too).
     fn range_loop<'s>(
         &'s self,
         col: usize,
-        lo: &Value,
-        hi: &Value,
+        lo: &'s Value,
+        hi: &'s Value,
     ) -> Option<Box<dyn TypedLoop + 's>> {
         let column = self.col(col);
         let numeric = lo.data_type().is_numeric() && hi.data_type().is_numeric();
         let dates = matches!((lo, hi), (Value::Date(_), Value::Date(_)));
-        let (lo, hi) = (lo.as_f64()?, hi.as_f64()?);
-        let in_range = move |x: f64| {
-            x.total_cmp(&lo) != Ordering::Less && x.total_cmp(&hi) != Ordering::Greater
-        };
         let zone = move |z: &ZoneMap| range_decision(z, lo, hi);
+        if let ColumnData::Int(d) = &column.data {
+            let (lo, hi) = (IntBound::of(lo)?, IntBound::of(hi)?);
+            return Some(zoned(column, zone, move |i| {
+                !column.is_null(i)
+                    && lo.order(d[i]) != Ordering::Less
+                    && hi.order(d[i]) != Ordering::Greater
+            }));
+        }
+        let (flo, fhi) = (lo.as_f64()?, hi.as_f64()?);
+        let in_range = move |x: f64| {
+            x.total_cmp(&flo) != Ordering::Less && x.total_cmp(&fhi) != Ordering::Greater
+        };
         match &column.data {
-            ColumnData::Int(d) if numeric => {
-                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(d[i] as f64)))
-            }
             ColumnData::Float(d) if numeric => {
                 Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(d[i])))
             }

@@ -3,7 +3,8 @@
 //! reference executor on random predicates (single conjuncts, and
 //! conjunctions whose blocks the executor decides across every conjunct
 //! before scanning), error and row-limit parity, and delta-recompute vs.
-//! full-execute equivalence over random pan/zoom sequences.
+//! full-execute equivalence over random pan/zoom sequences, including INT
+//! bounds at 2^53, where f64 comparison stops being exact.
 //!
 //! These run in debug builds, so every pruned block and every delta mask
 //! is additionally re-verified row-by-row by the executor's internal
@@ -48,6 +49,22 @@ fn clustered_catalog(n: usize, null_every: usize, null_heavy: bool) -> Catalog {
         };
         let m = Value::Int((i as i64 * 7919) % 1000);
         t.push_row(vec![x, f, Value::str(s), m]).expect("valid row");
+    }
+    let mut c = Catalog::new();
+    c.register(t);
+    c
+}
+
+/// 2^53: above it, neighbouring INTs collapse onto one f64.
+const P53: i64 = 1 << 53;
+
+/// `n` ascending INTs in `x` that straddle 2^53, a block and a half of
+/// them below it.
+fn int_catalog_at_2_pow_53(n: usize) -> Catalog {
+    let mut t = Table::builder("t").column("x", DataType::Int).build();
+    let base = P53 - (BLOCK_ROWS + BLOCK_ROWS / 2) as i64;
+    for i in 0..n {
+        t.push_row(vec![Value::Int(base + i as i64)]).expect("valid row");
     }
     let mut c = Catalog::new();
     c.register(t);
@@ -244,6 +261,34 @@ proptest! {
             )?;
             xlo += dx;
             flo += dy;
+        }
+    }
+
+    #[test]
+    fn int_pans_across_2_pow_53_match_reference(
+        n in 1usize..(3 * BLOCK_ROWS),
+        windows in proptest::collection::vec(
+            (-2 * BLOCK_ROWS as i64..100, prop_oneof![Just(0i64), -100i64..100]),
+            1..10,
+        ),
+    ) {
+        let c = int_catalog_at_2_pow_53(n);
+        let mut cache = DeltaCache::new();
+        for (a, b) in windows {
+            let (lo, hi) = (P53 + a.min(b), P53 + a.max(b));
+            let sql = format!(
+                "SELECT count(*) AS n, min(x) AS lo, max(x) AS hi FROM t \
+                 WHERE x BETWEEN {lo} AND {hi}"
+            );
+            if hi <= P53 {
+                assert_delta_parity(&c, &mut cache, &sql)?;
+            } else {
+                // Beyond 2^53 the delta path's f64 bounds are inexact: it
+                // must decline, leaving the exact fresh path.
+                let q = parse_query(&sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
+                prop_assert!(c.execute_delta(&q, &mut cache).is_none(), "delta applied: {}", sql);
+                assert_parity(&c, &sql)?;
+            }
         }
     }
 

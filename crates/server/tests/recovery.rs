@@ -7,9 +7,11 @@
 
 use pi2_core::prelude::FleetConfig;
 use pi2_server::{JournalConfig, LocalClient, ServerState};
+use pi2_telemetry::LatencyHistogram;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pi2-recovery-test-{tag}-{}", std::process::id()));
@@ -425,5 +427,78 @@ fn recovered_sessions_stay_fully_operable() {
     let (client, report) = journaled(&dir, 2);
     assert_eq!(report.sessions_recovered, 1, "{report:?}");
     assert_eq!(render(&client, session), before, "second-generation state survives too");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Crash recovery under a storm of 1000 journaled sessions (checkpoint
+/// cadence 2). Each session is built and its slider moved, and its render
+/// is the control. A gesture storm that re-asserts every slider's value
+/// (so any replayed prefix renders alike) is cut by a crash. Recovery must
+/// bring back every session, each resume+render must match its control
+/// byte for byte with p99 within 2 s, and after close-all and a second
+/// crash no session and no `ckpt-*` file may survive recovery.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "latency gate: run with --release")]
+fn storm_of_1000_sessions_recovers_byte_identical_and_closes_clean() {
+    const SESSIONS: usize = 1000;
+    const RESUME_P99_BOUND: Duration = Duration::from_secs(2);
+    let slider = |session: u64| {
+        json!({
+            "cmd": "gesture", "session": session,
+            "events": [{"type": "set_widget", "widget": 0, "value": {"scalar": 2.0}}],
+        })
+    };
+    let dir = temp_dir("storm");
+    let (client, _) = journaled(&dir, 2);
+    let mut live = Vec::with_capacity(SESSIONS);
+    for _ in 0..SESSIONS {
+        let opened = ok(&client, json!({"cmd": "open", "scenario": "toy"}));
+        let session = opened["session"].as_u64().expect("session id");
+        let token = opened["session_token"].as_str().expect("session_token").to_string();
+        for sql in [
+            "SELECT p, count(*) FROM t WHERE a = 1 GROUP BY p",
+            "SELECT p, count(*) FROM t WHERE a = 2 GROUP BY p",
+        ] {
+            ok(&client, json!({"cmd": "run_cell", "session": session, "sql": sql}));
+        }
+        ok(&client, json!({"cmd": "generate", "session": session}));
+        ok(&client, slider(session));
+        live.push((session, token));
+    }
+    let controls: Vec<String> = live.iter().map(|(session, _)| render(&client, *session)).collect();
+    for k in 0..SESSIONS + SESSIONS / 2 {
+        ok(&client, slider(live[k % SESSIONS].0));
+    }
+    drop(client); // crash mid-storm: no clean close, no final checkpoints
+
+    let (client, report) = journaled(&dir, 2);
+    assert_eq!(report.sessions_recovered as usize, SESSIONS, "{report:?}");
+    let mut latency = LatencyHistogram::new();
+    for ((session, token), control) in live.iter().zip(&controls) {
+        let started = Instant::now();
+        let resumed = ok(&client, json!({"cmd": "resume", "token": token}));
+        let text = render(&client, *session);
+        latency.record(started.elapsed());
+        assert_eq!(resumed["session"].as_u64(), Some(*session), "{resumed}");
+        assert!(text == *control, "session {session}: resumed render differs from the control");
+    }
+    let p99 = latency.percentile(0.99);
+    assert!(p99 <= RESUME_P99_BOUND, "resume+render p99 {p99:?} (bound {RESUME_P99_BOUND:?})");
+
+    for (session, _) in &live {
+        ok(&client, json!({"cmd": "close", "session": session}));
+    }
+    drop(client); // crash again: the close tombstones must win
+    let (client, after_close) = journaled(&dir, 2);
+    assert_eq!(after_close.sessions_recovered, 0, "{after_close:?}");
+    let checkpoints = std::fs::read_dir(&dir)
+        .expect("journal dir")
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("ckpt-"))
+        .count();
+    assert_eq!(checkpoints, 0, "checkpoint files survived close-all and recovery");
+    let stats = client.state().stats_json();
+    assert_eq!(stats["active_sessions"].as_u64(), Some(0), "{stats}");
+    drop(client);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,59 +1,66 @@
-//! Soak / churn test: many short-lived sessions opened, exercised, and
-//! closed across the reactor's worker threads, plus a determinism check
-//! that the TCP transport is byte-identical to the in-process
-//! `LocalClient` for a replayed script.
+//! Soak / churn tests: many short-lived sessions opened, exercised, and
+//! closed across the reactor's worker threads; a load storm holding
+//! ≥ 1000 sessions live under mixed traffic; and a determinism check that
+//! the TCP transport is byte-identical to the in-process `LocalClient`
+//! for a replayed script.
 //!
-//! The churn count defaults to a CI-friendly size; `PI2_SOAK_SESSIONS`
-//! scales it up (ci.sh runs the release soak at 1000).
+//! The churn soak runs 1000 sessions in release builds and 200 in debug
+//! builds; the load storm's latency gate runs in release builds only.
 
 use pi2_server::{Server, ServerConfig, ServerState, TcpClient};
+use pi2_telemetry::LatencyHistogram;
 use serde_json::{json, Value};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
-fn soak_sessions() -> usize {
-    std::env::var("PI2_SOAK_SESSIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(200)
+/// Sessions the churn soak opens and closes.
+const SOAK_SESSIONS: usize = if cfg!(debug_assertions) { 200 } else { 1000 };
+
+/// Send `request` and require an `ok` response.
+fn ok(client: &mut TcpClient, request: Value) -> Value {
+    let response = client.request(request).expect("request");
+    assert_eq!(response["ok"].as_bool(), Some(true), "{response}");
+    response
 }
 
-/// One session's whole life over an existing connection: open, two
-/// notebook cells, generate (the fleet cache makes the repeats cheap),
-/// a gesture burst, close. Returns the session id it used.
-fn churn_one(client: &mut TcpClient) -> i64 {
-    let opened = client.request(json!({"cmd": "open", "scenario": "toy"})).expect("open");
-    assert_eq!(opened["ok"].as_bool(), Some(true), "{opened}");
+/// Open a toy session and build it over `call` (which must return an
+/// `ok` response): two notebook cells, then generate (the fleet cache
+/// makes the repeats cheap). Returns the session id.
+fn open_built(call: &mut impl FnMut(Value) -> Value) -> i64 {
+    let opened = call(json!({"cmd": "open", "scenario": "toy"}));
     let session = opened["session"].as_i64().expect("session id");
     for sql in [
         "SELECT p, count(*) FROM t WHERE a = 1 GROUP BY p",
         "SELECT p, count(*) FROM t WHERE a = 2 GROUP BY p",
     ] {
-        let r = client
-            .request(json!({"cmd": "run_cell", "session": session, "sql": sql}))
-            .expect("run_cell");
-        assert_eq!(r["ok"].as_bool(), Some(true), "{r}");
+        call(json!({"cmd": "run_cell", "session": session, "sql": sql}));
     }
-    let generated = client.request(json!({"cmd": "generate", "session": session})).expect("gen");
-    assert_eq!(generated["ok"].as_bool(), Some(true), "{generated}");
-    let r = client
-        .request(json!({
-            "cmd": "gesture", "session": session,
-            "events": [
-                {"type": "set_widget", "widget": 0, "value": {"scalar": 1.0}},
-                {"type": "set_widget", "widget": 0, "value": {"scalar": 2.0}},
-            ],
-        }))
-        .expect("gesture");
-    assert_eq!(r["ok"].as_bool(), Some(true), "{r}");
-    let r = client.request(json!({"cmd": "close", "session": session})).expect("close");
-    assert_eq!(r["ok"].as_bool(), Some(true), "{r}");
+    call(json!({"cmd": "generate", "session": session}));
+    session
+}
+
+/// One session's whole life over `call`: open and build, a gesture
+/// burst, close. Returns the session id it used.
+fn churn_one(call: &mut impl FnMut(Value) -> Value) -> i64 {
+    let session = open_built(call);
+    call(json!({
+        "cmd": "gesture", "session": session,
+        "events": [
+            {"type": "set_widget", "widget": 0, "value": {"scalar": 1.0}},
+            {"type": "set_widget", "widget": 0, "value": {"scalar": 2.0}},
+        ],
+    }));
+    call(json!({"cmd": "close", "session": session}));
     session
 }
 
 #[test]
 fn churn_soak_leaves_no_residue() {
     const CLIENTS: usize = 8;
-    let total = soak_sessions();
+    let total = SOAK_SESSIONS;
     let state = Arc::new(ServerState::new());
     let server =
         Server::bind_with("127.0.0.1:0", Arc::clone(&state), ServerConfig::new()).expect("bind");
@@ -68,7 +75,7 @@ fn churn_soak_leaves_no_residue() {
                 let mut client = TcpClient::connect(addr).expect("connect");
                 let mut sessions = Vec::with_capacity(share);
                 for _ in 0..share {
-                    sessions.push(churn_one(&mut client));
+                    sessions.push(churn_one(&mut |r| ok(&mut client, r)));
                 }
                 sessions
             })
@@ -117,6 +124,137 @@ fn churn_soak_leaves_no_residue() {
     let conn_closed = counters.connections_closed.load(Ordering::Relaxed);
     assert_eq!(accepted, CLIENTS as u64 + 1);
     assert_eq!(accepted, conn_closed, "drain must close every connection it accepted");
+}
+
+/// Deterministic LCG: the storm's op schedule must not change between
+/// runs.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
+/// One closed-loop lane of the load storm: a blocking connection, the
+/// built sessions pinned to it, and the latency of every request it sent.
+struct Lane {
+    client: TcpClient,
+    sessions: Vec<i64>,
+    latency: LatencyHistogram,
+    rng: Lcg,
+    flips: u64,
+}
+
+impl Lane {
+    /// Connect and open `share` built sessions (untimed).
+    fn ramp(addr: SocketAddr, share: usize, seed: u64) -> Lane {
+        let mut client = TcpClient::connect(addr).expect("connect");
+        let sessions = (0..share).map(|_| open_built(&mut |r| ok(&mut client, r))).collect();
+        Lane { client, sessions, latency: LatencyHistogram::new(), rng: Lcg(seed), flips: 0 }
+    }
+
+    /// Send `request`, require `ok`, and record its latency.
+    fn timed(&mut self, request: Value) -> Value {
+        let started = Instant::now();
+        let response = ok(&mut self.client, request);
+        self.latency.record(started.elapsed());
+        response
+    }
+
+    /// Run `ops` scheduled ops, one request in flight at a time: ~90%
+    /// single-event gestures that alternate the slider, ~5% regenerates
+    /// (fleet-cache hits), ~5% churn (a whole session life, request by
+    /// request).
+    fn storm(&mut self, ops: usize) {
+        for _ in 0..ops {
+            let roll = self.rng.next() % 100;
+            let session = self.sessions[self.rng.next() as usize % self.sessions.len()];
+            if roll < 90 {
+                self.flips += 1;
+                let scalar = if self.flips.is_multiple_of(2) { 1.0 } else { 2.0 };
+                self.timed(json!({"cmd": "gesture", "session": session, "events": [
+                    {"type": "set_widget", "widget": 0, "value": {"scalar": scalar}},
+                ]}));
+            } else if roll < 95 {
+                self.timed(json!({"cmd": "generate", "session": session}));
+            } else {
+                churn_one(&mut |r| self.timed(r));
+            }
+        }
+    }
+
+    fn close_all(&mut self) {
+        for session in std::mem::take(&mut self.sessions) {
+            ok(&mut self.client, json!({"cmd": "close", "session": session}));
+        }
+    }
+}
+
+/// The reactor under a load storm over real TCP: 1024 built sessions live
+/// on 8 closed-loop lanes (so at most 8 requests in flight) take 20k ops
+/// of the `Lane::storm` mix. The storm's request p99 must stay within 20x
+/// the p99 of the same mix driven through one session on an idle server,
+/// every request must succeed, and teardown must leave no session behind.
+/// Each lane is one connection, so the server carries 8 connections, not
+/// many idle ones.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "latency gate: run with --release")]
+fn load_storm_p99_stays_within_20x_of_one_session() {
+    const SESSIONS: usize = 1024;
+    const LANES: usize = 8;
+    const STORM_OPS: usize = 20_000;
+    const BASELINE_OPS: usize = 2_000;
+    const P99_BOUND: f64 = 20.0;
+
+    let idle = Server::bind_with("127.0.0.1:0", Arc::new(ServerState::new()), ServerConfig::new())
+        .expect("bind");
+    let mut single = Lane::ramp(idle.local_addr(), 1, 1);
+    single.storm(BASELINE_OPS);
+    single.close_all();
+    idle.shutdown();
+    idle.join();
+
+    let state = Arc::new(ServerState::new());
+    let server =
+        Server::bind_with("127.0.0.1:0", Arc::clone(&state), ServerConfig::new()).expect("bind");
+    let addr = server.local_addr();
+    let mut lanes: Vec<Lane> = std::thread::scope(|s| {
+        let ramps: Vec<_> = (0..LANES)
+            .map(|i| s.spawn(move || Lane::ramp(addr, SESSIONS / LANES, 2 + i as u64)))
+            .collect();
+        ramps.into_iter().map(|h| h.join().expect("ramp thread")).collect()
+    });
+    let mut stats = TcpClient::connect(addr).expect("connect");
+    let peak = ok(&mut stats, json!({"cmd": "stats"}));
+    let live = peak["stats"]["active_sessions"].as_u64().unwrap_or(0);
+    assert!(live >= 1000 && live == SESSIONS as u64, "ramp reached {live} sessions: {peak}");
+
+    std::thread::scope(|s| {
+        for lane in &mut lanes {
+            s.spawn(move || lane.storm(STORM_OPS / LANES));
+        }
+    });
+    let mut storm = LatencyHistogram::new();
+    for lane in &mut lanes {
+        lane.close_all();
+        storm.absorb(&lane.latency);
+    }
+    let end = ok(&mut stats, json!({"cmd": "stats"}));
+    assert_eq!(end["stats"]["active_sessions"].as_u64(), Some(0), "sessions leaked: {end}");
+    assert!(state.registry().is_empty(), "registry not empty after teardown");
+    server.shutdown();
+    server.join();
+
+    let (single_p99, storm_p99) = (single.latency.percentile(0.99), storm.percentile(0.99));
+    let ratio = storm_p99.as_secs_f64() / single_p99.as_secs_f64().max(1e-9);
+    assert!(
+        ratio <= P99_BOUND,
+        "storm p99 {storm_p99:?} over {} requests is {ratio:.2}x the single-session p99 \
+         {single_p99:?} (bound {P99_BOUND}x)",
+        storm.count()
+    );
 }
 
 /// The deterministic script both transports replay. `stats` is excluded

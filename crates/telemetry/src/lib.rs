@@ -6,8 +6,7 @@
 //! [`Registry::span`] RAII guards; the search layer bumps counters for
 //! iterations, expansions, and cache hits. A [`Snapshot`] freezes the
 //! registry into plain data that `GenerationStats` embeds and that dumps
-//! to a JSON object compatible with the bench harness's `BENCH_*.json`
-//! files — all with no dependencies outside `std`.
+//! to a flat JSON object — all with no dependencies outside `std`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -177,8 +176,8 @@ impl Snapshot {
 
     /// Render as a JSON object: counters as integers, timers as
     /// `{name}_ms` floats plus `{name}_count` integers. Names are
-    /// sanitized (`.` becomes `_`) so the output is easy to consume from
-    /// the bench harness's flat `BENCH_*.json` schema.
+    /// sanitized (`.` becomes `_`) so the output is a flat object that is
+    /// easy to consume.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;

@@ -49,6 +49,13 @@ cargo run -q --release -p pi2-bench --bin regen_latency > /dev/null
 echo "== performance gates (release) =="
 cargo test -q --release -p pi2-bench --test gates
 
+# Footprint gate (crates/datasets/tests/footprint.rs): building the 1M-row
+# SDSS catalog may raise VmHWM by at most 160 MiB, so each table is held
+# once, as typed columns. Release-only, in a binary of its own because
+# VmHWM is process-wide.
+echo "== footprint gate (release) =="
+cargo test -q --release -p pi2-datasets --test footprint
+
 # perfbench is a workspace of its own that builds against the scene codec
 # and the session API by path: an API break must fail here, not in a
 # benchmark run.

@@ -64,7 +64,7 @@ pub fn spec_for(catalog: &Catalog, joins: Vec<JoinSpec>) -> SchemaSpec {
                 .iter()
                 .filter_map(|f| {
                     let kind = scalar_kind(f.data_type)?;
-                    let stats = table.column_stats(&f.name)?;
+                    let stats = catalog.column_stats(name, &f.name)?;
                     let mut spec = ColumnSpec::new(&f.name, kind, literal_pool(&stats));
                     if stats.distinct_count <= GROUPABLE_CARDINALITY
                         && stats.distinct_count >= 2

@@ -7,6 +7,7 @@
 //! per-state scale proportional to a population weight and region-correlated
 //! wave timing, plus multiplicative noise.
 
+use crate::Emit;
 use pi2_engine::{Catalog, DataType, Table, Value};
 use pi2_sql::{Date, Query};
 use rand::rngs::SmallRng;
@@ -95,17 +96,25 @@ impl Default for Config {
 
 /// Build the `covid` and `regions` tables.
 pub fn catalog(config: &Config) -> Catalog {
+    let covid = Table::builder("covid")
+        .column("date", DataType::Date)
+        .column("state", DataType::Str)
+        .column("cases", DataType::Int)
+        .build();
+    let regions = Table::builder("regions")
+        .column("state", DataType::Str)
+        .column("region", DataType::Str)
+        .build();
+    crate::load(vec![covid, regions], |emit| rows(config, emit))
+}
+
+/// Emit the `covid` and `regions` rows that [`catalog`] loads.
+pub fn rows(config: &Config, emit: Emit<'_>) {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let states: &[(&str, f64, &str)] = match config.state_limit {
         Some(n) => &STATES[..n.min(STATES.len())],
         None => STATES,
     };
-
-    let mut covid = Table::builder("covid")
-        .column("date", DataType::Date)
-        .column("state", DataType::Str)
-        .column("cases", DataType::Int)
-        .build();
 
     // The winter wave peaks around day `days - 7` (late December for the
     // default window), slightly earlier in the Northeast and later in the
@@ -128,30 +137,19 @@ pub fn catalog(config: &Config) -> Catalog {
             let noise = rng.gen_range(0.85..1.15);
             let weekday_dip = if (config.start.plus_days(d as i32).0 % 7) < 2 { 0.8 } else { 1.0 };
             let cases = ((baseline + wave) * noise * weekday_dip).round().max(0.0) as i64;
-            covid
-                .push_row(vec![
+            emit(
+                "covid",
+                vec![
                     Value::Date(config.start.plus_days(d as i32)),
                     Value::str(*state),
                     Value::Int(cases),
-                ])
-                .expect("schema-correct row");
+                ],
+            );
         }
     }
-
-    let mut regions = Table::builder("regions")
-        .column("state", DataType::Str)
-        .column("region", DataType::Str)
-        .build();
     for (state, _, region) in states {
-        regions
-            .push_row(vec![Value::str(*state), Value::str(*region)])
-            .expect("schema-correct row");
+        emit("regions", vec![Value::str(*state), Value::str(*region)]);
     }
-
-    let mut c = Catalog::new();
-    c.register(covid);
-    c.register(regions);
-    c
 }
 
 /// The four-query log of the paper's §3.2 use-case walkthrough.

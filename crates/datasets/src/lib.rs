@@ -60,6 +60,28 @@ pub fn demo_scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// Where a generator sends its rows: each row with the name of its table.
+pub type Emit<'a> = &'a mut dyn FnMut(&str, Vec<pi2_engine::Value>);
+
+/// Build a catalog from empty `tables` (their schemas) and the rows
+/// `generate` emits into them, registering the tables in order. Every
+/// generator loads its catalog through here, and exposes its `rows`
+/// function, so a test can replay exactly the rows a catalog was built from.
+pub(crate) fn load(
+    mut tables: Vec<pi2_engine::Table>,
+    generate: impl FnOnce(Emit<'_>),
+) -> pi2_engine::Catalog {
+    generate(&mut |name, row| {
+        let table = tables.iter_mut().find(|t| t.name == name).expect("a declared table");
+        table.push_row(row).expect("schema-correct row");
+    });
+    let mut catalog = pi2_engine::Catalog::new();
+    for table in tables {
+        catalog.register(table);
+    }
+    catalog
+}
+
 pub(crate) fn parse_all(sqls: &[&str]) -> Vec<Query> {
     sqls.iter()
         .map(|s| pi2_sql::parse_query(s).unwrap_or_else(|e| panic!("bad demo query {s:?}: {e}")))

@@ -6,6 +6,7 @@
 //! ranges return spatially coherent sets) plus a uniform background; colors
 //! follow class-dependent magnitude distributions.
 
+use crate::Emit;
 use pi2_engine::{Catalog, DataType, Table, Value};
 use pi2_sql::Query;
 use rand::rngs::SmallRng;
@@ -52,8 +53,7 @@ const CLUSTERS: &[(f64, f64, f64)] =
 
 /// Build the `photoobj` table.
 pub fn catalog(config: &Config) -> Catalog {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut photoobj = Table::builder("photoobj")
+    let photoobj = Table::builder("photoobj")
         .column("objid", DataType::Int)
         .column("ra", DataType::Float)
         .column("dec", DataType::Float)
@@ -65,7 +65,12 @@ pub fn catalog(config: &Config) -> Catalog {
         .column("class", DataType::Str)
         .column("redshift", DataType::Float)
         .build();
+    crate::load(vec![photoobj], |emit| rows(config, emit))
+}
 
+/// Emit the `photoobj` rows that [`catalog`] loads.
+pub fn rows(config: &Config, emit: Emit<'_>) {
+    let mut rng = SmallRng::seed_from_u64(config.seed);
     // Positions are drawn first and emitted in sky-scan (ra-ascending)
     // order, the layout a survey's drift scan would produce. Value-ordered
     // storage is what makes the engine's per-block zone maps tight: a
@@ -106,8 +111,9 @@ pub fn catalog(config: &Config) -> Catalog {
             "GALAXY" => rng.gen_range(0.01..0.4),
             _ => rng.gen_range(0.5..3.5),
         };
-        photoobj
-            .push_row(vec![
+        emit(
+            "photoobj",
+            vec![
                 Value::Int(objid),
                 Value::Float((ra * 1e4).round() / 1e4),
                 Value::Float((dec * 1e4).round() / 1e4),
@@ -118,13 +124,9 @@ pub fn catalog(config: &Config) -> Catalog {
                 Value::Float((z * 100.0).round() / 100.0),
                 Value::str(class),
                 Value::Float((redshift * 1e4).round() / 1e4),
-            ])
-            .expect("schema-correct row");
+            ],
+        );
     }
-
-    let mut c = Catalog::new();
-    c.register(photoobj);
-    c
 }
 
 /// The two celestial-region queries of the paper's Figure 1: identical

@@ -5,6 +5,7 @@
 //! geometric random walk with a sector-level drift component, so
 //! sector-comparison queries show coherent trends.
 
+use crate::Emit;
 use pi2_engine::{Catalog, DataType, Table, Value};
 use pi2_sql::{Date, Query};
 use rand::rngs::SmallRng;
@@ -53,25 +54,26 @@ impl Default for Config {
 
 /// Build the `companies` and `prices` tables.
 pub fn catalog(config: &Config) -> Catalog {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-
-    let mut companies = Table::builder("companies")
+    let companies = Table::builder("companies")
         .column("ticker", DataType::Str)
         .column("name", DataType::Str)
         .column("sector", DataType::Str)
         .build();
-    for (t, n, s) in COMPANIES {
-        companies
-            .push_row(vec![Value::str(*t), Value::str(*n), Value::str(*s)])
-            .expect("schema-correct row");
-    }
-
-    let mut prices = Table::builder("prices")
+    let prices = Table::builder("prices")
         .column("date", DataType::Date)
         .column("ticker", DataType::Str)
         .column("close", DataType::Float)
         .column("volume", DataType::Int)
         .build();
+    crate::load(vec![companies, prices], |emit| rows(config, emit))
+}
+
+/// Emit the `companies` and `prices` rows that [`catalog`] loads.
+pub fn rows(config: &Config, emit: Emit<'_>) {
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    for (t, n, s) in COMPANIES {
+        emit("companies", vec![Value::str(*t), Value::str(*n), Value::str(*s)]);
+    }
 
     // Sector drift per day: Tech trends up, Energy oscillates, etc.
     let sectors = ["Tech", "Financials", "Energy", "Health", "Staples", "Discretionary"];
@@ -87,21 +89,17 @@ pub fn catalog(config: &Config) -> Catalog {
             price *= 1.0 + sector_drift[sector_idx] + shock;
             price = price.max(1.0);
             let volume = (vol_base as f64 * rng.gen_range(0.6..1.6)) as i64;
-            prices
-                .push_row(vec![
+            emit(
+                "prices",
+                vec![
                     Value::Date(config.start.plus_days(d as i32)),
                     Value::str(*ticker),
                     Value::Float((price * 100.0).round() / 100.0),
                     Value::Int(volume),
-                ])
-                .expect("schema-correct row");
+                ],
+            );
         }
     }
-
-    let mut c = Catalog::new();
-    c.register(companies);
-    c.register(prices);
-    c
 }
 
 /// A plausible exploration log: one ticker's timeline, a competing ticker,

@@ -1,6 +1,7 @@
 //! The toy table and queries used in the paper's §2 running example
 //! (Figures 2–5): `t(p, a, b)` with integer attributes.
 
+use crate::Emit;
 use pi2_engine::{Catalog, DataType, Table, Value};
 use pi2_sql::Query;
 use rand::rngs::SmallRng;
@@ -10,23 +11,30 @@ use rand::{Rng, SeedableRng};
 /// attribute domains are small (p in 0..8, a in 0..5, b in 0..5) so that
 /// grouped counts produce readable bar charts.
 pub fn catalog(rows: usize, seed: u64) -> Catalog {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut t = Table::builder("t")
+    crate::load(vec![t_schema()], |emit| t_rows(rows, seed, emit))
+}
+
+fn t_schema() -> Table {
+    Table::builder("t")
         .column("p", DataType::Int)
         .column("a", DataType::Int)
         .column("b", DataType::Int)
-        .build();
+        .build()
+}
+
+/// Emit the `rows` rows of `t` that [`catalog`] loads.
+pub fn t_rows(rows: usize, seed: u64, emit: Emit<'_>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
     for _ in 0..rows {
-        t.push_row(vec![
-            Value::Int(rng.gen_range(0..8)),
-            Value::Int(rng.gen_range(0..5)),
-            Value::Int(rng.gen_range(0..5)),
-        ])
-        .expect("schema-correct row");
+        emit(
+            "t",
+            vec![
+                Value::Int(rng.gen_range(0..8)),
+                Value::Int(rng.gen_range(0..5)),
+                Value::Int(rng.gen_range(0..5)),
+            ],
+        );
     }
-    let mut c = Catalog::new();
-    c.register(t);
-    c
 }
 
 /// Default toy catalog (200 rows, fixed seed).
@@ -39,20 +47,23 @@ pub fn default_catalog() -> Catalog {
 /// `a`, so `t JOIN u ON t.a = u.a` is always satisfiable. Used by the
 /// conformance harness to fuzz join queries.
 pub fn join_catalog(rows: usize, seed: u64) -> Catalog {
-    let mut c = catalog(rows, seed);
+    let u = Table::builder("u").column("a", DataType::Int).column("w", DataType::Int).build();
+    crate::load(vec![t_schema(), u], |emit| {
+        t_rows(rows, seed, emit);
+        u_rows(seed, emit);
+    })
+}
+
+/// Emit the rows of `u` that [`join_catalog`] loads.
+pub fn u_rows(seed: u64, emit: Emit<'_>) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x1011);
-    let mut u = Table::builder("u").column("a", DataType::Int).column("w", DataType::Int).build();
     // One row per `a` value (0..5), plus a few duplicates with other weights.
     for a in 0..5 {
-        u.push_row(vec![Value::Int(a), Value::Int(rng.gen_range(0..9))])
-            .expect("schema-correct row");
+        emit("u", vec![Value::Int(a), Value::Int(rng.gen_range(0..9))]);
     }
     for _ in 0..3 {
-        u.push_row(vec![Value::Int(rng.gen_range(0..5)), Value::Int(rng.gen_range(0..9))])
-            .expect("schema-correct row");
+        emit("u", vec![Value::Int(rng.gen_range(0..5)), Value::Int(rng.gen_range(0..9))]);
     }
-    c.register(u);
-    c
 }
 
 /// Figure 2's three queries: Q1 and Q2 differ in the predicate's attribute

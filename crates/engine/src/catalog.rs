@@ -49,19 +49,19 @@ impl ExecLimits {
 
 /// A collection of named tables plus the query entry point.
 ///
-/// Table lookup is case-insensitive. Tables are stored behind `Arc` so that
-/// scans and notebook snapshots can share them cheaply. A shared result
-/// cache — keyed by (catalog version, query structural hash) — accelerates
-/// the interface search, which repeatedly executes the same candidate
-/// instantiations. Clones share the cache; registering a table moves a
-/// catalog to a fresh globally-unique version, so diverged clones never
-/// see each other's results.
+/// Each table is held once, as the sealed [`ColumnarTable`] that
+/// [`register`](Self::register) builds from a [`Table`]: the columnar
+/// executor scans its typed vectors and the reference interpreter reads it
+/// through its row cursor. Table lookup is case-insensitive. Tables are
+/// stored behind `Arc` so that scans and notebook snapshots can share them
+/// cheaply. A shared result cache — keyed by (catalog version, query
+/// structural hash) — accelerates the interface search, which repeatedly
+/// executes the same candidate instantiations. Clones share the cache;
+/// registering a table moves a catalog to a fresh globally-unique version,
+/// so diverged clones never see each other's results.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Arc<Table>>,
-    /// Typed column-major mirrors of `tables`, built once at registration
-    /// and scanned by the columnar fast path (see [`crate::exec_columnar`]).
-    columnar: BTreeMap<String, Arc<ColumnarTable>>,
+    tables: BTreeMap<String, Arc<ColumnarTable>>,
     /// Globally-unique fingerprint of this catalog's table map; part of
     /// every cache key so clones that diverge (one registers a new table)
     /// can keep sharing the cache soundly.
@@ -116,24 +116,20 @@ impl Catalog {
         self.version
     }
 
-    /// Register (or replace) a table under its own name. The catalog moves
-    /// to a fresh version, so previously cached results (including those
-    /// shared with clones) no longer match its keys.
+    /// Seal a table (see [`Table::seal`]) and register (or replace) it under
+    /// its own name. The catalog moves to a fresh version, so previously
+    /// cached results (including those shared with clones) no longer match
+    /// its keys.
     pub fn register(&mut self, table: Table) {
         let key = table.name.to_lowercase();
-        self.columnar.insert(key.clone(), Arc::new(ColumnarTable::build(&table)));
-        self.tables.insert(key, Arc::new(table));
+        self.tables.insert(key, Arc::new(table.seal()));
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Look up a table by name (case-insensitive).
-    pub fn get(&self, name: &str) -> Option<Arc<Table>> {
+    /// Look up a sealed table by name (case-insensitive): its schema,
+    /// statistics and row cursor.
+    pub fn get(&self, name: &str) -> Option<Arc<ColumnarTable>> {
         self.tables.get(&name.to_lowercase()).cloned()
-    }
-
-    /// The columnar mirror of a table (case-insensitive).
-    pub(crate) fn columnar(&self, name: &str) -> Option<Arc<ColumnarTable>> {
-        self.columnar.get(&name.to_lowercase()).cloned()
     }
 
     /// Names of all registered tables, sorted.
@@ -239,10 +235,10 @@ impl Catalog {
         Arc::clone(&self.scan_stats)
     }
 
-    /// Total wall-clock nanoseconds spent building the columnar mirrors
-    /// currently registered in this catalog.
+    /// Total wall-clock nanoseconds spent sealing the tables currently
+    /// registered in this catalog.
     pub fn columnar_build_nanos(&self) -> u64 {
-        self.columnar.values().map(|c| c.build_nanos()).sum()
+        self.tables.values().map(|t| t.build_nanos()).sum()
     }
 
     /// Parse and execute SQL text.
@@ -252,17 +248,11 @@ impl Catalog {
         self.execute(&q)
     }
 
-    /// Statistics for `table.column`, if both exist. Served from the
-    /// columnar mirror's lazily computed per-column cache (typed sort /
-    /// dictionary read) instead of re-walking row storage per call; the
-    /// row-store fallback only covers tables without a mirror.
+    /// Statistics for `table.column`, if both exist, from the table's
+    /// lazily computed per-column cache (typed sort / dictionary read).
     pub fn column_stats(&self, table: &str, column: &str) -> Option<ColumnStats> {
-        if let Some(columnar) = self.columnar(table) {
-            if let Some(idx) = columnar.column_index(column) {
-                return Some(columnar.column_stats(idx).clone());
-            }
-        }
-        self.get(table)?.column_stats(column)
+        let table = self.tables.get(&table.to_lowercase())?;
+        Some(table.column_stats(table.column_index(column)?).clone())
     }
 
     /// The free (correlation) variables of a query — see

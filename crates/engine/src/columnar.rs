@@ -1,16 +1,19 @@
-//! Columnar mirrors of base tables.
+//! Typed column-major table storage: the engine's only copy of a table.
 //!
-//! The row-oriented [`Table`] stays the source of truth; a [`ColumnarTable`]
-//! is a typed, column-major copy built once when the table is registered in
-//! the catalog. The columnar executor (see [`crate::exec_columnar`]) scans
-//! these vectors directly instead of cloning `Vec<Vec<Value>>` row storage
-//! per query, and its compiled predicates read typed slices instead of
-//! matching on `Value` per row.
+//! [`Table::push_row`] appends each validated value straight into a typed
+//! column builder (`i64` / `f64` / `bool` / `i32` vectors with a null bit
+//! per row; strings interned into an insertion-order dictionary), and
+//! [`Table::seal`] — called by [`crate::Catalog::register`] — turns the
+//! builders into a [`ColumnarTable`]. No row-major copy is ever built. The
+//! columnar executor (see [`crate::exec_columnar`]) scans the typed vectors
+//! directly, and the reference interpreter reads the same storage a row at
+//! a time through the [`ColumnarTable::rows`] cursor.
 //!
 //! Storage layout (the 10M-row upgrades):
 //!
 //! * **Dictionary-encoded strings** — a string column stores `u32` codes
-//!   into a lexicographically sorted dictionary, so code order equals
+//!   into a lexicographically sorted dictionary (sealing sorts the
+//!   insertion-order dictionary and remaps the codes), so code order equals
 //!   string order and predicates compare integers instead of strings.
 //! * **Bit-packed null masks** — nulls cost one bit per row ([`BitMask`]),
 //!   and the same structure backs the executor's selection masks so a
@@ -20,14 +23,14 @@
 //!   executor skip whole blocks whose value range cannot intersect a
 //!   predicate.
 //!
-//! Columns are built in parallel across a `std::thread::scope`, and
-//! per-column [`ColumnStats`] are computed lazily from the typed storage
-//! (sorting primitives, or just reading the dictionary) instead of
-//! re-walking `Value` rows through a `BTreeSet`.
+//! Per-column [`ColumnStats`] are computed lazily from the typed storage
+//! (sorting primitives, or just reading the dictionary).
+//!
+//! [`Table::push_row`]: crate::Table::push_row
+//! [`Table::seal`]: crate::Table::seal
 
-use crate::schema::Field;
+use crate::schema::{Field, Schema};
 use crate::stats::{ColumnStats, DISTINCT_SAMPLE_CAP};
-use crate::table::Table;
 use crate::value::{DataType, Value};
 use pi2_sql::Date;
 use std::cmp::Ordering;
@@ -73,15 +76,15 @@ impl BitMask {
         m
     }
 
-    /// Build from per-row flags.
-    pub fn from_bools(flags: &[bool]) -> BitMask {
-        let mut m = BitMask::new(flags.len(), false);
-        for (i, &b) in flags.iter().enumerate() {
-            if b {
-                m.set(i);
-            }
+    /// Append one bit (how a column builder grows its null mask).
+    pub fn push(&mut self, bit: bool) {
+        if self.len & 63 == 0 {
+            self.words.push(0);
         }
-        m
+        self.len += 1;
+        if bit {
+            self.set(self.len - 1);
+        }
     }
 
     /// Number of bits (rows).
@@ -230,8 +233,8 @@ impl Iterator for Ones<'_> {
 /// A dictionary-encoded string column: `codes[i]` indexes into `dict`,
 /// which is sorted lexicographically so **code order equals string order**
 /// — comparisons against a constant become integer comparisons against the
-/// constant's rank. Null rows hold code 0 and are tracked by the enclosing
-/// [`Column::nulls`] mask.
+/// constant's rank. Null rows hold a placeholder code and are tracked by
+/// the enclosing [`Column::nulls`] mask.
 #[derive(Debug, Clone)]
 pub struct DictColumn {
     /// Per-row dictionary codes.
@@ -258,8 +261,10 @@ impl DictColumn {
     }
 }
 
-/// Typed storage for one column. Null slots hold a placeholder (0 / code 0
-/// / epoch) and are tracked by the enclosing [`Column::nulls`] mask.
+/// Typed storage for one column. Null slots hold a placeholder (0 / a code
+/// / epoch) and are tracked by the enclosing [`Column::nulls`] mask. A
+/// NULL-declared column, which can only hold NULLs, is stored as an
+/// all-null `Bool` column.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// 64-bit integers.
@@ -272,9 +277,6 @@ pub enum ColumnData {
     Str(DictColumn),
     /// Dates as day numbers.
     Date(Vec<i32>),
-    /// Catch-all for columns whose values defy a single type (possible when
-    /// a `Table` is constructed literally, bypassing `push_row` validation).
-    Mixed(Vec<Value>),
 }
 
 /// Zone-map summary of one [`BLOCK_ROWS`]-row block of a column: the
@@ -291,52 +293,18 @@ pub struct ZoneMap {
 
 /// One column of a [`ColumnarTable`]: typed data, an optional bit-packed
 /// null mask (absent when the column contains no NULLs, the common case),
-/// and per-block zone maps (empty for `Mixed` columns, which never take
-/// the typed predicate loops).
+/// and per-block zone maps.
 #[derive(Debug, Clone)]
 pub struct Column {
     /// The values.
     pub data: ColumnData,
     /// Set bit = row is NULL; `None` means no NULLs.
     pub nulls: Option<BitMask>,
-    /// Per-block zone maps; empty for `Mixed` columns.
+    /// Per-block zone maps.
     pub zones: Vec<ZoneMap>,
 }
 
 impl Column {
-    /// Build a column from row-major values, choosing typed storage when
-    /// every non-null value matches `declared`, and `Mixed` otherwise.
-    pub fn from_values<'a>(declared: DataType, values: impl Iterator<Item = &'a Value>) -> Column {
-        let values: Vec<&Value> = values.collect();
-        let uniform = values
-            .iter()
-            .all(|v| v.is_null() || v.data_type() == declared || declared == DataType::Null);
-        if !uniform || declared == DataType::Null {
-            let mixed: Vec<Value> = values.into_iter().cloned().collect();
-            let nulls = null_mask(mixed.iter().map(Value::is_null));
-            return Column { data: ColumnData::Mixed(mixed), nulls, zones: Vec::new() };
-        }
-        let nulls = null_mask(values.iter().map(|v| v.is_null()));
-        let data = match declared {
-            DataType::Int => ColumnData::Int(
-                values.iter().map(|v| if let Value::Int(x) = v { *x } else { 0 }).collect(),
-            ),
-            DataType::Float => ColumnData::Float(
-                values.iter().map(|v| if let Value::Float(x) = v { *x } else { 0.0 }).collect(),
-            ),
-            DataType::Bool => {
-                ColumnData::Bool(values.iter().map(|v| matches!(v, Value::Bool(true))).collect())
-            }
-            DataType::Str => ColumnData::Str(encode_strings(&values)),
-            DataType::Date => ColumnData::Date(
-                values.iter().map(|v| if let Value::Date(d) = v { d.0 } else { 0 }).collect(),
-            ),
-            DataType::Null => unreachable!("handled above"),
-        };
-        let zones = build_zones(&data, nulls.as_ref(), values.len());
-        Column { data, nulls, zones }
-    }
-
     /// True when row `i` is NULL.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
@@ -355,42 +323,83 @@ impl Column {
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Str(d) => Value::Str(d.get(i).to_string()),
             ColumnData::Date(v) => Value::Date(Date(v[i])),
-            ColumnData::Mixed(v) => v[i].clone(),
         }
     }
 }
 
-/// Dictionary-encode string values: hash the distinct strings, sort them,
-/// then map each row to its code. O(N) hashing plus a sort of the (small)
-/// distinct set, instead of sorting all N rows.
-fn encode_strings(values: &[&Value]) -> DictColumn {
-    let mut distinct: HashMap<&str, u32> = HashMap::new();
-    for v in values {
-        if let Value::Str(s) = v {
-            distinct.entry(s.as_str()).or_insert(0);
-        }
-    }
-    let mut dict_refs: Vec<&str> = distinct.keys().copied().collect();
-    dict_refs.sort_unstable();
-    for (code, s) in dict_refs.iter().enumerate() {
-        if let Some(slot) = distinct.get_mut(s) {
-            *slot = code as u32;
-        }
-    }
-    let codes = values
-        .iter()
-        .map(|v| if let Value::Str(s) = v { distinct[s.as_str()] } else { 0 })
-        .collect();
-    DictColumn { codes, dict: dict_refs.iter().map(|s| s.to_string()).collect() }
+/// Append-only typed storage for one column of a [`crate::Table`] under
+/// construction. Strings are interned into an insertion-order dictionary:
+/// `interned` maps each distinct string to its code, and [`Self::seal`]
+/// sorts it.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnBuilder {
+    data: ColumnData,
+    nulls: BitMask,
+    interned: HashMap<String, u32>,
 }
 
-/// A null mask, or `None` when nothing is null.
-fn null_mask(flags: impl Iterator<Item = bool>) -> Option<BitMask> {
-    let mask: Vec<bool> = flags.collect();
-    if mask.iter().any(|&b| b) {
-        Some(BitMask::from_bools(&mask))
-    } else {
-        None
+impl ColumnBuilder {
+    /// An empty builder for a column declared as `declared`.
+    pub(crate) fn new(declared: DataType) -> ColumnBuilder {
+        let data = match declared {
+            DataType::Int => ColumnData::Int(Vec::new()),
+            DataType::Float => ColumnData::Float(Vec::new()),
+            DataType::Bool | DataType::Null => ColumnData::Bool(Vec::new()),
+            DataType::Str => ColumnData::Str(DictColumn { codes: Vec::new(), dict: Vec::new() }),
+            DataType::Date => ColumnData::Date(Vec::new()),
+        };
+        ColumnBuilder { data, nulls: BitMask::new(0, false), interned: HashMap::new() }
+    }
+
+    /// Append one value that `Table::push_row` has validated against the
+    /// declared type (so it is NULL or of the storage type).
+    pub(crate) fn push(&mut self, value: Value) {
+        self.nulls.push(value.is_null());
+        match (&mut self.data, value) {
+            (ColumnData::Int(v), Value::Int(x)) => v.push(x),
+            (ColumnData::Float(v), Value::Float(x)) => v.push(x),
+            (ColumnData::Bool(v), Value::Bool(x)) => v.push(x),
+            (ColumnData::Date(v), Value::Date(x)) => v.push(x.0),
+            (ColumnData::Str(d), Value::Str(s)) => {
+                let next = self.interned.len() as u32;
+                d.codes.push(*self.interned.entry(s).or_insert(next));
+            }
+            (data, value) => {
+                debug_assert!(value.is_null(), "unvalidated {value:?} in {data:?}");
+                match data {
+                    ColumnData::Int(v) => v.push(0),
+                    ColumnData::Float(v) => v.push(0.0),
+                    ColumnData::Bool(v) => v.push(false),
+                    ColumnData::Date(v) => v.push(0),
+                    ColumnData::Str(d) => d.codes.push(0),
+                }
+            }
+        }
+    }
+
+    /// Seal into an immutable [`Column`]: sort the dictionary and remap the
+    /// codes so code order is string order, drop a null mask with no bit
+    /// set, and build the zone maps.
+    pub(crate) fn seal(self) -> Column {
+        let ColumnBuilder { mut data, nulls, interned } = self;
+        if let ColumnData::Str(d) = &mut data {
+            let mut entries: Vec<(String, u32)> = interned.into_iter().collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let mut remap = vec![0u32; entries.len()];
+            for (code, (_, first_seen)) in entries.iter().enumerate() {
+                remap[*first_seen as usize] = code as u32;
+            }
+            // Null rows' placeholder code 0 stays in range (or the column
+            // is all NULL and the dictionary empty).
+            for c in &mut d.codes {
+                *c = remap.get(*c as usize).copied().unwrap_or(0);
+            }
+            d.dict = entries.into_iter().map(|(s, _)| s).collect();
+        }
+        let len = nulls.len();
+        let nulls = (nulls.count_ones() > 0).then_some(nulls);
+        let zones = build_zones(&data, nulls.as_ref(), len);
+        Column { data, nulls, zones }
     }
 }
 
@@ -439,64 +448,52 @@ fn build_zones(data: &ColumnData, nulls: Option<&BitMask>, len: usize) -> Vec<Zo
         ColumnData::Str(d) => {
             typed(&d.codes, nulls, len, u32::cmp, |c| Value::Str(d.dict[c as usize].clone()))
         }
-        // Mixed columns never take the typed loops; no zones.
-        ColumnData::Mixed(_) => Vec::new(),
     }
 }
 
-/// A column-major copy of one base table.
+/// A sealed base table: its schema, typed columns, lazily computed
+/// statistics, and a row cursor ([`Self::rows`]) for row-at-a-time readers.
 #[derive(Debug, Clone)]
 pub struct ColumnarTable {
+    /// The name.
+    pub name: String,
+    /// The schema.
+    pub schema: Schema,
     /// Number of rows.
     pub len: usize,
     /// Columns, in schema order.
     pub columns: Vec<Column>,
-    /// Schema fields, for lazily computed statistics.
-    fields: Vec<Field>,
     /// Per-column statistics, computed from typed storage on first use.
     stats: Vec<OnceLock<ColumnStats>>,
-    /// Wall-clock time spent transposing + encoding, in nanoseconds.
+    /// Wall-clock time spent sealing the column builders, in nanoseconds.
     build_nanos: u64,
 }
 
 impl ColumnarTable {
-    /// Transpose a row-oriented table, building columns in parallel (one
-    /// chunk of columns per available core).
-    pub fn build(table: &Table) -> ColumnarTable {
-        let started = std::time::Instant::now();
-        let fields = table.schema.fields.clone();
-        let n = fields.len();
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n.max(1));
-        let build_one =
-            |i: usize| Column::from_values(fields[i].data_type, table.rows.iter().map(|r| &r[i]));
-        let columns: Vec<Column> = if workers <= 1 || n <= 1 {
-            (0..n).map(build_one).collect()
-        } else {
-            let chunk = n.div_ceil(workers);
-            let mut slots: Vec<Option<Column>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|s| {
-                for (ci, out) in slots.chunks_mut(chunk).enumerate() {
-                    let build_one = &build_one;
-                    s.spawn(move || {
-                        for (k, slot) in out.iter_mut().enumerate() {
-                            *slot = Some(build_one(ci * chunk + k));
-                        }
-                    });
-                }
-            });
-            slots.into_iter().map(|c| c.expect("every column slot filled")).collect()
-        };
-        let stats = (0..n).map(|_| OnceLock::new()).collect();
-        ColumnarTable {
-            len: table.rows.len(),
-            columns,
-            fields,
-            stats,
-            build_nanos: started.elapsed().as_nanos() as u64,
-        }
+    /// Assemble a sealed table; `build_nanos` is the time the seal took.
+    pub(crate) fn new(
+        name: String,
+        schema: Schema,
+        len: usize,
+        columns: Vec<Column>,
+        build_nanos: u64,
+    ) -> ColumnarTable {
+        let stats = columns.iter().map(|_| OnceLock::new()).collect();
+        ColumnarTable { name, schema, len, columns, stats, build_nanos }
     }
 
-    /// Wall-clock nanoseconds spent building this columnar mirror.
+    /// Row `i`, each cell decoded to a [`Value`], in schema order.
+    pub fn row(&self, i: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// Every row in storage order, decoded one at a time: the scan the
+    /// reference interpreter filters, so it never holds the whole table.
+    pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Wall-clock nanoseconds spent sealing this table.
     pub fn build_nanos(&self) -> u64 {
         self.build_nanos
     }
@@ -505,18 +502,18 @@ impl ColumnarTable {
     /// use and cached. Matches [`ColumnStats::compute`] value-for-value.
     pub fn column_stats(&self, idx: usize) -> &ColumnStats {
         self.stats[idx]
-            .get_or_init(|| compute_stats(&self.fields[idx], &self.columns[idx], self.len))
+            .get_or_init(|| compute_stats(&self.schema.fields[idx], &self.columns[idx], self.len))
     }
 
     /// Position of `name` in the schema (case-insensitive).
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name.eq_ignore_ascii_case(name))
+        self.schema.index_of(name)
     }
 }
 
 /// Compute [`ColumnStats`] from typed columnar storage: sort-and-dedup for
-/// primitives (exactly the order `Value`'s `Ord` gives them), a dictionary
-/// read for strings, and the legacy `Value`-walk for `Mixed`.
+/// primitives (exactly the order `Value`'s `Ord` gives them) and a
+/// dictionary read for strings.
 fn compute_stats(field: &Field, col: &Column, len: usize) -> ColumnStats {
     fn sorted_stats<T: Copy>(
         vals: &[T],
@@ -556,9 +553,6 @@ fn compute_stats(field: &Field, col: &Column, len: usize) -> ColumnStats {
                 .then(|| d.dict.iter().map(|s| Value::Str(s.clone())).collect());
             (distinct_count, min, max, distinct_values)
         }
-        ColumnData::Mixed(v) => {
-            return ColumnStats::compute(field, v.iter());
-        }
     };
     ColumnStats {
         name: field.name.clone(),
@@ -575,6 +569,15 @@ fn compute_stats(field: &Field, col: &Column, len: usize) -> ColumnStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
+
+    fn sample_rows() -> Vec<Vec<Value>> {
+        vec![
+            vec![Value::Int(1), Value::str("x"), Value::Float(0.5)],
+            vec![Value::Null, Value::str("y"), Value::Null],
+            vec![Value::Int(3), Value::Null, Value::Float(2.5)],
+        ]
+    }
 
     fn sample() -> Table {
         let mut t = Table::builder("t")
@@ -582,27 +585,23 @@ mod tests {
             .column("b", DataType::Str)
             .column("c", DataType::Float)
             .build();
-        t.push_row(vec![Value::Int(1), Value::str("x"), Value::Float(0.5)]).unwrap();
-        t.push_row(vec![Value::Null, Value::str("y"), Value::Null]).unwrap();
-        t.push_row(vec![Value::Int(3), Value::Null, Value::Float(2.5)]).unwrap();
+        for row in sample_rows() {
+            t.push_row(row).unwrap();
+        }
         t
     }
 
     #[test]
-    fn transpose_roundtrips_values() {
-        let t = sample();
-        let c = ColumnarTable::build(&t);
+    fn cursor_roundtrips_values() {
+        let c = sample().seal();
         assert_eq!(c.len, 3);
-        for (i, row) in t.rows.iter().enumerate() {
-            for (j, v) in row.iter().enumerate() {
-                assert_eq!(&c.columns[j].value(i), v, "row {i} col {j}");
-            }
-        }
+        assert_eq!(c.rows().collect::<Vec<_>>(), sample_rows());
+        assert_eq!(c.row(1), sample_rows()[1]);
     }
 
     #[test]
     fn typed_storage_and_null_masks() {
-        let c = ColumnarTable::build(&sample());
+        let c = sample().seal();
         assert!(matches!(c.columns[0].data, ColumnData::Int(_)));
         assert!(matches!(c.columns[1].data, ColumnData::Str(_)));
         assert!(matches!(c.columns[2].data, ColumnData::Float(_)));
@@ -615,21 +614,20 @@ mod tests {
     fn no_nulls_means_no_mask() {
         let mut t = Table::builder("t").column("a", DataType::Int).build();
         t.push_row(vec![Value::Int(1)]).unwrap();
-        let c = ColumnarTable::build(&t);
+        let c = t.seal();
         assert!(c.columns[0].nulls.is_none());
     }
 
     #[test]
-    fn hand_built_mismatched_rows_fall_back_to_mixed() {
-        // A literally-constructed table can bypass push_row validation.
-        let t = Table {
-            name: "t".into(),
-            schema: crate::schema::Schema::new(vec![crate::schema::Field::new("a", DataType::Int)]),
-            rows: vec![vec![Value::Int(1)], vec![Value::str("oops")]],
-        };
-        let c = ColumnarTable::build(&t);
-        assert!(matches!(c.columns[0].data, ColumnData::Mixed(_)));
-        assert_eq!(c.columns[0].value(1), Value::str("oops"));
+    fn null_declared_column_is_stored_all_null() {
+        let mut t = Table::builder("t").column("n", DataType::Null).build();
+        t.push_row(vec![Value::Null]).unwrap();
+        t.push_row(vec![Value::Null]).unwrap();
+        assert!(t.push_row(vec![Value::Int(1)]).is_err());
+        let c = t.seal();
+        assert_eq!(c.columns[0].nulls.as_ref().map(BitMask::count_ones), Some(2));
+        assert_eq!(c.rows().collect::<Vec<_>>(), vec![vec![Value::Null]; 2]);
+        assert_eq!(c.column_stats(0).distinct_count, 0);
     }
 
     #[test]
@@ -638,7 +636,7 @@ mod tests {
         for s in ["pear", "apple", "pear", "fig", "apple", "apple"] {
             t.push_row(vec![Value::str(s)]).unwrap();
         }
-        let c = ColumnarTable::build(&t);
+        let c = t.seal();
         let ColumnData::Str(d) = &c.columns[0].data else { panic!("expected dict column") };
         assert_eq!(d.dict, vec!["apple", "fig", "pear"]);
         assert_eq!(d.codes, vec![2, 0, 2, 1, 0, 0]);
@@ -656,7 +654,7 @@ mod tests {
         for i in 0..(BLOCK_ROWS as i64 + 10) {
             t.push_row(vec![Value::Int(i)]).unwrap();
         }
-        let c = ColumnarTable::build(&t);
+        let c = t.seal();
         let zones = &c.columns[0].zones;
         assert_eq!(zones.len(), 2);
         assert_eq!(zones[0].min_max, Some((Value::Int(0), Value::Int(BLOCK_ROWS as i64 - 1))));
@@ -672,7 +670,7 @@ mod tests {
         let mut t = Table::builder("t").column("x", DataType::Int).build();
         t.push_row(vec![Value::Null]).unwrap();
         t.push_row(vec![Value::Null]).unwrap();
-        let c = ColumnarTable::build(&t);
+        let c = t.seal();
         assert_eq!(c.columns[0].zones.len(), 1);
         assert!(c.columns[0].zones[0].min_max.is_none());
         assert_eq!(c.columns[0].zones[0].null_count, 2);
@@ -680,11 +678,11 @@ mod tests {
 
     #[test]
     fn cached_stats_match_legacy_compute() {
-        let t = sample();
-        let c = ColumnarTable::build(&t);
-        for (i, f) in t.schema.fields.iter().enumerate() {
+        let c = sample().seal();
+        let rows = sample_rows();
+        for (i, f) in c.schema.fields.iter().enumerate() {
             let fast = c.column_stats(i).clone();
-            let slow = ColumnStats::compute(f, t.rows.iter().map(|r| &r[i]));
+            let slow = ColumnStats::compute(f, rows.iter().map(|r| &r[i]));
             assert_eq!(fast, slow, "column {}", f.name);
         }
     }

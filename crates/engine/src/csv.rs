@@ -4,28 +4,31 @@
 //! The format is RFC-4180-style: comma separators, `"` quoting with `""`
 //! escapes, a header row. Types are either declared by the caller or
 //! inferred per column from the data (Int ⊂ Float ⊂ Str, with ISO dates
-//! and true/false recognized).
+//! and true/false recognized). An unquoted empty cell is NULL; a quoted
+//! empty cell (`""`) is the empty string.
 
+use crate::columnar::ColumnarTable;
 use crate::error::{EngineError, Result};
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use pi2_sql::Date;
 
-/// Parse one CSV record, honoring quotes. Returns `None` at end of input.
-fn parse_record(input: &str, pos: &mut usize) -> Option<Vec<String>> {
-    let bytes = input.as_bytes();
-    if *pos >= bytes.len() {
+/// Parse one CSV record, honoring quotes: each field's text, and whether
+/// any of it was quoted. Returns `None` at end of input.
+fn parse_record(input: &str, pos: &mut usize) -> Option<Vec<(String, bool)>> {
+    if *pos >= input.len() {
         return None;
     }
     let mut fields = Vec::new();
     let mut field = String::new();
+    let mut quoted = false;
     let mut in_quotes = false;
-    while *pos < bytes.len() {
-        let c = bytes[*pos] as char;
-        *pos += 1;
+    let mut chars = input[*pos..].chars().peekable();
+    while let Some(c) = chars.next() {
+        *pos += c.len_utf8();
         if in_quotes {
             if c == '"' {
-                if bytes.get(*pos) == Some(&b'"') {
+                if chars.next_if_eq(&'"').is_some() {
                     field.push('"');
                     *pos += 1;
                 } else {
@@ -36,23 +39,21 @@ fn parse_record(input: &str, pos: &mut usize) -> Option<Vec<String>> {
             }
         } else {
             match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    fields.push(std::mem::take(&mut field));
-                }
+                '"' => (in_quotes, quoted) = (true, true),
+                ',' => fields.push((std::mem::take(&mut field), std::mem::take(&mut quoted))),
                 '\r' => {}
                 '\n' => break,
                 _ => field.push(c),
             }
         }
     }
-    fields.push(field);
+    fields.push((field, quoted));
     Some(fields)
 }
 
 /// Parse a cell into the most specific value for `ty`.
-fn parse_cell(cell: &str, ty: DataType) -> Result<Value> {
-    if cell.is_empty() {
+fn parse_cell(cell: &str, quoted: bool, ty: DataType) -> Result<Value> {
+    if cell.is_empty() && !quoted {
         return Ok(Value::Null);
     }
     match ty {
@@ -76,11 +77,11 @@ fn parse_cell(cell: &str, ty: DataType) -> Result<Value> {
     }
 }
 
-/// Infer the narrowest type that fits every non-empty cell of a column.
-fn infer_column_type(cells: &[&str]) -> DataType {
+/// Infer the narrowest type that fits every non-NULL cell of a column.
+fn infer_column_type<'a>(cells: impl Iterator<Item = &'a (String, bool)>) -> DataType {
     let mut ty: Option<DataType> = None;
-    for cell in cells {
-        if cell.is_empty() {
+    for (cell, quoted) in cells {
+        if cell.is_empty() && !quoted {
             continue;
         }
         let cell_ty = if cell.parse::<i64>().is_ok() {
@@ -89,7 +90,7 @@ fn infer_column_type(cells: &[&str]) -> DataType {
             DataType::Float
         } else if Date::parse(cell).is_some() {
             DataType::Date
-        } else if matches!(*cell, "true" | "false" | "TRUE" | "FALSE" | "True" | "False") {
+        } else if matches!(cell.as_str(), "true" | "false" | "TRUE" | "FALSE" | "True" | "False") {
             DataType::Bool
         } else {
             DataType::Str
@@ -133,8 +134,11 @@ impl Table {
         declared: Option<&[DataType]>,
     ) -> Result<Table> {
         let mut pos = 0;
-        let header = parse_record(csv, &mut pos)
-            .ok_or_else(|| EngineError::SchemaViolation("empty CSV".into()))?;
+        let header: Vec<String> = parse_record(csv, &mut pos)
+            .ok_or_else(|| EngineError::SchemaViolation("empty CSV".into()))?
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
         if let Some(types) = declared {
             if types.len() != header.len() {
                 return Err(EngineError::SchemaViolation(format!(
@@ -150,7 +154,7 @@ impl Table {
         // row = row 1 on line 2).
         let mut data_row = 0usize;
         while let Some(rec) = parse_record(csv, &mut pos) {
-            if rec.len() == 1 && rec[0].is_empty() {
+            if rec.len() == 1 && rec[0] == (String::new(), false) {
                 continue; // trailing blank line
             }
             data_row += 1;
@@ -167,10 +171,7 @@ impl Table {
         let types: Vec<DataType> = match declared {
             Some(types) => types.to_vec(),
             None => (0..header.len())
-                .map(|i| {
-                    let col: Vec<&str> = records.iter().map(|r| r[i].as_str()).collect();
-                    infer_column_type(&col)
-                })
+                .map(|i| infer_column_type(records.iter().map(|r| &r[i])))
                 .collect(),
         };
         let mut builder = Table::builder(name);
@@ -183,8 +184,8 @@ impl Table {
                 .iter()
                 .zip(&types)
                 .enumerate()
-                .map(|(c, (cell, ty))| {
-                    parse_cell(cell, *ty).map_err(|e| match e {
+                .map(|(c, ((cell, quoted), ty))| {
+                    parse_cell(cell, *quoted, *ty).map_err(|e| match e {
                         EngineError::SchemaViolation(msg) => EngineError::SchemaViolation(format!(
                             "CSV row {}, column {} ({}): {msg}",
                             r + 1,
@@ -199,12 +200,17 @@ impl Table {
         }
         Ok(table)
     }
+}
 
-    /// Serialize the table as CSV with a header row.
+impl ColumnarTable {
+    /// Serialize the table as CSV with a header row, reading the row
+    /// cursor. Strings that are empty or hold a separator, quote, `\n` or
+    /// `\r` are quoted, so [`Table::from_csv_with_types`] reads back
+    /// exactly these values.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let quote = |s: &str| -> String {
-            if s.contains([',', '"', '\n']) {
+            if s.is_empty() || s.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
                 s.to_string()
@@ -213,7 +219,7 @@ impl Table {
         let header: Vec<String> = self.schema.fields.iter().map(|f| quote(&f.name)).collect();
         out.push_str(&header.join(","));
         out.push('\n');
-        for row in &self.rows {
+        for row in self.rows() {
             let cells: Vec<String> = row
                 .iter()
                 .map(|v| match v {
@@ -255,9 +261,10 @@ mod tests {
             ]
         );
         assert_eq!(t.len(), 3);
-        assert_eq!(t.rows[1][5], Value::str("quoted, cell"));
-        assert_eq!(t.rows[2][2], Value::Null);
-        assert_eq!(t.rows[2][5], Value::str("with \"quotes\""));
+        let t = t.seal();
+        assert_eq!(t.row(1)[5], Value::str("quoted, cell"));
+        assert_eq!(t.row(2)[2], Value::Null);
+        assert_eq!(t.row(2)[5], Value::str("with \"quotes\""));
     }
 
     #[test]
@@ -270,18 +277,17 @@ mod tests {
 
     #[test]
     fn csv_roundtrips() {
-        let t = Table::from_csv("covid", SAMPLE).unwrap();
-        let csv = t.to_csv();
-        let t2 = Table::from_csv("covid", &csv).unwrap();
+        let t = Table::from_csv("covid", SAMPLE).unwrap().seal();
+        let t2 = Table::from_csv("covid", &t.to_csv()).unwrap().seal();
         assert_eq!(t.schema, t2.schema);
-        assert_eq!(t.rows, t2.rows);
+        assert!(t.rows().eq(t2.rows()));
     }
 
     #[test]
     fn mixed_int_float_column_widens() {
-        let t = Table::from_csv("t", "x\n1\n2.5\n").unwrap();
+        let t = Table::from_csv("t", "x\n1\n2.5\n").unwrap().seal();
         assert_eq!(t.schema.fields[0].data_type, DataType::Float);
-        assert_eq!(t.rows[0][0], Value::Float(1.0));
+        assert_eq!(t.row(0)[0], Value::Float(1.0));
     }
 
     #[test]
@@ -315,20 +321,17 @@ mod tests {
 
     #[test]
     fn declared_types_are_used_verbatim() {
-        let t = Table::from_csv_with_types("t", "x\n1\n2\n", &[DataType::Float]).unwrap();
+        let t = Table::from_csv_with_types("t", "x\n1\n2\n", &[DataType::Float]).unwrap().seal();
         assert_eq!(t.schema.fields[0].data_type, DataType::Float);
-        assert_eq!(t.rows[0][0], Value::Float(1.0));
+        assert_eq!(t.row(0)[0], Value::Float(1.0));
         assert!(Table::from_csv_with_types("t", "x,y\n1,2\n", &[DataType::Int]).is_err());
     }
 
     #[test]
     fn synthetic_datasets_export_and_reimport() {
-        let catalog = crate::catalog::Catalog::new();
-        let _ = catalog;
         let mut t = Table::builder("prices").column("v", DataType::Float).build();
         t.push_row(vec![Value::Float(1.25)]).unwrap();
-        let csv = t.to_csv();
-        let t2 = Table::from_csv("prices", &csv).unwrap();
-        assert_eq!(t2.rows[0][0], Value::Float(1.25));
+        let t2 = Table::from_csv("prices", &t.seal().to_csv()).unwrap().seal();
+        assert_eq!(t2.row(0)[0], Value::Float(1.25));
     }
 }

@@ -3,9 +3,12 @@
 //! Executes a [`pi2_sql::Query`] AST directly against the catalog. The
 //! pipeline is: build the FROM relation (scans, derived tables, joins with a
 //! hash-join fast path for equi-joins), filter with WHERE, aggregate if the
-//! query groups, project, apply DISTINCT / ORDER BY / LIMIT / OFFSET.
+//! query groups, project, apply DISTINCT / ORDER BY / LIMIT / OFFSET. A
+//! FROM clause that is one named table is not materialized: its row cursor
+//! streams into WHERE, which keeps only the rows that pass.
 
 use crate::catalog::Catalog;
+use crate::columnar::ColumnarTable;
 use crate::error::{EngineError, Result};
 use crate::eval::{AggBindings, ExecCtx, RelField, RelSchema, Scope};
 use crate::result::ResultSet;
@@ -17,6 +20,7 @@ use pi2_sql::{
     SortDir, TableRef, UnaryOp,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// An intermediate relation: schema plus materialized rows.
 struct Relation {
@@ -31,45 +35,58 @@ impl<'c> ExecCtx<'c> {
     }
 
     pub(crate) fn execute_query(&self, q: &Query, outer: Option<&Scope<'_>>) -> Result<ResultSet> {
+        if let [TableRef::Named { name, alias }] = q.from.as_slice() {
+            let table = self.named_table(name)?;
+            let schema = qualified(&table.schema, alias.as_ref().unwrap_or(name));
+            return self.execute_rows(q, &schema, table.rows(), outer);
+        }
         let input = self.build_from(&q.from, outer)?;
+        self.execute_rows(q, &input.schema, input.rows.into_iter(), outer)
+    }
 
-        // WHERE
-        let mut rows = Vec::with_capacity(input.rows.len());
-        match &q.where_clause {
+    /// WHERE over `input` (Scan → Filter: only passing rows are kept), then
+    /// aggregation or projection and the shared query tail.
+    fn execute_rows(
+        &self,
+        q: &Query,
+        schema: &RelSchema,
+        input: impl Iterator<Item = Vec<Value>>,
+        outer: Option<&Scope<'_>>,
+    ) -> Result<ResultSet> {
+        let rows: Vec<Vec<Value>> = match &q.where_clause {
             Some(pred) => {
-                for row in input.rows {
-                    let scope =
-                        Scope { schema: &input.schema, row: &row, parent: outer, aggs: None };
+                let mut rows = Vec::new();
+                for row in input {
+                    let scope = Scope { schema, row: &row, parent: outer, aggs: None };
                     if self.eval_ref(pred, &scope)?.is_truthy() {
                         rows.push(row);
                     }
                 }
+                rows
             }
-            None => rows = input.rows,
-        }
+            None => input.collect(),
+        };
 
         // Expand the projection list against the input schema.
-        let items = expand_projection(&q.projection, &input.schema)?;
+        let items = expand_projection(&q.projection, schema)?;
 
         // Static output schema; refined from values after execution.
         let out_fields: Vec<Field> = items
             .iter()
-            .map(|(expr, alias)| {
-                Field::new(output_name(expr, alias), infer_type(expr, &input.schema))
-            })
+            .map(|(expr, alias)| Field::new(output_name(expr, alias), infer_type(expr, schema)))
             .collect();
 
         // Evaluate rows (+ ORDER BY keys alongside).
         let mut out = Output::default();
         if q.is_aggregating() {
-            self.execute_grouped(q, &input.schema, rows, &items, outer, &mut out)?;
+            self.execute_grouped(q, schema, rows, &items, outer, &mut out)?;
         } else {
             if q.having.is_some() {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
             for row in rows {
                 self.check_limits(out.rows.len())?;
-                let scope = Scope { schema: &input.schema, row: &row, parent: outer, aggs: None };
+                let scope = Scope { schema, row: &row, parent: outer, aggs: None };
                 let mut values = Vec::with_capacity(items.len());
                 for (expr, _) in &items {
                     values.push(self.eval(expr, &scope)?);
@@ -273,40 +290,13 @@ impl<'c> ExecCtx<'c> {
     fn build_table_ref(&self, t: &TableRef, outer: Option<&Scope<'_>>) -> Result<Relation> {
         match t {
             TableRef::Named { name, alias } => {
-                let table = self
-                    .catalog
-                    .get(name)
-                    .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-                let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-                let schema = RelSchema {
-                    fields: table
-                        .schema
-                        .fields
-                        .iter()
-                        .map(|f| RelField {
-                            qualifier: Some(qualifier.clone()),
-                            name: f.name.clone(),
-                            data_type: f.data_type,
-                        })
-                        .collect(),
-                };
-                Ok(Relation { schema, rows: table.rows.clone() })
+                let table = self.named_table(name)?;
+                let schema = qualified(&table.schema, alias.as_ref().unwrap_or(name));
+                Ok(Relation { schema, rows: table.rows().collect() })
             }
             TableRef::Subquery { query, alias } => {
                 let result = self.execute_query(query, outer)?;
-                let schema = RelSchema {
-                    fields: result
-                        .schema
-                        .fields
-                        .iter()
-                        .map(|f| RelField {
-                            qualifier: Some(alias.clone()),
-                            name: f.name.clone(),
-                            data_type: f.data_type,
-                        })
-                        .collect(),
-                };
-                Ok(Relation { schema, rows: result.rows })
+                Ok(Relation { schema: qualified(&result.schema, alias), rows: result.rows })
             }
             TableRef::Join { left, right, kind, on } => {
                 let l = self.build_table_ref(left, outer)?;
@@ -314,6 +304,10 @@ impl<'c> ExecCtx<'c> {
                 self.join(l, r, *kind, on.as_ref(), outer)
             }
         }
+    }
+
+    fn named_table(&self, name: &str) -> Result<Arc<ColumnarTable>> {
+        self.catalog.get(name).ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
     fn join(
@@ -520,6 +514,17 @@ pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output
     }
 
     ResultSet { schema: Schema::new(out_fields), rows: final_rows }
+}
+
+/// `schema`'s fields as a relation schema, qualified by `qualifier` (the
+/// table name or alias they are visible under).
+pub(crate) fn qualified(schema: &Schema, qualifier: &str) -> RelSchema {
+    let field = |f: &Field| RelField {
+        qualifier: Some(qualifier.to_string()),
+        name: f.name.clone(),
+        data_type: f.data_type,
+    };
+    RelSchema { fields: schema.fields.iter().map(field).collect() }
 }
 
 /// Expand wildcards in a projection list into concrete expressions.

@@ -1,8 +1,8 @@
 //! The columnar fast-path executor.
 //!
 //! Single-table queries — the shape every widget interaction produces — are
-//! executed against the typed column vectors built at registration (see
-//! [`crate::columnar`]) instead of cloning the row store. Expressions are
+//! executed against the typed column vectors sealed at registration (see
+//! [`crate::columnar`]) without decoding rows. Expressions are
 //! compiled **once per query** into [`CExpr`] (column references become
 //! vector indices, so the per-row cost drops to an array access instead of a
 //! case-insensitive name resolution), WHERE runs as mask refinement with
@@ -39,10 +39,11 @@ use crate::columnar::{
 use crate::error::{EngineError, Result};
 use crate::eval::{
     and3, apply_comparison, arithmetic, cmp_values, enforce_limits, like_match, or3,
-    three_valued_cmp, to_bool3, RelField, RelSchema,
+    three_valued_cmp, to_bool3, RelSchema,
 };
 use crate::exec::{
-    collect_aggregates, expand_projection, finalize_result, infer_type, output_name, Output,
+    collect_aggregates, expand_projection, finalize_result, infer_type, output_name, qualified,
+    Output,
 };
 use crate::functions::eval_scalar;
 use crate::result::ResultSet;
@@ -78,27 +79,14 @@ pub(crate) fn prepare(catalog: &Catalog, q: &Query) -> Option<Prepared> {
         return None;
     };
     let table = catalog.get(name)?;
-    let columnar = catalog.columnar(name)?;
-    let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-    let schema = RelSchema {
-        fields: table
-            .schema
-            .fields
-            .iter()
-            .map(|f| RelField {
-                qualifier: Some(qualifier.clone()),
-                name: f.name.clone(),
-                data_type: f.data_type,
-            })
-            .collect(),
-    };
+    let schema = qualified(&table.schema, alias.as_ref().unwrap_or(name));
 
     let items = expand_projection(&q.projection, &schema).ok()?;
     let plan = Plan::compile(q, &schema, &items)?;
-    Some(Prepared { table: columnar, schema, items, plan })
+    Some(Prepared { table, schema, items, plan })
 }
 
-/// A compiled, executable columnar query: the table mirror, the resolved
+/// A compiled, executable columnar query: the sealed table, the resolved
 /// schema, the expanded projection, and the compiled plan.
 pub(crate) struct Prepared {
     pub(crate) table: Arc<ColumnarTable>,

@@ -1,24 +1,28 @@
-//! In-memory tables.
+//! Tables under construction.
 
+use crate::columnar::{ColumnBuilder, ColumnarTable};
 use crate::error::{EngineError, Result};
 use crate::schema::{Field, Schema};
-use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
-use serde::{Deserialize, Serialize};
 
-/// A named, row-oriented in-memory table with a fixed schema.
+/// A named table under construction, with a fixed schema.
 ///
 /// Rows are validated against the schema on insertion: each value must match
 /// the column's declared type or be `NULL` (integer values are silently
-/// widened into `FLOAT` columns).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// widened into `FLOAT` columns). Each value then goes straight into its
+/// column's typed builder; no row is kept. [`Table::seal`] (called by
+/// [`crate::Catalog::register`]) turns the builders into the
+/// [`ColumnarTable`] the engine queries.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// The name.
     pub name: String,
     /// The output schema.
     pub schema: Schema,
-    /// The data rows.
-    pub rows: Vec<Vec<Value>>,
+    /// One typed builder per schema column.
+    columns: Vec<ColumnBuilder>,
+    /// Rows pushed so far.
+    len: usize,
 }
 
 impl Table {
@@ -29,12 +33,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Append a row after validating it against the schema.
@@ -67,21 +71,21 @@ impl Table {
                 self.name, field.name, field.data_type, vt, value
             )));
         }
-        self.rows.push(row);
+        for (column, value) in self.columns.iter_mut().zip(row) {
+            column.push(value);
+        }
+        self.len += 1;
         Ok(())
     }
 
-    /// All values of the column named `name`.
-    pub fn column_values(&self, name: &str) -> Option<Vec<&Value>> {
-        let idx = self.schema.index_of(name)?;
-        Some(self.rows.iter().map(|r| &r[idx]).collect())
-    }
-
-    /// Compute statistics for the column named `name`.
-    pub fn column_stats(&self, name: &str) -> Option<ColumnStats> {
-        let idx = self.schema.index_of(name)?;
-        let field = &self.schema.fields[idx];
-        Some(ColumnStats::compute(field, self.rows.iter().map(|r| &r[idx])))
+    /// Seal the column builders into the immutable [`ColumnarTable`]:
+    /// sorted dictionaries, null masks and zone maps. The seal is timed
+    /// (see [`crate::Catalog::columnar_build_nanos`]).
+    pub fn seal(self) -> ColumnarTable {
+        let started = std::time::Instant::now();
+        let columns = self.columns.into_iter().map(ColumnBuilder::seal).collect();
+        let nanos = started.elapsed().as_nanos() as u64;
+        ColumnarTable::new(self.name, self.schema, self.len, columns, nanos)
     }
 }
 
@@ -100,7 +104,8 @@ impl TableBuilder {
 
     /// Finish, producing an empty table.
     pub fn build(self) -> Table {
-        Table { name: self.name, schema: Schema::new(self.fields), rows: Vec::new() }
+        let columns = self.fields.iter().map(|f| ColumnBuilder::new(f.data_type)).collect();
+        Table { name: self.name, schema: Schema::new(self.fields), columns, len: 0 }
     }
 }
 
@@ -127,8 +132,9 @@ mod tests {
     fn widens_int_to_float() {
         let mut table = t();
         table.push_row(vec![Value::Int(1), Value::str("x"), Value::Int(2)]).unwrap();
-        assert_eq!(table.rows[0][2], Value::Float(2.0));
-        assert_eq!(table.rows[0][2].data_type(), DataType::Float);
+        let row = table.seal().row(0);
+        assert_eq!(row[2], Value::Float(2.0));
+        assert_eq!(row[2].data_type(), DataType::Float);
     }
 
     #[test]
@@ -148,15 +154,13 @@ mod tests {
     fn rejects_wrong_type() {
         let mut table = t();
         assert!(table.push_row(vec![Value::str("oops"), Value::str("x"), Value::Null]).is_err());
-    }
-
-    #[test]
-    fn column_values_by_name() {
-        let mut table = t();
+        // A rejected row leaves no partial values behind.
         table.push_row(vec![Value::Int(1), Value::str("x"), Value::Null]).unwrap();
-        table.push_row(vec![Value::Int(2), Value::str("y"), Value::Null]).unwrap();
-        let vals = table.column_values("a").unwrap();
-        assert_eq!(vals, vec![&Value::Int(1), &Value::Int(2)]);
-        assert!(table.column_values("zzz").is_none());
+        assert!(table.push_row(vec![Value::Int(2), Value::str("y"), Value::str("z")]).is_err());
+        let sealed = table.seal();
+        assert_eq!(
+            sealed.rows().collect::<Vec<_>>(),
+            vec![vec![Value::Int(1), Value::str("x"), Value::Null]]
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! is additionally re-verified row-by-row by the executor's internal
 //! `debug_assert`s while the properties check end-to-end results.
 
-use pi2_engine::columnar::{ColumnData, ColumnarTable, BLOCK_ROWS};
+use pi2_engine::columnar::{ColumnData, BLOCK_ROWS};
 use pi2_engine::{Catalog, DataType, DeltaCache, ExecLimits, Table, Value};
 use pi2_sql::parse_query;
 use proptest::prelude::*;
@@ -124,7 +124,7 @@ proptest! {
         vals in proptest::collection::vec(proptest::option::of("[a-d]{0,3}"), 0..200),
     ) {
         let t = str_table(&vals);
-        let c = ColumnarTable::build(&t);
+        let c = t.seal();
         let ColumnData::Str(d) = &c.columns[0].data else {
             return Err(TestCaseError::fail("expected dictionary column"));
         };

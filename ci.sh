@@ -62,6 +62,12 @@ cargo test -q --release -p pi2-datasets --test footprint
 echo "== perfbench tests (release) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Rustdoc over the pi2-* crates with warnings denied: a doc link to an item
+# that was removed or never existed fails here.
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
+    $(for crate in crates/*/; do printf -- '-p pi2-%s ' "$(basename "$crate")"; done)
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

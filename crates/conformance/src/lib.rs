@@ -24,7 +24,7 @@
 //!    at `workers ∈ {1, 4}`, yields the identical interface and cost.
 //!
 //! On failure the harness delta-debugs the query log and event sequence
-//! down to a minimal reproducer ([`shrink`]) and writes it to the
+//! down to a minimal reproducer ([`mod@shrink`]) and writes it to the
 //! committed `corpus/` directory ([`corpus`]), where `cargo test` replays
 //! every entry as an ordinary regression test.
 //!

@@ -30,7 +30,7 @@
 //! * an **admission limiter** capping concurrent *cold* generations.
 //!   Overflow is never queued: it runs immediately under the clamped
 //!   [`FleetConfig::overflow_budget`] and is truthfully labeled
-//!   [`DegradationLevel::Anytime`](crate::DegradationLevel::Anytime).
+//!   [`crate::DegradationLevel::Anytime`].
 //!
 //! Attach a handle with [`Pi2Builder::fleet`](crate::Pi2Builder::fleet):
 //!
@@ -49,7 +49,7 @@
 //! assert_eq!(fleet.counters().hits, 1);
 //! ```
 //!
-//! Only [`DegradationLevel::Full`](crate::DegradationLevel::Full) results
+//! Only [`crate::DegradationLevel::Full`] results
 //! are admitted to the cache: a degraded (anytime or fallback) interface
 //! is served to the requests that raced with it, but never pinned where
 //! it would shadow the full-quality result forever.
@@ -76,8 +76,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// sorted and combined, so cell order never splits the cache (the cached
 /// generation carries its own canonical query snapshot) while
 /// multiplicity still counts — a log that repeats a query is not the log
-/// that states it once. This generalizes the PR 4 result-cache key (one
-/// normalized query's structural hash) and the order-insensitive
+/// that states it once. This generalizes a single normalized query's
+/// structural hash and the order-insensitive
 /// [`DiffForest::structural_hash`]: literal variation folds into the
 /// widget binding domain instead of the key.
 pub fn log_fingerprint(queries: &[Query]) -> u64 {
@@ -116,7 +116,7 @@ pub struct FleetConfig {
     /// Cap on concurrent cold generations for this handle. Leaders beyond
     /// the cap are **shed**: they still run immediately (no queueing) but
     /// under [`FleetConfig::overflow_budget`], and their result is labeled
-    /// [`DegradationLevel::Anytime`](crate::DegradationLevel::Anytime).
+    /// [`crate::DegradationLevel::Anytime`].
     /// `0` sheds every cold generation (useful for tests and drain).
     pub max_concurrent_cold: usize,
     /// Budget clamped onto shed generations (tightest limit wins).

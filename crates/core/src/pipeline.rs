@@ -268,8 +268,7 @@ impl Pi2Builder {
     /// repeated logs from the shared generation cache, joins in-flight
     /// generations of the same fingerprint instead of repeating them,
     /// respects the handle's admission cap, and uses the handle's shared
-    /// [`CostMemo`] in place of a private one. This supersedes the
-    /// deprecated per-`Pi2` memo wiring ([`Pi2::memo`]).
+    /// [`CostMemo`] in place of a private one.
     pub fn fleet(mut self, handle: &FleetHandle) -> Self {
         self.fleet = Some(handle.clone());
         self

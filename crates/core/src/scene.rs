@@ -7,7 +7,7 @@
 //! typed [`SceneGraph`] of axes, mark groups with per-channel encodings,
 //! widgets, and layout frames is built once from a generated interface,
 //! and a damage-tracking diff pass turns each batch of
-//! [`ChartUpdate`](crate::session::ChartUpdate)s into a compact
+//! [`crate::session::ChartUpdate`]s into a compact
 //! [`SceneDelta`]: the re-encoded fields of each damaged chart plus one
 //! [`DataPatch`] — a value-verified row edit script, or a full replacement
 //! when the field list changed or no old row survives. Render backends
@@ -97,7 +97,7 @@ pub struct Rect {
 // ---------------------------------------------------------------------------
 
 /// One column of a chart's mark data. The values are behind an [`Arc`] so
-/// retained scenes, delta payloads, and the session result cache share
+/// retained scenes, delta payloads, and the catalog's result cache share
 /// storage instead of copying rows per frame.
 #[derive(Debug, Clone)]
 pub struct ColumnSlice {
@@ -975,7 +975,7 @@ pub enum SceneCatchup {
 
 /// The retained scene plus its monotone version counter and a bounded ring
 /// of recent deltas for catch-up. Owned by
-/// [`InterfaceSession`](crate::session::InterfaceSession).
+/// [`crate::session::InterfaceSession`].
 #[derive(Debug, Clone)]
 pub struct SceneState {
     graph: SceneGraph,

@@ -9,12 +9,12 @@
 //! feedback"* — is exercised headlessly through [`InterfaceSession::dispatch`].
 
 use pi2_difftree::{Binding, Bindings, DiffForest, Domain, NodeKind};
-use pi2_engine::{Catalog, DeltaCache, DeltaOutcome, ResultSet};
+use pi2_engine::{Catalog, DeltaCache, DeltaOutcome, Obtained, ResultSet};
 use pi2_interface::{ChartId, Interface, Target, VizInteraction, WidgetId, WidgetKind};
 use pi2_sql::{Date, Literal, Query};
 use pi2_telemetry::LatencyHistogram;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,7 +157,7 @@ pub struct ChartUpdate {
     /// The SQL the chart now shows (also displayed in the demo's query
     /// panel).
     pub query: Query,
-    /// Result, shared with the session's result cache so a warm dispatch
+    /// Result, shared with the catalog's result cache so a warm dispatch
     /// hands back the cached rows without copying them.
     pub result: Arc<ResultSet>,
 }
@@ -170,9 +170,12 @@ pub struct ChartUpdate {
 pub struct SessionStats {
     /// Successfully dispatched events.
     pub dispatches: u64,
-    /// Bound-query result-cache hits.
+    /// Bound queries answered from the catalog's result cache, which the
+    /// session shares with generation and with every other session over
+    /// clones of the same catalog: a hit may be another session's result.
     pub cache_hits: u64,
-    /// Bound-query result-cache misses.
+    /// Bound queries the result cache could not answer (failed executions
+    /// included).
     pub cache_misses: u64,
     /// Cache misses satisfied by incremental (delta) recomputation: only
     /// the blocks a bound shift could affect were re-evaluated.
@@ -209,46 +212,10 @@ impl SessionStats {
     }
 }
 
-/// Bound-query result cache: least-recently-used over 64-bit keys derived
-/// from the *normalized* instantiated query's structural hash, so two
-/// binding states that lower to semantically identical SQL share an entry.
-#[derive(Debug, Default)]
-struct ResultCache {
-    map: HashMap<u64, (u64, Arc<ResultSet>)>,
-    tick: u64,
-}
-
-impl ResultCache {
-    /// Entries kept before the least-recently-used one is evicted. Sized
-    /// for interaction sessions: a brush/pan storm revisits far fewer than
-    /// this many distinct binding states.
-    const CAPACITY: usize = 256;
-
-    fn get(&mut self, key: u64) -> Option<Arc<ResultSet>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|slot| {
-            slot.0 = tick;
-            Arc::clone(&slot.1)
-        })
-    }
-
-    fn insert(&mut self, key: u64, result: Arc<ResultSet>) {
-        if self.map.len() >= Self::CAPACITY && !self.map.contains_key(&key) {
-            if let Some(oldest) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k) {
-                self.map.remove(&oldest);
-            }
-        }
-        self.tick += 1;
-        self.map.insert(key, (self.tick, result));
-    }
-}
-
-/// Interior-mutable session state: caches and counters that read-side APIs
-/// (`refresh_all`, `scene_sync`) update through `&self`.
+/// Interior-mutable session state: the delta cache and counters that
+/// read-side APIs (`refresh_all`, `scene_sync`) update through `&self`.
 #[derive(Debug, Default)]
 struct SessionState {
-    result_cache: ResultCache,
     /// Selection masks from previous dispatches, keyed by query template:
     /// lets a pan/zoom/brush that only shifts range bounds re-evaluate
     /// only the affected zone-map blocks (see [`pi2_engine::DeltaCache`]).
@@ -565,43 +532,25 @@ impl InterfaceSession {
             .collect()
     }
 
-    /// Execute one chart query: the session's result cache first, then
-    /// incremental (delta) recomputation, then a full execution.
-    ///
-    /// The cache key is the structural hash of the *normalized* query, so
-    /// binding states that lower to semantically identical SQL (modulo
-    /// normalization) share an entry. Errors are never cached.
+    /// Execute one chart query through the catalog's one execution body
+    /// (result cache, then delta recomputation against this session's
+    /// delta cache, then a full execution), counting how it was answered.
     fn execute_for_session(&self, query: &Query) -> Result<Arc<ResultSet>, SessionError> {
-        let internal = |e: pi2_engine::EngineError| SessionError::Internal(e.to_string());
-        let key = pi2_sql::normalize::normalized(query).structural_hash();
-        {
-            let mut st = self.state.borrow_mut();
-            if let Some(hit) = st.result_cache.get(key) {
-                st.stats.cache_hits += 1;
-                return Ok(hit);
-            }
-            st.stats.cache_misses += 1;
+        let mut st = self.state.borrow_mut();
+        let SessionState { delta_cache, stats, .. } = &mut *st;
+        let answered = self.catalog.execute_with(query, Some(delta_cache));
+        // Errors are never cached, so a failed execution counts as a miss.
+        let obtained = answered.as_ref().map_or(Obtained::Fresh, |(_, obtained)| *obtained);
+        match obtained {
+            Obtained::Cached => stats.cache_hits += 1,
+            Obtained::Delta(DeltaOutcome::Incremental { .. }) => stats.delta_hits += 1,
+            Obtained::Delta(DeltaOutcome::Seeded) => stats.delta_seeds += 1,
+            Obtained::Fresh => {}
         }
-        // On a miss, try incremental recomputation first: a gesture that
-        // only shifted range bounds re-evaluates just the affected blocks
-        // of the previous dispatch's mask.
-        let delta = {
-            let mut st = self.state.borrow_mut();
-            let SessionState { delta_cache, stats, .. } = &mut *st;
-            let attempt = self.catalog.execute_delta(query, delta_cache);
-            match &attempt {
-                Some((_, DeltaOutcome::Incremental { .. })) => stats.delta_hits += 1,
-                Some((_, DeltaOutcome::Seeded)) => stats.delta_seeds += 1,
-                None => {}
-            }
-            attempt
-        };
-        let result = match delta {
-            Some((res, _)) => Arc::new(res.map_err(internal)?),
-            None => Arc::new(self.catalog.execute_uncached(query).map_err(internal)?),
-        };
-        self.state.borrow_mut().result_cache.insert(key, Arc::clone(&result));
-        Ok(result)
+        if obtained != Obtained::Cached {
+            stats.cache_misses += 1;
+        }
+        answered.map(|(result, _)| result).map_err(|e| SessionError::Internal(e.to_string()))
     }
 
     // ---- binding helpers ----------------------------------------------------
@@ -1238,6 +1187,20 @@ mod tests {
         s.dispatch(Event::Pan { chart: 0, dx: -0.25, dy: 0.0 }).unwrap();
         let st = s.stats();
         assert!(st.cache_hits > st0.cache_hits, "panning back must hit the result cache: {st:?}");
+    }
+
+    #[test]
+    fn sessions_over_clones_of_one_catalog_share_results() {
+        let (pi2, g) = sdss_session();
+        let (mut first, mut second) = (pi2.session(&g), pi2.session(&g));
+        let pan = Event::Pan { chart: 0, dx: 0.25, dy: 0.0 };
+        let theirs = first.dispatch(pan.clone()).unwrap();
+        let st0 = second.stats();
+        let ours = second.dispatch(pan).unwrap();
+        let st = second.stats();
+        assert_eq!((st.cache_hits, st.cache_misses), (st0.cache_hits + 1, st0.cache_misses));
+        assert_eq!(ours.len(), 1);
+        assert!(Arc::ptr_eq(&ours[0].result, &theirs[0].result), "the hit copied the result");
     }
 
     #[test]

@@ -40,8 +40,11 @@ pub struct CostedChoice {
 
 const MEMO_SHARDS: usize = 16;
 
-/// Entries a [`CostMemo`] holds at most (the engine's query-cache
-/// capacity), split evenly across its shards.
+/// Entries a [`CostMemo`] holds at most, split evenly across its shards.
+/// A default-budget search costs at most one new forest per iteration
+/// (200 per worker tree), so the cap keeps several generations' forests —
+/// enough for a regeneration over an unchanged log to hit — while bounding
+/// what a long-lived server's shared memo can grow to.
 const MEMO_CAP: usize = 4096;
 const SHARD_CAP: usize = MEMO_CAP / MEMO_SHARDS;
 

@@ -23,8 +23,8 @@
 //!   under a choice-node [`Bindings`] ([`lower`]),
 //! * n-way structural merging of query logs ([`merge`]),
 //! * the expressiveness check — can a DiffTree express a given query, and
-//!   with which bindings ([`expresses`]),
-//! * choice-node enumeration with interface-relevant context ([`choices`]),
+//!   with which bindings ([`mod@expresses`]),
+//! * choice-node enumeration with interface-relevant context ([`mod@choices`]),
 //! * the tree transformation rule library ([`rules`]), and
 //! * forests of DiffTrees partitioning a query log ([`forest`]).
 //!

@@ -14,13 +14,51 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Upper bound on cached query results; the cache is cleared wholesale when
-/// it fills (results at interface-generation scale are small, and the
-/// search re-evaluates the same default instantiations constantly).
-const QUERY_CACHE_CAP: usize = 4096;
+/// The result cache: least-recently-used over (catalog version, *exact*
+/// structural hash). Not the normalized hash: normalization equates
+/// `1 = v` with `v = 1`, but the executor names output columns after the
+/// text as written.
+#[derive(Debug, Default)]
+struct ResultCache {
+    map: HashMap<(u64, u64), (u64, Arc<ResultSet>)>,
+    tick: u64,
+}
 
-/// Shared result cache keyed by (catalog version, query structural hash).
-type QueryCache = HashMap<(u64, u64), Arc<ResultSet>>;
+impl ResultCache {
+    /// Entries kept before the least-recently-used one is evicted.
+    const CAPACITY: usize = 256;
+
+    fn get(&mut self, key: (u64, u64)) -> Option<Arc<ResultSet>> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(&key).map(|slot| {
+            slot.0 = tick;
+            Arc::clone(&slot.1)
+        })
+    }
+
+    fn insert(&mut self, key: (u64, u64), result: Arc<ResultSet>) {
+        if self.map.len() >= Self::CAPACITY && !self.map.contains_key(&key) {
+            if let Some(oldest) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k) {
+                self.map.remove(&oldest);
+            }
+        }
+        self.tick += 1;
+        self.map.insert(key, (self.tick, result));
+    }
+}
+
+/// How [`Catalog::execute_with`] obtained a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Obtained {
+    /// From the shared result cache.
+    Cached,
+    /// By delta recomputation against the caller's [`DeltaCache`].
+    Delta(DeltaOutcome),
+    /// By a full execution: columnar when the query qualifies, the
+    /// reference interpreter otherwise.
+    Fresh,
+}
 
 /// Resource limits applied to each query execution.
 ///
@@ -29,8 +67,11 @@ type QueryCache = HashMap<(u64, u64), Arc<ResultSet>>;
 /// rows — so a widget interaction that instantiates a huge cross join
 /// fails fast rather than hanging the session.
 ///
-/// Limits guard live execution only: a result already in the query cache
-/// is returned as-is, since its cost was already paid.
+/// Limits guard live execution only: a result already in the result cache
+/// is returned as-is, since its cost was already paid. The cache is shared
+/// by every clone of a catalog, so a result one session (or generation)
+/// computed is served to every other session on the same tables whatever
+/// limits those sessions set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecLimits {
     /// Cap on rows materialized by any single operator (joins, cross
@@ -54,9 +95,10 @@ impl ExecLimits {
 /// executor scans its typed vectors and the reference interpreter reads it
 /// through its row cursor. Table lookup is case-insensitive. Tables are
 /// stored behind `Arc` so that scans and notebook snapshots can share them
-/// cheaply. A shared result cache — keyed by (catalog version, query
-/// structural hash) — accelerates the interface search, which repeatedly
-/// executes the same candidate instantiations. Clones share the cache;
+/// cheaply. One result cache of at most 256 `Arc<ResultSet>`s, keyed by
+/// (catalog version, exact query structural hash), serves both the
+/// interface search, which repeatedly executes the same candidate
+/// instantiations, and every session's gestures. Clones share the cache;
 /// registering a table moves a catalog to a fresh globally-unique version,
 /// so diverged clones never see each other's results.
 #[derive(Debug, Clone, Default)]
@@ -66,7 +108,7 @@ pub struct Catalog {
     /// every cache key so clones that diverge (one registers a new table)
     /// can keep sharing the cache soundly.
     version: u64,
-    cache: Arc<Mutex<QueryCache>>,
+    cache: Arc<Mutex<ResultCache>>,
     limits: ExecLimits,
     /// Fast-path vs fallback execution tally, shared across clones.
     exec_counts: Arc<ExecCounts>,
@@ -137,38 +179,43 @@ impl Catalog {
         self.tables.values().map(|t| t.name.clone()).collect()
     }
 
-    /// Execute a query against this catalog (cached — see type docs).
-    pub fn execute(&self, query: &Query) -> Result<ResultSet> {
+    /// Execute a query against this catalog through the result cache.
+    pub fn execute(&self, query: &Query) -> Result<Arc<ResultSet>> {
+        self.execute_with(query, None).map(|(result, _)| result)
+    }
+
+    /// The one execution body: the shared result cache, then delta
+    /// recomputation (only when the caller passes its own `delta` cache),
+    /// then a full execution. A miss's result is cached for every clone;
+    /// errors are never cached. The lock is held for the lookup and the
+    /// insert only, never across execution.
+    pub fn execute_with(
+        &self,
+        query: &Query,
+        delta: Option<&mut DeltaCache>,
+    ) -> Result<(Arc<ResultSet>, Obtained)> {
         #[cfg(feature = "faults")]
         if pi2_faults::exec_overrun() {
             return Err(EngineError::ResourceExhausted("injected execution overrun".into()));
         }
         let key = (self.version, query.structural_hash());
-        if let Some(hit) = self.cache.lock().get(&key).cloned() {
-            return Ok((*hit).clone());
+        if let Some(hit) = self.cache.lock().get(key) {
+            return Ok((hit, Obtained::Cached));
         }
-        let result = self.execute_fresh(query)?;
-        let mut cache = self.cache.lock();
-        if cache.len() >= QUERY_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::new(result.clone()));
-        Ok(result)
+        let (result, obtained) = match delta.and_then(|d| self.execute_delta(query, d)) {
+            Some((result, outcome)) => (result?, Obtained::Delta(outcome)),
+            None => (self.execute_uncached(query)?, Obtained::Fresh),
+        };
+        let result = Arc::new(result);
+        self.cache.lock().insert(key, Arc::clone(&result));
+        Ok((result, obtained))
     }
 
-    /// Execute without consulting or filling the result cache (used by
-    /// benchmarks that measure raw engine latency).
+    /// A full execution that neither consults nor fills the result cache:
+    /// the columnar fast path when the query qualifies, the reference
+    /// interpreter otherwise (used by benchmarks that measure raw engine
+    /// latency).
     pub fn execute_uncached(&self, query: &Query) -> Result<ResultSet> {
-        #[cfg(feature = "faults")]
-        if pi2_faults::exec_overrun() {
-            return Err(EngineError::ResourceExhausted("injected execution overrun".into()));
-        }
-        self.execute_fresh(query)
-    }
-
-    /// Columnar fast path when the query qualifies, reference interpreter
-    /// otherwise.
-    fn execute_fresh(&self, query: &Query) -> Result<ResultSet> {
         match crate::exec_columnar::try_execute(self, query) {
             Some(result) => {
                 self.exec_counts.columnar.fetch_add(1, Ordering::Relaxed);
@@ -176,7 +223,7 @@ impl Catalog {
             }
             None => {
                 self.exec_counts.reference.fetch_add(1, Ordering::Relaxed);
-                ExecCtx::new(self).execute(query)
+                self.execute_reference(query)
             }
         }
     }
@@ -186,14 +233,10 @@ impl Catalog {
     /// differential tests and benchmarks compare it against
     /// [`Catalog::execute_uncached`].
     pub fn execute_reference(&self, query: &Query) -> Result<ResultSet> {
-        #[cfg(feature = "faults")]
-        if pi2_faults::exec_overrun() {
-            return Err(EngineError::ResourceExhausted("injected execution overrun".into()));
-        }
         ExecCtx::new(self).execute(query)
     }
 
-    /// How many fresh executions ran columnar vs on the reference fallback
+    /// How many full executions ran columnar vs on the reference fallback
     /// (shared across clones of this catalog).
     pub fn exec_path_counts(&self) -> (u64, u64) {
         (
@@ -204,22 +247,16 @@ impl Catalog {
 
     /// Execute incrementally when only range-predicate bounds shifted since
     /// a previous dispatch of the same query template (see
-    /// [`crate::delta`]). `None` means the query is outside the delta
-    /// fragment and the caller should fall back to
-    /// [`execute_uncached`](Self::execute_uncached); `Some` carries a
-    /// result byte-identical to full execution plus how it was obtained.
+    /// [`crate::delta`]), without consulting or filling the result cache.
+    /// `None` means the query is outside the delta fragment and the caller
+    /// should fall back to [`execute_uncached`](Self::execute_uncached);
+    /// `Some` carries a result byte-identical to full execution plus how it
+    /// was obtained.
     pub fn execute_delta(
         &self,
         query: &Query,
         cache: &mut DeltaCache,
     ) -> Option<(Result<ResultSet>, DeltaOutcome)> {
-        #[cfg(feature = "faults")]
-        if pi2_faults::exec_overrun() {
-            return Some((
-                Err(EngineError::ResourceExhausted("injected execution overrun".into())),
-                DeltaOutcome::Seeded,
-            ));
-        }
         crate::delta::execute(self, query, cache)
     }
 
@@ -241,8 +278,8 @@ impl Catalog {
         self.tables.values().map(|t| t.build_nanos()).sum()
     }
 
-    /// Parse and execute SQL text.
-    pub fn execute_sql(&self, sql: &str) -> Result<ResultSet> {
+    /// Parse and execute SQL text (through the result cache).
+    pub fn execute_sql(&self, sql: &str) -> Result<Arc<ResultSet>> {
         let q = pi2_sql::parse_query(sql)
             .map_err(|e| EngineError::Unsupported(format!("parse error: {e}")))?;
         self.execute(&q)

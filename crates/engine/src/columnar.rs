@@ -5,7 +5,7 @@
 //! per row; strings interned into an insertion-order dictionary), and
 //! [`Table::seal`] — called by [`crate::Catalog::register`] — turns the
 //! builders into a [`ColumnarTable`]. No row-major copy is ever built. The
-//! columnar executor (see [`crate::exec_columnar`]) scans the typed vectors
+//! columnar executor (`exec_columnar`) scans the typed vectors
 //! directly, and the reference interpreter reads the same storage a row at
 //! a time through the [`ColumnarTable::rows`] cursor.
 //!

@@ -154,8 +154,10 @@ impl Table {
         // row = row 1 on line 2).
         let mut data_row = 0usize;
         while let Some(rec) = parse_record(csv, &mut pos) {
-            if rec.len() == 1 && rec[0] == (String::new(), false) {
-                continue; // trailing blank line
+            // A blank line is a row only of a one-column table, whose NULL
+            // cells `to_csv` writes as empty lines; wider tables skip it.
+            if header.len() > 1 && rec.len() == 1 && rec[0] == (String::new(), false) {
+                continue;
             }
             data_row += 1;
             if rec.len() != header.len() {
@@ -281,6 +283,17 @@ mod tests {
         let t2 = Table::from_csv("covid", &t.to_csv()).unwrap().seal();
         assert_eq!(t.schema, t2.schema);
         assert!(t.rows().eq(t2.rows()));
+    }
+
+    #[test]
+    fn one_column_null_rows_round_trip_and_wider_tables_skip_blank_lines() {
+        let csv = "v\n1\n\n2\n\n";
+        let t = Table::from_csv_with_types("t", csv, &[DataType::Int]).unwrap().seal();
+        let values: Vec<Value> = t.rows().map(|r| r[0].clone()).collect();
+        assert_eq!(values, [Value::Int(1), Value::Null, Value::Int(2), Value::Null]);
+        assert_eq!(t.to_csv(), csv);
+        let wide = Table::from_csv("t", "a,b\n1,2\n\n").unwrap().seal();
+        assert_eq!(wide.rows().count(), 1);
     }
 
     #[test]

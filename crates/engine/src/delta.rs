@@ -63,16 +63,6 @@ impl DeltaCache {
         Self::default()
     }
 
-    /// Number of cached query templates.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no templates are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn insert(&mut self, key: u64, entry: Entry) {
         if self.entries.len() >= CACHE_CAP && !self.entries.contains_key(&key) {
             self.entries.clear();

@@ -50,7 +50,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use catalog::{Catalog, ExecLimits};
+pub use catalog::{Catalog, ExecLimits, Obtained};
 pub use delta::{DeltaCache, DeltaOutcome};
 pub use error::{EngineError, Result};
 pub use result::ResultSet;

@@ -39,7 +39,7 @@ fn fixture() -> Catalog {
     catalog
 }
 
-fn run(c: &Catalog, sql: &str) -> pi2_engine::ResultSet {
+fn run(c: &Catalog, sql: &str) -> std::sync::Arc<pi2_engine::ResultSet> {
     c.execute_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"))
 }
 

@@ -166,7 +166,7 @@ proptest! {
         let a = c.execute(&q).expect("cached");
         let b = c.execute_uncached(&q).expect("uncached");
         let a2 = c.execute(&q).expect("cache hit");
-        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a.as_ref(), &b);
         prop_assert_eq!(&a, &a2);
     }
 }

@@ -28,6 +28,7 @@ use pi2_difftree::{
 use pi2_engine::{Catalog, ResultSet};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Mapper configuration.
 #[derive(Debug, Clone)]
@@ -70,7 +71,7 @@ impl std::error::Error for MapError {}
 
 /// Per-tree analysis shared by the variants.
 struct TreeAnalysis {
-    result: ResultSet,
+    result: Arc<ResultSet>,
     fields: Vec<FieldInfo>,
     choices: Vec<Choice>,
 }

@@ -5,7 +5,7 @@
 //! # pi2-mcts
 //!
 //! A generic, fully deterministic (seeded) Monte-Carlo Tree Search with
-//! UCB1 selection (UCT, after Coulom [8] / Kocsis–Szepesvári), plus a
+//! UCB1 selection (UCT, after Coulom \[8\] / Kocsis–Szepesvári), plus a
 //! greedy hill-climbing searcher used as an ablation baseline.
 //!
 //! PI2 uses MCTS to search the space of DiffTree forests (paper §2 step ④:

@@ -31,6 +31,7 @@ use pi2_core::{GeneratedInterface, InterfaceSession, Pi2, Pi2Error};
 use pi2_engine::{Catalog, EngineError, ResultSet};
 use pi2_sql::Query;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a cell within a notebook.
 pub type CellId = usize;
@@ -44,8 +45,9 @@ pub struct Cell {
     pub source: String,
     /// The checkbox: include this cell's query in the generation log.
     pub selected: bool,
-    /// Result of the most recent execution.
-    pub result: Option<ResultSet>,
+    /// Result of the most recent execution, shared with the catalog's
+    /// result cache.
+    pub result: Option<Arc<ResultSet>>,
     /// Error of the most recent execution, if it failed.
     pub error: Option<String>,
     /// Monotone execution counter (like Jupyter's `In [n]`), 0 = never run.

@@ -20,7 +20,8 @@ use std::fmt::Write as _;
 /// The export freezes the session at its current bindings; the embedded
 /// client can then be advanced by feeding it `render_delta` frames (see
 /// the module docs). Widget states default to their rest positions; use
-/// [`crate::HtmlRenderer::render_live`] to export with live state.
+/// [`Renderer::render_live`](pi2_core::Renderer::render_live) on a
+/// [`crate::HtmlRenderer`] to export with live state.
 pub fn export_html(
     title: &str,
     interface: &Interface,

@@ -63,7 +63,7 @@ pub struct JournalCounters {
     pub warnings: AtomicU64,
 }
 
-/// What [`ServerState::recover`] found and rebuilt.
+/// What recovery (`ServerState::recover`) found and rebuilt.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Sessions rebuilt into the registry.
@@ -82,7 +82,7 @@ pub struct RecoveryReport {
     pub clean: bool,
 }
 
-/// All state shared between connections (and with [`LocalClient`]s).
+/// All state shared between connections (and with [`LocalClient`](crate::LocalClient)s).
 ///
 /// Catalogs are built once per scenario and cached; a session's catalog is
 /// a cheap clone whose tables are `Arc`-shared with every other session on
@@ -408,6 +408,8 @@ impl ServerState {
                 format!("unknown scenario `{scenario}` ({})", Self::scenario_names().join("|")),
             ));
         };
+        // The limits guard this session's live executions only: a result
+        // any session on the scenario already cached is served as-is.
         catalog.set_limits(ExecLimits {
             max_rows: options.max_rows.filter(|&n| n > 0),
             timeout: match options.timeout_ms {

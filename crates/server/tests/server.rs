@@ -151,7 +151,7 @@ fn two_sessions_never_bleed_state() {
 /// Sixteen concurrent clients on one server, each driving its own session
 /// through a distinct slider sequence. Every client's final SQL must equal
 /// the SQL a fresh single-session replay of the same sequence produces:
-/// any cross-session leakage (shared bindings, a shared result cache
+/// any cross-session leakage (shared bindings, the shared result cache
 /// keyed wrongly, a registry mix-up) breaks the equality.
 #[test]
 fn sixteen_client_storm_has_zero_cross_session_leakage() {

@@ -1,6 +1,6 @@
 //! A multi-line SQL formatter.
 //!
-//! [`fmt::Display`] on [`Query`] emits canonical single-line SQL (built for
+//! [`std::fmt::Display`] on [`Query`] emits canonical single-line SQL (built for
 //! round-tripping); this module pretty-prints for humans — the notebook's
 //! cell display and the HTML export's query log, where the walkthrough's Q4
 //! (joins plus correlated subqueries) is unreadable on one line.

@@ -213,7 +213,7 @@ fn sanitize(name: &str) -> String {
 
 /// A log-scaled latency histogram for wall-clock durations.
 ///
-/// Buckets are base-2 exponential with [`LatencyHistogram::SUB_BITS`] bits of
+/// Buckets are base-2 exponential with `SUB_BITS` (3) bits of
 /// sub-bucket mantissa (HDR-histogram style), giving ~12.5% relative
 /// resolution across the whole nanosecond-to-seconds range with a small,
 /// fixed memory footprint. Percentiles come back as the lower bound of the

@@ -197,11 +197,11 @@ fn compare_against_reference(
                     f.schema, r.schema
                 ));
             }
-            if f.rows != r.rows {
+            if f != r {
                 return Err(format!(
                     "`{q}`: {what} rows differ from reference ({} vs {} rows)",
-                    f.rows.len(),
-                    r.rows.len()
+                    f.len(),
+                    r.len()
                 ));
             }
             Ok(())
@@ -366,7 +366,9 @@ pub fn check(
         }
         let full = pi2_core::scene::SceneGraph::build_from(&session)
             .map_err(|e| fail("scene-parity", format!("full render: {e}")))?;
-        if scene_client != full {
+        // Bit for bit: equal scenes, and equal snapshot bytes.
+        let text = |g| pi2_core::scene::scene_to_json(g).to_string();
+        if scene_client != full || text(&scene_client) != text(&full) {
             return Err(fail(
                 "scene-parity",
                 format!(

@@ -96,9 +96,9 @@ pub struct Rect {
 // Scene nodes
 // ---------------------------------------------------------------------------
 
-/// One column of a chart's mark data. The values are behind an [`Arc`] so
-/// retained scenes, delta payloads, and the catalog's result cache share
-/// storage instead of copying rows per frame.
+/// One column of a chart's mark data. The values are the result column's
+/// own [`Arc`], so retained scenes, `Replace` patches and the catalog's
+/// result cache share one copy instead of copying rows per frame.
 #[derive(Debug, Clone)]
 pub struct ColumnSlice {
     /// Result field name.
@@ -107,11 +107,21 @@ pub struct ColumnSlice {
     pub values: Arc<Vec<Value>>,
 }
 
+/// Cells compare as the wire spells them: the same variant and the same
+/// bits, so `Int(1)` and `Float(1.0)` (equal as SQL values) differ.
 impl PartialEq for ColumnSlice {
     fn eq(&self, other: &Self) -> bool {
         self.field == other.field
-            && (Arc::ptr_eq(&self.values, &other.values) || self.values == other.values)
+            && (Arc::ptr_eq(&self.values, &other.values)
+                || (self.values.len() == other.values.len()
+                    && self.values.iter().zip(other.values.iter()).all(|(a, b)| same_cell(a, b))))
     }
+}
+
+/// Exact cell identity: the same variant, then `Value`'s equality, which
+/// orders two floats by `total_cmp` and so equates them only bit for bit.
+fn same_cell(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
 }
 
 /// A positional axis derived from an encoding plus the current data.
@@ -224,16 +234,12 @@ pub struct SceneGraph {
 // Building
 // ---------------------------------------------------------------------------
 
-fn transpose(result: &ResultSet) -> Vec<ColumnSlice> {
-    result
-        .schema
-        .fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| ColumnSlice {
-            field: f.name.clone(),
-            values: Arc::new(result.rows.iter().map(|r| r[i].clone()).collect()),
-        })
+/// A result's columns as chart columns, sharing the result's storage.
+fn shared_columns(result: &ResultSet) -> Vec<ColumnSlice> {
+    let fields = result.schema.fields.iter();
+    fields
+        .zip(result.columns())
+        .map(|(f, values)| ColumnSlice { field: f.name.clone(), values: Arc::clone(values) })
         .collect()
 }
 
@@ -331,7 +337,7 @@ fn element_rect(frames: &[LayoutFrame], want: FrameKind) -> Rect {
 /// group) laid out in `frame`.
 fn chart_node(c: &pi2_interface::Chart, update: Option<&ChartUpdate>, frame: Rect) -> ChartScene {
     let (columns, rows, query) = match update {
-        Some(u) => (transpose(&u.result), u.result.rows.len(), u.query.to_string()),
+        Some(u) => (shared_columns(&u.result), u.result.len(), u.query.to_string()),
         None => (Vec::new(), 0, String::new()),
     };
     ChartScene {
@@ -496,15 +502,14 @@ fn internal(msg: String) -> SessionError {
 /// One op of a row-level edit script (see [`DataPatch::Edits`]). The ops
 /// walk the old rows front to back; keeps and drops consume old rows,
 /// inserts splice in new ones.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowEdit {
     /// Keep the next `n` old rows.
     Keep(usize),
     /// Remove the next `n` old rows.
     Drop(usize),
-    /// Insert rows here, carried as column-parallel value runs (fields in
-    /// the chart's column order).
-    Insert(Vec<ColumnSlice>),
+    /// Insert the next `n` rows of the patch's inserted-rows block.
+    Insert(usize),
 }
 
 /// A change to a chart's mark data.
@@ -514,9 +519,16 @@ pub enum DataPatch {
     /// changed (this re-establishes the field list) or when no row of the
     /// old data provably survives.
     Replace(Vec<ColumnSlice>),
-    /// A row-level edit script over the old rows. It must consume exactly
-    /// the old row count, and every insert must match the field list.
-    Edits(Vec<RowEdit>),
+    /// A row-level edit script over the old rows. `ops` must consume
+    /// exactly the old row count, and its inserts must together take
+    /// exactly the rows of `inserted`.
+    Edits {
+        /// Every inserted row, in script order, as one column block in the
+        /// chart's field order (empty when the script inserts nothing).
+        inserted: Vec<ColumnSlice>,
+        /// The script.
+        ops: Vec<RowEdit>,
+    },
 }
 
 /// Damage record for one chart node.
@@ -718,25 +730,14 @@ fn row_keys(columns: &[ColumnSlice], rows: usize) -> Vec<u64> {
     hashers.iter().map(Hasher::finish).collect()
 }
 
-fn slice_columns(columns: &[ColumnSlice], range: std::ops::Range<usize>) -> Vec<ColumnSlice> {
-    columns
-        .iter()
-        .map(|c| ColumnSlice {
-            field: c.field.clone(),
-            values: Arc::new(c.values[range.clone()].to_vec()),
-        })
-        .collect()
-}
-
 /// Row-level edit script between two same-schema column sets: anchor on
 /// rows whose key is unique in *both* sequences, keep the longest chain of
 /// anchors increasing on both sides, and emit keep/drop/insert runs
 /// between them. A pan or zoom over sorted output becomes one drop, one
 /// keep and one insert; row turnover scattered through the result (a
 /// filter on a non-sort column moved) becomes short runs around the
-/// surviving rows. Returns `None` when no anchor survives value
-/// verification.
-fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<Vec<RowEdit>> {
+/// surviving rows. Returns `None` when no anchor survives verification.
+fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
     #[derive(Clone, Copy)]
     enum Seen {
         Once(usize),
@@ -783,21 +784,29 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<Vec<RowEdit>> {
         cur = prev[ci];
     }
     chain.reverse();
-    // Anchors are matched by hash; verify by value so a collision can
-    // never corrupt the client's scene.
+    // Anchors are matched by hash; verify each cell exactly so a collision
+    // (or a cell that changed type but not value) can never corrupt the
+    // client's scene.
     for &(i, j) in &chain {
-        if !old.columns.iter().zip(new.columns.iter()).all(|(a, b)| a.values[i] == b.values[j]) {
+        let same = |(a, b): (&ColumnSlice, &ColumnSlice)| same_cell(&a.values[i], &b.values[j]);
+        if !old.columns.iter().zip(new.columns.iter()).all(same) {
             return None;
         }
     }
     let mut edits: Vec<RowEdit> = Vec::new();
+    let mut inserts: Vec<std::ops::Range<usize>> = Vec::new();
     let (mut ai, mut bi) = (0usize, 0usize);
-    for &(i, j) in &chain {
+    // The ends of both sequences close the last drop and insert runs.
+    for &(i, j) in chain.iter().chain([(old.rows, new.rows)].iter()) {
         if i > ai {
             edits.push(RowEdit::Drop(i - ai));
         }
         if j > bi {
-            edits.push(RowEdit::Insert(slice_columns(&new.columns, bi..j)));
+            edits.push(RowEdit::Insert(j - bi));
+            inserts.push(bi..j);
+        }
+        if j == new.rows {
+            break;
         }
         match edits.last_mut() {
             Some(RowEdit::Keep(n)) if i == ai && j == bi => *n += 1,
@@ -806,13 +815,15 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<Vec<RowEdit>> {
         ai = i + 1;
         bi = j + 1;
     }
-    if old.rows > ai {
-        edits.push(RowEdit::Drop(old.rows - ai));
-    }
-    if new.rows > bi {
-        edits.push(RowEdit::Insert(slice_columns(&new.columns, bi..new.rows)));
-    }
-    Some(edits)
+    // One copy of the inserted rows, one column at a time.
+    let total = inserts.iter().map(|r| r.len()).sum();
+    let gather = |c: &ColumnSlice| {
+        let mut values = Vec::with_capacity(total);
+        inserts.iter().for_each(|r| values.extend_from_slice(&c.values[r.clone()]));
+        ColumnSlice { field: c.field.clone(), values: Arc::new(values) }
+    };
+    let inserted = if total == 0 { Vec::new() } else { new.columns.iter().map(gather).collect() };
+    Some(DataPatch::Edits { inserted, ops: edits })
 }
 
 /// Diff one chart's data: `None` when unchanged, otherwise the verified
@@ -825,7 +836,7 @@ fn diff_data(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
     let same_fields = old.columns.len() == new.columns.len()
         && old.columns.iter().zip(new.columns.iter()).all(|(a, b)| a.field == b.field);
     let edits = if same_fields { edit_script(old, new) } else { None };
-    Some(edits.map_or_else(|| DataPatch::Replace(new.columns.clone()), DataPatch::Edits))
+    Some(edits.unwrap_or_else(|| DataPatch::Replace(new.columns.clone())))
 }
 
 /// Check that every column carries exactly `rows` values.
@@ -854,65 +865,68 @@ fn apply_data(
         DataPatch::Replace(columns) => {
             Ok((columns.clone(), block_rows(columns).map_err(internal)?))
         }
-        DataPatch::Edits(edits) => apply_edits(old, old_rows, edits),
+        DataPatch::Edits { inserted, ops } => apply_edits(old, old_rows, inserted, ops),
     }
 }
 
 /// Apply a row-level edit script. The old columns must each hold
 /// `old_rows` values, the script must consume exactly `old_rows` (keeps +
-/// drops), and every insert must match the chart's field list with columns
-/// of equal length.
+/// drops), and its inserts must take exactly the rows of `inserted`, a
+/// block of equal-length columns matching the chart's field list.
 fn apply_edits(
     old: &[ColumnSlice],
     old_rows: usize,
-    edits: &[RowEdit],
+    inserted: &[ColumnSlice],
+    ops: &[RowEdit],
 ) -> Result<(Vec<ColumnSlice>, usize), SessionError> {
     check_rows(old, old_rows).map_err(internal)?;
-    let mut out: Vec<(String, Vec<Value>)> =
-        old.iter().map(|c| (c.field.clone(), Vec::new())).collect();
-    let (mut cursor, mut rows) = (0usize, 0usize);
-    for op in edits {
-        match op {
+    let inserted_rows = block_rows(inserted).map_err(internal)?;
+    let fields_match = inserted.len() == old.len()
+        && inserted.iter().zip(old).all(|(block, column)| block.field == column.field);
+    if !inserted.is_empty() && !fields_match {
+        return Err(internal(
+            "edit script inserted block does not match the chart's fields".into(),
+        ));
+    }
+    let mut out: Vec<Vec<Value>> = old.iter().map(|_| Vec::new()).collect();
+    let (mut cursor, mut next, mut rows) = (0usize, 0usize, 0usize);
+    let advance = |at: usize, n: usize, len: usize, what: &str| {
+        at.checked_add(n).filter(|&e| e <= len).ok_or_else(|| internal(what.to_string()))
+    };
+    for op in ops {
+        match *op {
             RowEdit::Keep(n) => {
-                let end = cursor
-                    .checked_add(*n)
-                    .filter(|&e| e <= old_rows)
-                    .ok_or_else(|| internal("edit script keeps past the end".into()))?;
-                for (col, (_, values)) in old.iter().zip(out.iter_mut()) {
-                    values.extend(col.values[cursor..end].iter().cloned());
+                let end = advance(cursor, n, old_rows, "edit script keeps past the end")?;
+                for (col, values) in old.iter().zip(out.iter_mut()) {
+                    values.extend_from_slice(&col.values[cursor..end]);
                 }
                 cursor = end;
                 rows += n;
             }
             RowEdit::Drop(n) => {
-                cursor = cursor
-                    .checked_add(*n)
-                    .filter(|&e| e <= old_rows)
-                    .ok_or_else(|| internal("edit script drops past the end".into()))?;
+                cursor = advance(cursor, n, old_rows, "edit script drops past the end")?;
             }
-            RowEdit::Insert(cols) => {
-                if cols.len() != old.len() {
-                    return Err(internal("edit script insert field-count mismatch".into()));
+            RowEdit::Insert(n) => {
+                let end =
+                    advance(next, n, inserted_rows, "edit script inserts past the inserted rows")?;
+                for (block, values) in inserted.iter().zip(out.iter_mut()) {
+                    values.extend_from_slice(&block.values[next..end]);
                 }
-                rows += block_rows(cols).map_err(internal)?;
-                for (slice, (field, values)) in cols.iter().zip(out.iter_mut()) {
-                    if slice.field != *field {
-                        return Err(internal(format!(
-                            "edit script insert field {} does not match column {field}",
-                            slice.field
-                        )));
-                    }
-                    values.extend(slice.values.iter().cloned());
-                }
+                next = end;
+                rows += n;
             }
         }
     }
     if cursor != old_rows {
         return Err(internal("edit script does not consume every old row".into()));
     }
-    let columns = out
-        .into_iter()
-        .map(|(field, values)| ColumnSlice { field, values: Arc::new(values) })
+    if next != inserted_rows {
+        return Err(internal("edit script leaves inserted rows unused".into()));
+    }
+    let columns = old
+        .iter()
+        .zip(out)
+        .map(|(c, values)| ColumnSlice { field: c.field.clone(), values: Arc::new(values) })
         .collect();
     Ok((columns, rows))
 }
@@ -1254,14 +1268,17 @@ fn rect_from_json(v: &Json) -> Result<Rect, String> {
     Ok(Rect { x: g(0)?, y: g(1)?, w: g(2)?, h: g(3)? })
 }
 
-fn columns_json(columns: &[ColumnSlice]) -> Json {
+/// The column block of rows `skip..skip + take` of `columns` (clamped to
+/// the rows each column holds).
+fn columns_json(columns: &[ColumnSlice], skip: usize, take: usize) -> Json {
     Json::Array(
         columns
             .iter()
             .map(|c| {
+                let values = c.values.iter().skip(skip).take(take).map(value_to_json);
                 object([
                     ("field", Json::String(c.field.clone())),
-                    ("values", Json::Array(c.values.iter().map(value_to_json).collect())),
+                    ("values", Json::Array(values.collect())),
                 ])
             })
             .collect(),
@@ -1345,7 +1362,7 @@ pub fn scene_to_json(g: &SceneGraph) -> Json {
             ("query", json!(c.query)),
             ("axes", Json::Array(c.axes.iter().map(axis_json).collect())),
             ("rows", json!(c.rows)),
-            ("columns", columns_json(&c.columns)),
+            ("columns", columns_json(&c.columns, 0, usize::MAX)),
             ("frame", rect_json(c.frame)),
         ])
     });
@@ -1531,16 +1548,24 @@ pub fn delta_to_json(d: &SceneDelta) -> Json {
         }
         if let Some(data) = &p.data {
             let d = match data {
-                DataPatch::Replace(columns) => object([("replace", columns_json(columns))]),
+                DataPatch::Replace(columns) => {
+                    object([("replace", columns_json(columns, 0, usize::MAX))])
+                }
                 // Compact op encoding: a positive integer keeps that many
                 // old rows, a negative one drops them, and an array is an
-                // inserted column block. Scattered-churn scripts carry
-                // hundreds of ops, so per-op bytes dominate the frame.
-                DataPatch::Edits(edits) => {
-                    let ops = edits.iter().map(|op| match op {
-                        RowEdit::Keep(n) => json!(*n as i64),
-                        RowEdit::Drop(n) => json!(-(*n as i64)),
-                        RowEdit::Insert(cols) => columns_json(cols),
+                // inserted column block (the insert's rows of the patch's
+                // block). Scattered-churn scripts carry hundreds of ops, so
+                // per-op bytes dominate the frame.
+                DataPatch::Edits { inserted, ops } => {
+                    let mut next = 0usize;
+                    let ops = ops.iter().map(|op| match *op {
+                        RowEdit::Keep(n) => json!(n as i64),
+                        RowEdit::Drop(n) => json!(-(n as i64)),
+                        RowEdit::Insert(n) => {
+                            let block = columns_json(inserted, next, n);
+                            next = next.saturating_add(n);
+                            block
+                        }
                     });
                     object([("edits", Json::Array(ops.collect()))])
                 }
@@ -1564,20 +1589,37 @@ pub fn delta_to_json(d: &SceneDelta) -> Json {
     ])
 }
 
-fn edit_from_json(op: &Json) -> Result<RowEdit, String> {
-    if let Some(n) = op.as_i64() {
-        return match n {
-            n if n > 0 => Ok(RowEdit::Keep(n as usize)),
-            n if n < 0 => Ok(RowEdit::Drop(n.unsigned_abs() as usize)),
-            _ => Err("zero-length edit op".to_string()),
-        };
+/// Decode an edit script, concatenating its inline insert blocks into the
+/// patch's one inserted-rows block.
+fn edits_from_json(v: &Json) -> Result<DataPatch, String> {
+    let (mut ops, mut blocks) = (Vec::new(), Vec::new());
+    for op in v.as_array().ok_or("edits must be an array")? {
+        ops.push(match op.as_i64() {
+            Some(n) if n > 0 => RowEdit::Keep(n as usize),
+            Some(n) if n < 0 => RowEdit::Drop(n.unsigned_abs() as usize),
+            Some(_) => return Err("zero-length edit op".to_string()),
+            None if op.as_array().is_some() => {
+                let block = columns_from_json(op)?;
+                let rows = block_rows(&block)?;
+                blocks.push(block);
+                RowEdit::Insert(rows)
+            }
+            None => return Err("bad edit op".to_string()),
+        });
     }
-    if op.as_array().is_some() {
-        let columns = columns_from_json(op)?;
-        block_rows(&columns)?;
-        return Ok(RowEdit::Insert(columns));
+    let mut blocks = blocks.into_iter();
+    let mut inserted = blocks.next().unwrap_or_default();
+    for block in blocks {
+        if block.len() != inserted.len()
+            || block.iter().zip(&inserted).any(|(b, i)| b.field != i.field)
+        {
+            return Err("edit script inserts differ in fields".to_string());
+        }
+        for (column, b) in inserted.iter_mut().zip(block) {
+            Arc::make_mut(&mut column.values).extend_from_slice(&b.values);
+        }
     }
-    Err("bad edit op".to_string())
+    Ok(DataPatch::Edits { inserted, ops })
 }
 
 /// Decode one delta frame (the client side of `render_delta`).
@@ -1611,14 +1653,7 @@ pub fn delta_from_json(v: &Json) -> Result<SceneDelta, String> {
                     block_rows(&columns)?;
                     DataPatch::Replace(columns)
                 }
-                (None, Some(edits)) => DataPatch::Edits(
-                    edits
-                        .as_array()
-                        .ok_or("edits must be an array")?
-                        .iter()
-                        .map(edit_from_json)
-                        .collect::<Result<Vec<_>, String>>()?,
-                ),
+                (None, Some(edits)) => edits_from_json(edits)?,
                 _ => return Err("data needs exactly one of replace or edits".to_string()),
             };
             patch = patch.data(data);
@@ -1642,13 +1677,10 @@ mod tests {
     use proptest::prelude::*;
 
     fn result(xs: &[i64]) -> Arc<ResultSet> {
-        Arc::new(ResultSet {
-            schema: Schema::new(vec![
-                Field::new("x", DataType::Int),
-                Field::new("y", DataType::Float),
-            ]),
-            rows: xs.iter().map(|x| vec![Value::Int(*x), Value::Float(*x as f64 / 2.0)]).collect(),
-        })
+        Arc::new(ResultSet::from_rows(
+            Schema::new(vec![Field::new("x", DataType::Int), Field::new("y", DataType::Float)]),
+            xs.iter().map(|x| vec![Value::Int(*x), Value::Float(*x as f64 / 2.0)]).collect(),
+        ))
     }
 
     fn chart_scene(xs: &[i64], query: &str) -> ChartScene {
@@ -1674,8 +1706,8 @@ mod tests {
             interactions: vec!["pan-zoom".into()],
             query: query.into(),
             axes: Vec::new(),
-            columns: transpose(&r),
-            rows: r.rows.len(),
+            columns: shared_columns(&r),
+            rows: r.len(),
             frame: Rect { x: 0, y: 0, w: 100, h: 100 },
         }
     }
@@ -1700,12 +1732,11 @@ mod tests {
         let data = patch.data.as_ref().unwrap();
         // 90 rows overlap: drop the 10 that scrolled off, keep 90, and
         // insert the 10 fresh rows — the only payload.
-        let DataPatch::Edits(edits) = data else { panic!("expected edits, got {data:?}") };
-        assert_eq!(edits[..2], [RowEdit::Drop(10), RowEdit::Keep(90)]);
-        assert!(
-            matches!(&edits[2..], [RowEdit::Insert(cols)] if cols[0].values.len() == 10),
-            "{edits:?}"
-        );
+        let DataPatch::Edits { inserted, ops } = data else {
+            panic!("expected edits, got {data:?}")
+        };
+        assert_eq!(ops, &[RowEdit::Drop(10), RowEdit::Keep(90), RowEdit::Insert(10)]);
+        assert_eq!(inserted[0].values.len(), 10);
 
         let mut client = old.clone();
         client.apply(&delta).unwrap();
@@ -1728,12 +1759,15 @@ mod tests {
         let new = graph_of(chart_scene(&new_xs, "q1"));
         let delta = diff_graphs(&old, &new);
         let data = delta.charts[0].data.as_ref().unwrap();
-        let DataPatch::Edits(edits) = data else { panic!("scattered churn should ship edits") };
-        let inserted: usize = edits
-            .iter()
-            .map(|e| if let RowEdit::Insert(cols) = e { cols[0].values.len() } else { 0 })
-            .sum();
-        assert_eq!(inserted, 2, "only the inserted rows ride the wire");
+        let DataPatch::Edits { inserted, ops } = data else {
+            panic!("scattered churn should ship edits")
+        };
+        let runs: usize = ops.iter().map(|e| if let RowEdit::Insert(n) = e { *n } else { 0 }).sum();
+        assert_eq!(
+            (runs, inserted[0].values.len()),
+            (2, 2),
+            "only the inserted rows ride the wire"
+        );
 
         // Through the wire codec, then applied client-side.
         let rt = delta_from_json(&delta_to_json(&delta)).unwrap();
@@ -1746,12 +1780,53 @@ mod tests {
     #[test]
     fn truncated_edit_script_is_rejected() {
         let old = graph_of(chart_scene(&[1, 2, 3, 4], "q"));
-        let mut delta = diff_graphs(&old, &graph_of(chart_scene(&[1, 2, 3, 4], "q2")));
-        // Forge a script that stops short of consuming every old row.
-        delta.charts[0].data = Some(DataPatch::Edits(vec![RowEdit::Keep(2), RowEdit::Drop(1)]));
-        let mut client = old.clone();
-        let err = client.apply(&delta).unwrap_err().to_string();
-        assert!(err.contains("consume"), "unexpected error: {err}");
+        let block = chart_scene(&[7, 8], "q").columns;
+        let forged = |inserted: Vec<ColumnSlice>, ops: Vec<RowEdit>| {
+            let mut delta = diff_graphs(&old, &graph_of(chart_scene(&[1, 2, 3, 4], "q2")));
+            delta.charts[0].data = Some(DataPatch::Edits { inserted, ops });
+            delta
+        };
+        let (keep, drop, insert) = (RowEdit::Keep, RowEdit::Drop, RowEdit::Insert);
+        for (inserted, ops, want) in [
+            // Stops short of consuming every old row.
+            (Vec::new(), vec![keep(2), drop(1)], "consume"),
+            // Inserts take more rows than the block holds.
+            (block.clone(), vec![keep(4), insert(3)], "inserts past"),
+            (block.clone(), vec![insert(1), keep(4), insert(usize::MAX)], "inserts past"),
+            (Vec::new(), vec![keep(4), insert(1)], "inserts past"),
+            // Inserts leave part of the block unconsumed.
+            (block.clone(), vec![keep(2), insert(1), keep(2)], "unused"),
+            (block.clone(), vec![keep(4)], "unused"),
+            // A block whose fields are not the chart's.
+            (chart_scene(&[7], "q").columns[..1].to_vec(), vec![keep(4), insert(1)], "fields"),
+        ] {
+            let delta = forged(inserted, ops);
+            let mut client = old.clone();
+            let err = client.apply(&delta).unwrap_err().to_string();
+            assert!(err.contains(want), "{delta:?}: unexpected error: {err}");
+            assert_eq!(client, old, "a rejected patch must leave the scene untouched");
+        }
+    }
+
+    #[test]
+    fn cells_compare_by_variant_and_bits() {
+        // INT 1, 2 become FLOAT 1.0, 2.0: equal as SQL values, different on
+        // the wire, so the sync must ship them.
+        let ints = graph_of(chart_scene(&[1, 2], "q"));
+        let mut floats = ints.clone();
+        floats.charts[0].columns[0] = ColumnSlice {
+            field: "x".into(),
+            values: Arc::new(vec![Value::Float(1.0), Value::Float(2.0)]),
+        };
+        assert_ne!(ints, floats);
+        let mut state = SceneState::new(ints.clone());
+        let delta = state.sync(floats.clone()).expect("a type change is damage");
+        let mut client = ints;
+        client.apply(&delta_from_json(&delta_to_json(&delta)).unwrap()).unwrap();
+        assert_eq!(scene_to_json(&client).to_string(), scene_to_json(&floats).to_string());
+        // Zeros of either sign are distinct cells too.
+        assert!(!same_cell(&Value::Float(0.0), &Value::Float(-0.0)));
+        assert!(same_cell(&Value::Float(f64::NAN), &Value::Float(f64::NAN)));
     }
 
     #[test]
@@ -1765,7 +1840,7 @@ mod tests {
         assert!(err.contains("expected 5"), "unexpected error: {err}");
         let keep = SceneDelta::new(1, 2).chart(
             ChartPatch::new(SceneNodeId::chart(0), 0)
-                .data(DataPatch::Edits(vec![RowEdit::Keep(5)])),
+                .data(DataPatch::Edits { inserted: Vec::new(), ops: vec![RowEdit::Keep(5)] }),
         );
         assert!(client.apply(&keep).is_err());
 
@@ -1776,7 +1851,10 @@ mod tests {
             ColumnSlice { field: "y".into(), values: Arc::new(Vec::new()) },
         ];
         for data in [
-            DataPatch::Edits(vec![RowEdit::Keep(1), RowEdit::Insert(ragged.clone())]),
+            DataPatch::Edits {
+                inserted: ragged.clone(),
+                ops: vec![RowEdit::Keep(1), RowEdit::Insert(3)],
+            },
             DataPatch::Replace(ragged.clone()),
         ] {
             let delta =
@@ -1795,10 +1873,8 @@ mod tests {
         let new = graph_of(chart_scene(&(20..80).collect::<Vec<_>>(), "q"));
         let delta = diff_graphs(&old, &new);
         let data = delta.charts[0].data.as_ref().unwrap();
-        assert_eq!(
-            data,
-            &DataPatch::Edits(vec![RowEdit::Drop(20), RowEdit::Keep(60), RowEdit::Drop(20)])
-        );
+        let ops = vec![RowEdit::Drop(20), RowEdit::Keep(60), RowEdit::Drop(20)];
+        assert_eq!(data, &DataPatch::Edits { inserted: Vec::new(), ops });
         let mut client = old.clone();
         client.apply(&delta).unwrap();
         assert_eq!(client, new);
@@ -1980,9 +2056,9 @@ mod tests {
                     prop_assert!(!anchored, "replaced although a unique row survives");
                     prop_assert_eq!(columns, new.columns);
                 }
-                Some(DataPatch::Edits(edits)) => {
+                Some(DataPatch::Edits { inserted, ops }) => {
                     prop_assert!(anchored, "edits without a unique surviving row");
-                    let (columns, n) = apply_edits(&old.columns, old.rows, &edits)
+                    let (columns, n) = apply_edits(&old.columns, old.rows, &inserted, &ops)
                         .map_err(|e| TestCaseError::fail(e.to_string()))?;
                     prop_assert_eq!(n, new.rows);
                     prop_assert_eq!(columns, new.columns);
@@ -2005,12 +2081,52 @@ mod tests {
             let k = 1 + shift % (xs.len() / 2);
             prop_assume!(2 * k < xs.len());
             let (old, new) = (pair_scene(&xs[..xs.len() - k]), pair_scene(&xs[k..]));
-            let want = vec![
-                RowEdit::Drop(k),
-                RowEdit::Keep(xs.len() - 2 * k),
-                RowEdit::Insert(pair_scene(&xs[xs.len() - k..]).columns),
-            ];
-            prop_assert_eq!(diff_data(&old, &new), Some(DataPatch::Edits(want)));
+            let want = DataPatch::Edits {
+                inserted: pair_scene(&xs[xs.len() - k..]).columns,
+                ops: vec![RowEdit::Drop(k), RowEdit::Keep(xs.len() - 2 * k), RowEdit::Insert(k)],
+            };
+            prop_assert_eq!(diff_data(&old, &new), Some(want));
+        }
+
+        #[test]
+        fn random_scripts_round_trip_and_apply_identically(
+            old_rows in proptest::collection::vec((0i64..50, 0i64..3), 0..30),
+            script in proptest::collection::vec((0u8..3, 1usize..5), 0..20),
+        ) {
+            // A valid script over the old rows: each step keeps, drops or
+            // inserts up to `n` rows; the old rows left over are kept.
+            let mut ops = Vec::new();
+            let (mut cursor, mut fresh) = (0usize, Vec::new());
+            for (kind, n) in script {
+                let n_old = n.min(old_rows.len() - cursor);
+                match kind {
+                    0 if n_old > 0 => ops.push(RowEdit::Keep(n_old)),
+                    1 if n_old > 0 => ops.push(RowEdit::Drop(n_old)),
+                    _ => {
+                        let k = fresh.len() as i64;
+                        fresh.extend((0..n as i64).map(|i| (100 + k + i, i % 3)));
+                        ops.push(RowEdit::Insert(n));
+                        continue;
+                    }
+                }
+                cursor += n_old;
+            }
+            if cursor < old_rows.len() {
+                ops.push(RowEdit::Keep(old_rows.len() - cursor));
+            }
+            let inserted = if fresh.is_empty() { Vec::new() } else { pair_scene(&fresh).columns };
+            let old = graph_of(pair_scene(&old_rows));
+            let delta = SceneDelta::new(1, 2).chart(
+                ChartPatch::new(SceneNodeId::chart(0), 0)
+                    .data(DataPatch::Edits { inserted, ops }),
+            );
+            let decoded = delta_from_json(&delta_to_json(&delta))
+                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(&decoded, &delta);
+            let (mut direct, mut wired) = (old.clone(), old);
+            direct.apply(&delta).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            wired.apply(&decoded).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(scene_to_json(&direct).to_string(), scene_to_json(&wired).to_string());
         }
     }
 

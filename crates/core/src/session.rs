@@ -182,6 +182,11 @@ pub struct SessionStats {
     pub delta_hits: u64,
     /// Cache misses that seeded the delta cache with a full mask.
     pub delta_seeds: u64,
+    /// Cache misses answered by a full execution on the columnar path.
+    pub columnar_execs: u64,
+    /// Cache misses answered by a full execution on the reference
+    /// interpreter.
+    pub reference_execs: u64,
     /// Chart updates returned across all dispatches.
     pub charts_updated: u64,
     /// Charts skipped because their tree's bindings did not change.
@@ -199,12 +204,15 @@ impl SessionStats {
         format!(
             "{{\"dispatches\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"delta_hits\":{},\"delta_seeds\":{},\
+             \"columnar_execs\":{},\"reference_execs\":{},\
              \"charts_updated\":{},\"charts_skipped\":{},\"latency\":{{{}}}}}",
             self.dispatches,
             self.cache_hits,
             self.cache_misses,
             self.delta_hits,
             self.delta_seeds,
+            self.columnar_execs,
+            self.reference_execs,
             self.charts_updated,
             self.charts_skipped,
             latency.join(",")
@@ -540,14 +548,16 @@ impl InterfaceSession {
         let SessionState { delta_cache, stats, .. } = &mut *st;
         let answered = self.catalog.execute_with(query, Some(delta_cache));
         // Errors are never cached, so a failed execution counts as a miss.
-        let obtained = answered.as_ref().map_or(Obtained::Fresh, |(_, obtained)| *obtained);
+        let obtained = answered.as_ref().ok().map(|(_, obtained)| *obtained);
         match obtained {
-            Obtained::Cached => stats.cache_hits += 1,
-            Obtained::Delta(DeltaOutcome::Incremental { .. }) => stats.delta_hits += 1,
-            Obtained::Delta(DeltaOutcome::Seeded) => stats.delta_seeds += 1,
-            Obtained::Fresh => {}
+            Some(Obtained::Cached) => stats.cache_hits += 1,
+            Some(Obtained::Delta(DeltaOutcome::Incremental { .. })) => stats.delta_hits += 1,
+            Some(Obtained::Delta(DeltaOutcome::Seeded)) => stats.delta_seeds += 1,
+            Some(Obtained::Columnar) => stats.columnar_execs += 1,
+            Some(Obtained::Reference) => stats.reference_execs += 1,
+            None => {}
         }
-        if obtained != Obtained::Cached {
+        if obtained != Some(Obtained::Cached) {
             stats.cache_misses += 1;
         }
         answered.map(|(result, _)| result).map_err(|e| SessionError::Internal(e.to_string()))
@@ -1156,7 +1166,7 @@ mod tests {
         let q = updates[0].query.to_string();
         assert!(q.contains("2021-12-05") && q.contains("2021-12-10"), "{q}");
         // The returned data is confined to the brushed window.
-        for row in &updates[0].result.rows {
+        for row in updates[0].result.rows() {
             if let pi2_engine::Value::Date(d) = &row[0] {
                 assert!(d.0 >= lo as i32 && d.0 <= hi as i32);
             }
@@ -1314,6 +1324,7 @@ mod tests {
         assert!(json.contains("\"dispatches\":1"), "{json}");
         assert!(json.contains("\"pan\":{\"count\":1"), "{json}");
         assert!(json.contains("\"cache_misses\""), "{json}");
+        assert!(json.contains("\"columnar_execs\""), "{json}");
     }
 
     // ---- scene sync from dispatch damage ------------------------------------

@@ -182,13 +182,16 @@ fn edits_delta() -> SceneDelta {
         column("f", vec![Value::Float(f64::NEG_INFINITY), Value::Float(1.0)]),
     ];
     SceneDelta::new(11, 12)
-        .chart(ChartPatch::new(SceneNodeId::chart(0), 0).query("q'").data(DataPatch::Edits(vec![
-            RowEdit::Drop(2),
-            RowEdit::Keep(40),
-            RowEdit::Insert(insert),
-            RowEdit::Keep(1),
-            RowEdit::Drop(3),
-        ])))
+        .chart(ChartPatch::new(SceneNodeId::chart(0), 0).query("q'").data(DataPatch::Edits {
+            inserted: insert,
+            ops: vec![
+                RowEdit::Drop(2),
+                RowEdit::Keep(40),
+                RowEdit::Insert(2),
+                RowEdit::Keep(1),
+                RowEdit::Drop(3),
+            ],
+        }))
         .chart(
             ChartPatch::new(SceneNodeId::chart(1), 1)
                 .data(DataPatch::Replace(vec![column("a", Vec::new())])),

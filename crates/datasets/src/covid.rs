@@ -211,9 +211,9 @@ mod tests {
     fn generates_all_states_and_days() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT count(*) FROM covid").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(50 * 61));
+        assert_eq!(r.columns()[0][0], Value::Int(50 * 61));
         let r = c.execute_sql("SELECT count(*) FROM regions").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(50));
+        assert_eq!(r.columns()[0][0], Value::Int(50));
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         let b = catalog(&Config::default());
         let qa = a.execute_sql("SELECT sum(cases) FROM covid").unwrap();
         let qb = b.execute_sql("SELECT sum(cases) FROM covid").unwrap();
-        assert_eq!(qa.rows, qb.rows);
+        assert_eq!(qa.rows().collect::<Vec<_>>(), qb.rows().collect::<Vec<_>>());
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
         let b = catalog(&Config { seed: 99, ..Config::default() });
         let qa = a.execute_sql("SELECT sum(cases) FROM covid").unwrap();
         let qb = b.execute_sql("SELECT sum(cases) FROM covid").unwrap();
-        assert_ne!(qa.rows, qb.rows);
+        assert_ne!(qa.rows().collect::<Vec<_>>(), qb.rows().collect::<Vec<_>>());
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         let r = c
             .execute_sql("SELECT date FROM covid GROUP BY date ORDER BY sum(cases) DESC LIMIT 1")
             .unwrap();
-        let Value::Date(peak) = &r.rows[0][0] else { panic!() };
+        let Value::Date(peak) = &r.columns()[0][0] else { panic!() };
         let (y, m, d) = peak.ymd();
         assert_eq!((y, m), (2021, 12), "peak at {peak}");
         assert!(d >= 15, "peak at {peak}");
@@ -251,7 +251,7 @@ mod tests {
         let c = catalog(&Config::default());
         for q in demo_queries() {
             let r = c.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            assert!(!r.rows.is_empty(), "{q} returned no rows");
+            assert!(!r.is_empty(), "{q} returned no rows");
         }
     }
 
@@ -261,7 +261,8 @@ mod tests {
         let q4 = &demo_queries()[4];
         let r = c.execute(q4).unwrap();
         let states: std::collections::BTreeSet<String> = r
-            .rows
+            .rows()
+            .collect::<Vec<_>>()
             .iter()
             .map(|row| match &row[1] {
                 Value::Str(s) => s.clone(),
@@ -279,6 +280,6 @@ mod tests {
     fn state_limit_shrinks_fixture() {
         let c = catalog(&Config { state_limit: Some(3), days: 5, ..Config::default() });
         let r = c.execute_sql("SELECT count(*) FROM covid").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(15));
+        assert_eq!(r.columns()[0][0], Value::Int(15));
     }
 }

@@ -163,7 +163,7 @@ mod tests {
     fn generates_requested_count() {
         let c = catalog(&Config { objects: 500, seed: 1 });
         let r = c.execute_sql("SELECT count(*) FROM photoobj").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(500));
+        assert_eq!(r.columns()[0][0], Value::Int(500));
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let b = catalog(&Config { objects: 200, seed: 7 });
         let qa = a.execute_sql("SELECT sum(ra), sum(r) FROM photoobj").unwrap();
         let qb = b.execute_sql("SELECT sum(ra), sum(r) FROM photoobj").unwrap();
-        assert_eq!(qa.rows, qb.rows);
+        assert_eq!(qa.rows().collect::<Vec<_>>(), qb.rows().collect::<Vec<_>>());
     }
 
     #[test]
@@ -180,7 +180,7 @@ mod tests {
         let c = catalog(&Config::default());
         for q in demo_queries() {
             let r = c.execute(&q).unwrap();
-            assert!(r.rows.len() > 20, "{q} returned only {} rows", r.rows.len());
+            assert!(r.len() > 20, "{q} returned only {} rows", r.len());
         }
     }
 
@@ -189,7 +189,8 @@ mod tests {
         let c = catalog(&Config { objects: 2_000, seed: 5 });
         let r = c.execute_sql("SELECT ra FROM photoobj").unwrap();
         let ras: Vec<f64> = r
-            .rows
+            .rows()
+            .collect::<Vec<_>>()
             .iter()
             .map(|row| match row[0] {
                 Value::Float(f) => f,
@@ -203,17 +204,17 @@ mod tests {
     fn sized_overrides_object_count() {
         let c = catalog(&Config::sized(123));
         let r = c.execute_sql("SELECT count(*) FROM photoobj").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(123));
+        assert_eq!(r.columns()[0][0], Value::Int(123));
     }
 
     #[test]
     fn classes_have_expected_redshift_ranges() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT max(redshift) FROM photoobj WHERE class = 'STAR'").unwrap();
-        let Value::Float(v) = r.rows[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0][0] else { panic!() };
         assert!(v < 0.01);
         let r = c.execute_sql("SELECT min(redshift) FROM photoobj WHERE class = 'QSO'").unwrap();
-        let Value::Float(v) = r.rows[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0][0] else { panic!() };
         assert!(v > 0.4);
     }
 

@@ -125,16 +125,16 @@ mod tests {
     fn generates_expected_cardinalities() {
         let c = catalog(&Config { days: 10, ..Config::default() });
         let r = c.execute_sql("SELECT count(*) FROM prices").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(20 * 10));
+        assert_eq!(r.columns()[0][0], Value::Int(20 * 10));
         let r = c.execute_sql("SELECT count(DISTINCT sector) FROM companies").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(6));
+        assert_eq!(r.columns()[0][0], Value::Int(6));
     }
 
     #[test]
     fn prices_stay_positive() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT min(close) FROM prices").unwrap();
-        let Value::Float(v) = r.rows[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0][0] else { panic!() };
         assert!(v > 0.0);
     }
 
@@ -144,7 +144,7 @@ mod tests {
         let b = catalog(&Config::default());
         let qa = a.execute_sql("SELECT sum(close) FROM prices").unwrap();
         let qb = b.execute_sql("SELECT sum(close) FROM prices").unwrap();
-        assert_eq!(qa.rows, qb.rows);
+        assert_eq!(qa.rows().collect::<Vec<_>>(), qb.rows().collect::<Vec<_>>());
     }
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
         let c = catalog(&Config::default());
         for q in demo_queries() {
             let r = c.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
-            assert!(!r.rows.is_empty());
+            assert!(!r.is_empty());
         }
     }
 }

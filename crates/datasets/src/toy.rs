@@ -101,7 +101,7 @@ mod tests {
         let c = default_catalog();
         for q in fig2_queries().iter().chain(fig5_queries().iter()) {
             let r = c.execute(q).unwrap();
-            assert!(!r.rows.is_empty());
+            assert!(!r.is_empty());
         }
     }
 
@@ -110,14 +110,14 @@ mod tests {
         let c = join_catalog(100, 1);
         let r =
             c.execute_sql("SELECT t.p, count(*) FROM t JOIN u ON t.a = u.a GROUP BY t.p").unwrap();
-        assert!(!r.rows.is_empty());
+        assert!(!r.is_empty());
     }
 
     #[test]
     fn domains_are_small() {
         let c = default_catalog();
         let r = c.execute_sql("SELECT count(DISTINCT p), count(DISTINCT a) FROM t").unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(8));
-        assert_eq!(r.rows[0][1], Value::Int(5));
+        assert_eq!(r.columns()[0][0], Value::Int(8));
+        assert_eq!(r.columns()[1][0], Value::Int(5));
     }
 }

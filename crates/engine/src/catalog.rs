@@ -55,9 +55,11 @@ pub enum Obtained {
     Cached,
     /// By delta recomputation against the caller's [`DeltaCache`].
     Delta(DeltaOutcome),
-    /// By a full execution: columnar when the query qualifies, the
-    /// reference interpreter otherwise.
-    Fresh,
+    /// By a full execution on the columnar fast path.
+    Columnar,
+    /// By a full execution on the reference interpreter (the query left
+    /// the columnar fragment).
+    Reference,
 }
 
 /// Resource limits applied to each query execution.
@@ -204,7 +206,7 @@ impl Catalog {
         }
         let (result, obtained) = match delta.and_then(|d| self.execute_delta(query, d)) {
             Some((result, outcome)) => (result?, Obtained::Delta(outcome)),
-            None => (self.execute_uncached(query)?, Obtained::Fresh),
+            None => self.execute_fresh(query)?,
         };
         let result = Arc::new(result);
         self.cache.lock().insert(key, Arc::clone(&result));
@@ -216,14 +218,19 @@ impl Catalog {
     /// interpreter otherwise (used by benchmarks that measure raw engine
     /// latency).
     pub fn execute_uncached(&self, query: &Query) -> Result<ResultSet> {
+        self.execute_fresh(query).map(|(result, _)| result)
+    }
+
+    /// A full execution, and the path that ran it.
+    fn execute_fresh(&self, query: &Query) -> Result<(ResultSet, Obtained)> {
         match crate::exec_columnar::try_execute(self, query) {
             Some(result) => {
                 self.exec_counts.columnar.fetch_add(1, Ordering::Relaxed);
-                result
+                Ok((result?, Obtained::Columnar))
             }
             None => {
                 self.exec_counts.reference.fetch_add(1, Ordering::Relaxed);
-                self.execute_reference(query)
+                Ok((self.execute_reference(query)?, Obtained::Reference))
             }
         }
     }
@@ -325,9 +332,23 @@ mod tests {
     fn execute_sql_end_to_end() {
         let c = demo_catalog();
         let r = c.execute_sql("SELECT a FROM t").unwrap();
-        assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::Int(1)]]);
         assert!(c.execute_sql("SELECT nope FROM t").is_err());
         assert!(c.execute_sql("this is not sql").is_err());
+    }
+
+    #[test]
+    fn execute_with_names_the_path() {
+        let c = demo_catalog();
+        let path = |sql: &str| {
+            let q = pi2_sql::parse_query(sql).unwrap();
+            c.execute_with(&q, None).map(|(_, obtained)| obtained).unwrap()
+        };
+        assert_eq!(path("SELECT a FROM t"), Obtained::Columnar);
+        assert_eq!(path("SELECT a FROM t"), Obtained::Cached);
+        // A join leaves the columnar fragment.
+        assert_eq!(path("SELECT x.a FROM t x, t y"), Obtained::Reference);
+        assert_eq!(c.exec_path_counts(), (1, 1));
     }
 
     #[test]
@@ -358,7 +379,7 @@ mod tests {
         assert!(matches!(err, EngineError::ResourceExhausted(_)), "got {err}");
         // Queries under the limit still run.
         let r = c.execute_sql("SELECT x FROM a WHERE x < 3").unwrap();
-        assert_eq!(r.rows.len(), 3);
+        assert_eq!(r.len(), 3);
     }
 
     #[test]
@@ -375,6 +396,6 @@ mod tests {
         assert_eq!(c.clone().limits(), ExecLimits::rows(10));
         let unlimited = wide_catalog(ExecLimits::default());
         let r = unlimited.execute_sql("SELECT a.x FROM a, b").unwrap();
-        assert_eq!(r.rows.len(), 2500);
+        assert_eq!(r.len(), 2500);
     }
 }

@@ -113,11 +113,6 @@ impl BitMask {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
-    /// Clear every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Set or clear all bits in `range`, word-at-a-time where possible.
     pub fn fill_range(&mut self, range: Range<usize>, fill: bool) {
         debug_assert!(range.end <= self.len);
@@ -167,12 +162,6 @@ impl BitMask {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of set bits within `range`.
-    pub fn count_ones_in(&self, range: Range<usize>) -> usize {
-        // Rare path (debug asserts, zone construction); bit-at-a-time is fine.
-        range.filter(|&i| self.get(i)).count()
     }
 
     /// Iterate the indices of set bits in ascending order, skipping zero

@@ -274,7 +274,7 @@ mod tests {
         let mut c = Catalog::new();
         c.register(Table::from_csv("covid", SAMPLE).unwrap());
         let r = c.execute_sql("SELECT state FROM covid WHERE cases > 90").unwrap();
-        assert_eq!(r.rows, vec![vec![Value::str("NY")]]);
+        assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("NY")]]);
     }
 
     #[test]

@@ -262,8 +262,8 @@ impl<'c> ExecCtx<'c> {
                     )));
                 }
                 let mut saw_null = false;
-                for row in &result.rows {
-                    match cmp_values(&needle, &row[0])? {
+                for v in result.column(0) {
+                    match cmp_values(&needle, v)? {
                         None => saw_null = true,
                         Some(Ordering::Equal) => return Ok(Value::Bool(!negated)),
                         Some(_) => {}
@@ -277,7 +277,7 @@ impl<'c> ExecCtx<'c> {
             }
             Expr::Exists { subquery, negated } => {
                 let result = self.exec_subquery(subquery, scope)?;
-                Ok(Value::Bool(result.rows.is_empty() == *negated))
+                Ok(Value::Bool(result.is_empty() == *negated))
             }
             Expr::Between { expr, low, high, negated } => {
                 let v = self.eval_ref(expr, scope)?;
@@ -299,9 +299,9 @@ impl<'c> ExecCtx<'c> {
                         result.schema.len()
                     )));
                 }
-                match result.rows.len() {
+                match result.len() {
                     0 => Ok(Value::Null),
-                    1 => Ok(result.rows[0][0].clone()),
+                    1 => Ok(result.columns()[0][0].clone()),
                     n => Err(EngineError::ScalarSubquery(format!(
                         "scalar subquery returned {n} rows"
                     ))),

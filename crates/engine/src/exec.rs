@@ -77,7 +77,7 @@ impl<'c> ExecCtx<'c> {
             .collect();
 
         // Evaluate rows (+ ORDER BY keys alongside).
-        let mut out = Output::default();
+        let mut out = Output::new(items.len());
         if q.is_aggregating() {
             self.execute_grouped(q, schema, rows, &items, outer, &mut out)?;
         } else {
@@ -85,7 +85,7 @@ impl<'c> ExecCtx<'c> {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
             for row in rows {
-                self.check_limits(out.rows.len())?;
+                self.check_limits(out.len)?;
                 let scope = Scope { schema, row: &row, parent: outer, aggs: None };
                 let mut values = Vec::with_capacity(items.len());
                 for (expr, _) in &items {
@@ -151,7 +151,7 @@ impl<'c> ExecCtx<'c> {
 
         let null_row = vec![Value::Null; schema.fields.len()];
         for (_, group_rows) in groups {
-            self.check_limits(out.rows.len())?;
+            self.check_limits(out.len)?;
             let mut aggs = AggBindings::default();
             for agg in &agg_exprs {
                 let v = self.compute_aggregate(agg, schema, &group_rows, outer)?;
@@ -245,7 +245,7 @@ impl<'c> ExecCtx<'c> {
         out: &mut Output,
     ) -> Result<()> {
         if q.order_by.is_empty() {
-            out.rows.push(values);
+            out.push_row(values);
             return Ok(());
         }
         let mut keys = Vec::with_capacity(q.order_by.len());
@@ -268,7 +268,7 @@ impl<'c> ExecCtx<'c> {
             }
             keys.push(self.eval(&o.expr, scope)?);
         }
-        out.rows.push(values);
+        out.push_row(values);
         out.keys.push(keys);
         Ok(())
     }
@@ -296,7 +296,10 @@ impl<'c> ExecCtx<'c> {
             }
             TableRef::Subquery { query, alias } => {
                 let result = self.execute_query(query, outer)?;
-                Ok(Relation { schema: qualified(&result.schema, alias), rows: result.rows })
+                Ok(Relation {
+                    schema: qualified(&result.schema, alias),
+                    rows: result.rows().collect(),
+                })
             }
             TableRef::Join { left, right, kind, on } => {
                 let l = self.build_table_ref(left, outer)?;
@@ -453,41 +456,49 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Projected output rows and, when the query sorts, their ORDER BY keys
-/// (`keys[i]` belongs to `rows[i]`; `keys` stays empty otherwise).
-#[derive(Default)]
+/// Projected output columns and, when the query sorts, each row's ORDER BY
+/// keys (`keys[i]` belongs to row `i`; `keys` stays empty otherwise).
 pub(crate) struct Output {
-    pub(crate) rows: Vec<Vec<Value>>,
+    pub(crate) columns: Vec<Vec<Value>>,
+    pub(crate) len: usize,
     pub(crate) keys: Vec<Vec<Value>>,
+}
+
+impl Output {
+    /// An empty output of `width` columns.
+    pub(crate) fn new(width: usize) -> Self {
+        Output { columns: (0..width).map(|_| Vec::new()).collect(), len: 0, keys: Vec::new() }
+    }
+
+    /// Append one row of `width` values.
+    pub(crate) fn push_row(&mut self, values: Vec<Value>) {
+        for (column, v) in self.columns.iter_mut().zip(values) {
+            column.push(v);
+        }
+        self.len += 1;
+    }
 }
 
 /// The shared query tail: DISTINCT, ORDER BY (over the precomputed sort
 /// keys), OFFSET/LIMIT, and dynamic type refinement. Both the reference and the
 /// columnar executors funnel through this, so the post-projection semantics
-/// cannot drift between them.
+/// cannot drift between them. A query without any of them moves its output
+/// columns into the result as they are; otherwise the surviving rows are
+/// picked as an index list and each column is gathered once.
 pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output) -> ResultSet {
-    let Output { mut rows, mut keys } = out;
-    debug_assert!(keys.len() == if q.order_by.is_empty() { 0 } else { rows.len() });
-    // DISTINCT (keeps each row's first occurrence and its keys).
-    if q.distinct {
-        let mut seen: HashSet<&[Value]> = HashSet::new();
-        let first: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
-        let mut it = first.iter();
-        rows.retain(|_| it.next().copied().unwrap_or(false));
-        if !keys.is_empty() {
-            let mut it = first.iter();
-            keys.retain(|_| it.next().copied().unwrap_or(false));
-        }
-    }
-
-    // OFFSET / LIMIT, after ORDER BY (a stable sort; DESC flips per key).
+    let Output { mut columns, mut len, keys } = out;
+    debug_assert!(keys.len() == if q.order_by.is_empty() { 0 } else { len });
     let offset = q.offset.unwrap_or(0) as usize;
     let limit = q.limit.map_or(usize::MAX, |l| l as usize);
-    let final_rows: Vec<Vec<Value>> = if q.order_by.is_empty() {
-        rows.into_iter().skip(offset).take(limit).collect()
-    } else {
+    if q.distinct || !q.order_by.is_empty() || offset > 0 || limit < len {
+        let mut order: Vec<usize> = (0..len).collect();
+        // DISTINCT (keeps each row's first occurrence).
+        if q.distinct {
+            let mut seen: HashSet<Vec<&Value>> = HashSet::new();
+            order.retain(|&i| seen.insert(columns.iter().map(|c| &c[i]).collect()));
+        }
+        // ORDER BY: a stable sort of the surviving rows; DESC flips per key.
         let dirs: Vec<SortDir> = q.order_by.iter().map(|o| o.dir).collect();
-        let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by(|&a, &b| {
             for (i, dir) in dirs.iter().enumerate() {
                 let ord = keys[a][i].cmp(&keys[b][i]);
@@ -501,19 +512,25 @@ pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output
             }
             std::cmp::Ordering::Equal
         });
-        order.into_iter().skip(offset).take(limit).map(|i| std::mem::take(&mut rows[i])).collect()
-    };
+        // OFFSET / LIMIT, after ORDER BY; then one gather per column.
+        let order: Vec<usize> = order.into_iter().skip(offset).take(limit).collect();
+        for column in &mut columns {
+            *column =
+                order.iter().map(|&i| std::mem::replace(&mut column[i], Value::Null)).collect();
+        }
+        len = order.len();
+    }
 
     // Dynamic type refinement for columns the static pass couldn't type.
-    for (i, f) in out_fields.iter_mut().enumerate() {
+    for (f, column) in out_fields.iter_mut().zip(&columns) {
         if f.data_type == DataType::Null {
-            if let Some(v) = final_rows.iter().map(|r| &r[i]).find(|v| !v.is_null()) {
+            if let Some(v) = column.iter().find(|v| !v.is_null()) {
                 f.data_type = v.data_type();
             }
         }
     }
 
-    ResultSet { schema: Schema::new(out_fields), rows: final_rows }
+    ResultSet::new(Schema::new(out_fields), columns, len)
 }
 
 /// `schema`'s fields as a relation schema, qualified by `qualifier` (the

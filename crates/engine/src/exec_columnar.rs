@@ -561,20 +561,25 @@ impl ColCtx<'_> {
             })
             .collect();
 
-        let mut out = Output::default();
+        let mut out = Output::new(self.plan.items.len());
         if q.is_aggregating() {
             self.run_grouped(mask.iter_ones(), &mut out)?;
         } else {
             if q.having.is_some() {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
+            // Room for every selected row, up to one past the row limit.
+            let cap = self.limits.max_rows.map_or(usize::MAX, |m| m.saturating_add(1));
+            let selected = mask.count_ones().min(cap);
+            for column in &mut out.columns {
+                column.reserve_exact(selected);
+            }
             for row in mask.iter_ones() {
-                self.check_limits(out.rows.len())?;
-                let mut values = Vec::with_capacity(self.plan.items.len());
-                for e in &self.plan.items {
-                    values.push(self.eval(e, Some(row), &[])?);
+                self.check_limits(out.len)?;
+                for (column, e) in out.columns.iter_mut().zip(&self.plan.items) {
+                    column.push(self.eval(e, Some(row), &[])?);
                 }
-                self.push_output(values, Some(row), &[], &mut out)?;
+                self.push_keys(Some(row), &[], &mut out)?;
             }
         }
 
@@ -607,7 +612,7 @@ impl ColCtx<'_> {
         }
 
         for (_, group_rows) in groups {
-            self.check_limits(out.rows.len())?;
+            self.check_limits(out.len)?;
             let mut agg_values = Vec::with_capacity(plan.aggs.len());
             for agg in &plan.aggs {
                 agg_values.push(self.compute_aggregate(agg, &group_rows)?);
@@ -620,11 +625,10 @@ impl ColCtx<'_> {
                     continue;
                 }
             }
-            let mut values = Vec::with_capacity(plan.items.len());
-            for e in &plan.items {
-                values.push(self.eval(e, rep, &agg_values)?);
+            for (column, e) in out.columns.iter_mut().zip(&plan.items) {
+                column.push(self.eval(e, rep, &agg_values)?);
             }
-            self.push_output(values, rep, &agg_values, out)?;
+            self.push_keys(rep, &agg_values, out)?;
         }
         Ok(())
     }
@@ -677,25 +681,20 @@ impl ColCtx<'_> {
         }
     }
 
-    /// Append one output row, and its ORDER BY keys when the query sorts.
-    fn push_output(
-        &self,
-        values: Vec<Value>,
-        row: Option<usize>,
-        aggs: &[Value],
-        out: &mut Output,
-    ) -> Result<()> {
+    /// Count the output row just pushed into `out`'s columns, and record its
+    /// ORDER BY keys when the query sorts.
+    fn push_keys(&self, row: Option<usize>, aggs: &[Value], out: &mut Output) -> Result<()> {
         if !self.plan.order_keys.is_empty() {
             let mut keys = Vec::with_capacity(self.plan.order_keys.len());
             for spec in &self.plan.order_keys {
                 keys.push(match spec {
-                    KeySpec::Output(i) => values[*i].clone(),
+                    KeySpec::Output(i) => out.columns[*i][out.len].clone(),
                     KeySpec::Compiled(e) => self.eval(e, row, aggs)?,
                 });
             }
             out.keys.push(keys);
         }
-        out.rows.push(values);
+        out.len += 1;
         Ok(())
     }
 

@@ -32,7 +32,7 @@
 //!
 //! let q = parse_query("SELECT state FROM covid WHERE cases > 200").unwrap();
 //! let result = catalog.execute(&q).unwrap();
-//! assert_eq!(result.rows, vec![vec![Value::str("FL")]]);
+//! assert_eq!(*result.columns()[0], [Value::str("FL")]);
 //! ```
 
 pub mod catalog;

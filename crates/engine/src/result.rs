@@ -5,31 +5,65 @@ use crate::stats::ColumnStats;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The materialized result of executing a query: an inferred output schema
-/// plus the result rows.
+/// plus one shared column of values per output field. The columns are
+/// behind [`Arc`]s so the result cache, sessions and retained scenes hold
+/// the same storage instead of copying it.
+///
+/// Equality is value equality: same schema, same row count, equal cells.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultSet {
     /// The output schema.
     pub schema: Schema,
-    /// The data rows.
-    pub rows: Vec<Vec<Value>>,
+    columns: Vec<Arc<Vec<Value>>>,
+    len: usize,
 }
 
 impl ResultSet {
+    /// A result from columns that each hold `len` values (one column per
+    /// schema field).
+    pub(crate) fn new(schema: Schema, columns: Vec<Vec<Value>>, len: usize) -> Self {
+        assert!(
+            columns.len() == schema.len() && columns.iter().all(|c| c.len() == len),
+            "result columns must match the schema and hold one value per row"
+        );
+        ResultSet { schema, columns: columns.into_iter().map(Arc::new).collect(), len }
+    }
+
+    /// A result from row-major data (each row holds one value per schema
+    /// field).
+    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
+        let mut out = crate::exec::Output::new(schema.len());
+        rows.into_iter().for_each(|row| out.push_row(row));
+        ResultSet::new(schema, out.columns, out.len)
+    }
+
     /// Number of result rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True if the result has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
+    }
+
+    /// The shared output columns, in schema order.
+    pub fn columns(&self) -> &[Arc<Vec<Value>>] {
+        &self.columns
     }
 
     /// All values of output column `idx`.
     pub fn column(&self, idx: usize) -> impl Iterator<Item = &Value> {
-        self.rows.iter().map(move |r| &r[idx])
+        self.columns[idx].iter()
+    }
+
+    /// The rows, each copied out of the columns (for row consumers such as
+    /// table renderers).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Vec<Value>> + '_ {
+        (0..self.len).map(|i| self.columns.iter().map(|c| c[i].clone()).collect())
     }
 
     /// Statistics for output column `idx`.
@@ -43,7 +77,7 @@ impl ResultSet {
         let headers: Vec<String> = self.schema.fields.iter().map(|f| f.name.clone()).collect();
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         let cells: Vec<Vec<String>> =
-            self.rows.iter().map(|r| r.iter().map(|v| v.to_string()).collect()).collect();
+            self.rows().map(|r| r.iter().map(|v| v.to_string()).collect()).collect();
         for row in &cells {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
@@ -91,16 +125,13 @@ mod tests {
 
     #[test]
     fn ascii_table_renders() {
-        let rs = ResultSet {
-            schema: Schema::new(vec![
+        let rs = ResultSet::from_rows(
+            Schema::new(vec![
                 Field::new("state", DataType::Str),
                 Field::new("cases", DataType::Int),
             ]),
-            rows: vec![
-                vec![Value::str("NY"), Value::Int(1200)],
-                vec![Value::str("FL"), Value::Int(87)],
-            ],
-        };
+            vec![vec![Value::str("NY"), Value::Int(1200)], vec![Value::str("FL"), Value::Int(87)]],
+        );
         let t = rs.to_ascii_table();
         assert!(t.contains("| state | cases |"));
         assert!(t.contains("| NY    | 1200  |"));

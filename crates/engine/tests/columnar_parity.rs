@@ -16,7 +16,11 @@ fn assert_parity(catalog: &Catalog, sql: &str) {
             let r_schema: Vec<(&str, DataType)> =
                 r.schema.fields.iter().map(|x| (x.name.as_str(), x.data_type)).collect();
             assert_eq!(f_schema, r_schema, "schema mismatch for {sql}");
-            assert_eq!(f.rows, r.rows, "row mismatch for {sql}");
+            assert_eq!(
+                f.rows().collect::<Vec<_>>(),
+                r.rows().collect::<Vec<_>>(),
+                "row mismatch for {sql}"
+            );
         }
         (Err(f), Err(r)) => {
             assert_eq!(f.to_string(), r.to_string(), "error mismatch for {sql}");
@@ -176,7 +180,12 @@ fn demo_scenarios_match_reference() {
             let reference = scenario.catalog.execute_reference(q);
             match (fast, reference) {
                 (Ok(f), Ok(r)) => {
-                    assert_eq!(f.rows, r.rows, "rows differ on {}: {q}", scenario.name);
+                    assert_eq!(
+                        f.rows().collect::<Vec<_>>(),
+                        r.rows().collect::<Vec<_>>(),
+                        "rows differ on {}: {q}",
+                        scenario.name
+                    );
                     assert_eq!(f.schema, r.schema, "schema differs on {}: {q}", scenario.name);
                 }
                 (Err(f), Err(r)) => assert_eq!(f.to_string(), r.to_string()),

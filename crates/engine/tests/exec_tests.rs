@@ -47,8 +47,8 @@ fn run(c: &Catalog, sql: &str) -> std::sync::Arc<pi2_engine::ResultSet> {
 fn projection_and_filter() {
     let c = fixture();
     let r = run(&c, "SELECT state, cases FROM covid WHERE cases > 100");
-    assert_eq!(r.rows.len(), 3);
-    assert!(r.rows.iter().all(|row| matches!(&row[1], Value::Int(v) if *v > 100)));
+    assert_eq!(r.len(), 3);
+    assert!(r.rows().all(|row| matches!(&row[1], Value::Int(v) if *v > 100)));
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn select_star_expands() {
     let r = run(&c, "SELECT * FROM regions");
     assert_eq!(r.schema.fields.len(), 2);
     assert_eq!(r.schema.fields[0].name, "state");
-    assert_eq!(r.rows.len(), 3);
+    assert_eq!(r.len(), 3);
 }
 
 #[test]
@@ -65,7 +65,7 @@ fn qualified_star() {
     let c = fixture();
     let r = run(&c, "SELECT r.* FROM covid c JOIN regions r ON c.state = r.state");
     assert_eq!(r.schema.fields.len(), 2);
-    assert_eq!(r.rows.len(), 9);
+    assert_eq!(r.len(), 9);
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn arithmetic_projection_types() {
     let r = run(&c, "SELECT cases * 2 AS double_cases FROM covid LIMIT 1");
     assert_eq!(r.schema.fields[0].name, "double_cases");
     assert_eq!(r.schema.fields[0].data_type, DataType::Int);
-    assert_eq!(r.rows[0][0], Value::Int(200));
+    assert_eq!(r.columns()[0][0], Value::Int(200));
 }
 
 #[test]
@@ -82,37 +82,37 @@ fn group_by_aggregates() {
     let c = fixture();
     let r =
         run(&c, "SELECT state, sum(cases) AS total FROM covid GROUP BY state ORDER BY total DESC");
-    assert_eq!(r.rows.len(), 3);
-    assert_eq!(r.rows[0], vec![Value::str("NY"), Value::Int(450)]);
-    assert_eq!(r.rows[1], vec![Value::str("FL"), Value::Int(330)]);
-    assert_eq!(r.rows[2], vec![Value::str("VT"), Value::Int(18)]);
+    assert_eq!(r.len(), 3);
+    assert_eq!(r.rows().next().unwrap(), vec![Value::str("NY"), Value::Int(450)]);
+    assert_eq!(r.rows().nth(1).unwrap(), vec![Value::str("FL"), Value::Int(330)]);
+    assert_eq!(r.rows().nth(2).unwrap(), vec![Value::str("VT"), Value::Int(18)]);
 }
 
 #[test]
 fn global_aggregate_without_group_by() {
     let c = fixture();
     let r = run(&c, "SELECT count(*), sum(cases), avg(cases), min(cases), max(cases) FROM covid");
-    assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Int(9));
-    assert_eq!(r.rows[0][1], Value::Int(798));
-    assert_eq!(r.rows[0][3], Value::Int(5));
-    assert_eq!(r.rows[0][4], Value::Int(200));
+    assert_eq!(r.len(), 1);
+    assert_eq!(r.columns()[0][0], Value::Int(9));
+    assert_eq!(r.columns()[1][0], Value::Int(798));
+    assert_eq!(r.columns()[3][0], Value::Int(5));
+    assert_eq!(r.columns()[4][0], Value::Int(200));
 }
 
 #[test]
 fn aggregate_over_empty_input_yields_one_row() {
     let c = fixture();
     let r = run(&c, "SELECT count(*), sum(cases) FROM covid WHERE cases > 99999");
-    assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Int(0));
-    assert_eq!(r.rows[0][1], Value::Null);
+    assert_eq!(r.len(), 1);
+    assert_eq!(r.columns()[0][0], Value::Int(0));
+    assert_eq!(r.columns()[1][0], Value::Null);
 }
 
 #[test]
 fn group_by_empty_group_vanishes() {
     let c = fixture();
     let r = run(&c, "SELECT state, count(*) FROM covid WHERE cases > 99999 GROUP BY state");
-    assert!(r.rows.is_empty());
+    assert!(r.is_empty());
 }
 
 #[test]
@@ -120,23 +120,24 @@ fn having_filters_groups() {
     let c = fixture();
     let r =
         run(&c, "SELECT state FROM covid GROUP BY state HAVING sum(cases) > 100 ORDER BY state");
-    assert_eq!(r.rows, vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
 }
 
 #[test]
 fn count_distinct() {
     let c = fixture();
     let r = run(&c, "SELECT count(DISTINCT state) FROM covid");
-    assert_eq!(r.rows[0][0], Value::Int(3));
+    assert_eq!(r.columns()[0][0], Value::Int(3));
 }
 
 #[test]
 fn inner_join_hash_path() {
     let c = fixture();
     let r = run(&c, "SELECT c.state, r.region FROM covid c JOIN regions r ON c.state = r.state WHERE c.cases > 100");
-    assert_eq!(r.rows.len(), 3);
+    assert_eq!(r.len(), 3);
     assert!(r
-        .rows
+        .rows()
+        .collect::<Vec<_>>()
         .iter()
         .all(|row| row[1] == Value::str("Northeast") || row[1] == Value::str("South")));
 }
@@ -148,7 +149,7 @@ fn join_with_residual_predicate() {
         &c,
         "SELECT c.state FROM covid c JOIN regions r ON c.state = r.state AND c.cases > 150 ORDER BY c.state",
     );
-    assert_eq!(r.rows, vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
 }
 
 #[test]
@@ -159,32 +160,32 @@ fn left_join_keeps_unmatched() {
     extra.push_row(vec![Value::str("NY"), Value::Int(19)]).unwrap();
     c.register(extra);
     let r = run(&c, "SELECT r.state, e.pop FROM regions r LEFT JOIN extra e ON r.state = e.state ORDER BY r.state");
-    assert_eq!(r.rows.len(), 3);
+    assert_eq!(r.len(), 3);
     // FL and VT unmatched -> NULL pop.
-    assert_eq!(r.rows[0], vec![Value::str("FL"), Value::Null]);
-    assert_eq!(r.rows[1], vec![Value::str("NY"), Value::Int(19)]);
-    assert_eq!(r.rows[2], vec![Value::str("VT"), Value::Null]);
+    assert_eq!(r.rows().next().unwrap(), vec![Value::str("FL"), Value::Null]);
+    assert_eq!(r.rows().nth(1).unwrap(), vec![Value::str("NY"), Value::Int(19)]);
+    assert_eq!(r.rows().nth(2).unwrap(), vec![Value::str("VT"), Value::Null]);
 }
 
 #[test]
 fn cross_join_cardinality() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM covid CROSS JOIN regions");
-    assert_eq!(r.rows[0][0], Value::Int(27));
+    assert_eq!(r.columns()[0][0], Value::Int(27));
 }
 
 #[test]
 fn comma_join_is_cross_product() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM covid, regions");
-    assert_eq!(r.rows[0][0], Value::Int(27));
+    assert_eq!(r.columns()[0][0], Value::Int(27));
 }
 
 #[test]
 fn nested_loop_join_on_inequality() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM regions a JOIN regions b ON a.state < b.state");
-    assert_eq!(r.rows[0][0], Value::Int(3)); // FL<NY, FL<VT, NY<VT
+    assert_eq!(r.columns()[0][0], Value::Int(3)); // FL<NY, FL<VT, NY<VT
 }
 
 #[test]
@@ -194,8 +195,8 @@ fn derived_table() {
         &c,
         "SELECT s.state, s.total FROM (SELECT state, sum(cases) AS total FROM covid GROUP BY state) AS s WHERE s.total > 100 ORDER BY s.total",
     );
-    assert_eq!(r.rows.len(), 2);
-    assert_eq!(r.rows[0][0], Value::str("FL"));
+    assert_eq!(r.len(), 2);
+    assert_eq!(r.columns()[0][0], Value::str("FL"));
 }
 
 #[test]
@@ -203,8 +204,8 @@ fn scalar_subquery() {
     let c = fixture();
     let r = run(&c, "SELECT state, cases FROM covid WHERE cases > (SELECT avg(cases) FROM covid) ORDER BY cases");
     // avg = 88.67 -> rows with cases in {90,100,150,160,200}
-    assert_eq!(r.rows.len(), 5);
-    assert_eq!(r.rows[0][1], Value::Int(90));
+    assert_eq!(r.len(), 5);
+    assert_eq!(r.columns()[1][0], Value::Int(90));
 }
 
 #[test]
@@ -214,7 +215,7 @@ fn in_subquery() {
         &c,
         "SELECT DISTINCT state FROM covid WHERE state IN (SELECT state FROM regions WHERE region = 'Northeast') ORDER BY state",
     );
-    assert_eq!(r.rows, vec![vec![Value::str("NY")], vec![Value::str("VT")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("NY")], vec![Value::str("VT")]]);
 }
 
 #[test]
@@ -224,7 +225,7 @@ fn exists_correlated() {
         &c,
         "SELECT DISTINCT r.state FROM regions r WHERE EXISTS (SELECT 1 FROM covid c WHERE c.state = r.state AND c.cases > 150) ORDER BY r.state",
     );
-    assert_eq!(r.rows, vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("FL")], vec![Value::str("NY")]]);
 }
 
 #[test]
@@ -236,7 +237,7 @@ fn correlated_scalar_subquery() {
         "SELECT DISTINCT state, (SELECT max(c2.cases) FROM covid c2 WHERE c2.state = c.state) AS peak FROM covid c ORDER BY state",
     );
     assert_eq!(
-        r.rows,
+        r.rows().collect::<Vec<_>>(),
         vec![
             vec![Value::str("FL"), Value::Int(160)],
             vec![Value::str("NY"), Value::Int(200)],
@@ -258,7 +259,7 @@ fn demo_q4_correlated_region_average() {
                WHERE r3.region = r.region)) ORDER BY c.state",
     );
     // Northeast: NY avg 150 vs region avg 78 -> NY above. South: FL alone, avg == region avg -> excluded.
-    assert_eq!(r.rows, vec![vec![Value::str("NY")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("NY")]]);
 }
 
 #[test]
@@ -268,36 +269,39 @@ fn between_dates() {
         &c,
         "SELECT count(*) FROM covid WHERE date BETWEEN DATE '2021-12-02' AND DATE '2021-12-03'",
     );
-    assert_eq!(r.rows[0][0], Value::Int(6));
+    assert_eq!(r.columns()[0][0], Value::Int(6));
 }
 
 #[test]
 fn order_by_multiple_keys_and_direction() {
     let c = fixture();
     let r = run(&c, "SELECT state, cases FROM covid ORDER BY state ASC, cases DESC LIMIT 2");
-    assert_eq!(r.rows[0], vec![Value::str("FL"), Value::Int(160)]);
-    assert_eq!(r.rows[1], vec![Value::str("FL"), Value::Int(90)]);
+    assert_eq!(r.rows().next().unwrap(), vec![Value::str("FL"), Value::Int(160)]);
+    assert_eq!(r.rows().nth(1).unwrap(), vec![Value::str("FL"), Value::Int(90)]);
 }
 
 #[test]
 fn order_by_position() {
     let c = fixture();
     let r = run(&c, "SELECT state, sum(cases) FROM covid GROUP BY state ORDER BY 2 DESC LIMIT 1");
-    assert_eq!(r.rows[0][0], Value::str("NY"));
+    assert_eq!(r.columns()[0][0], Value::str("NY"));
 }
 
 #[test]
 fn limit_offset() {
     let c = fixture();
     let r = run(&c, "SELECT cases FROM covid ORDER BY cases LIMIT 3 OFFSET 2");
-    assert_eq!(r.rows, vec![vec![Value::Int(7)], vec![Value::Int(80)], vec![Value::Int(90)]]);
+    assert_eq!(
+        r.rows().collect::<Vec<_>>(),
+        vec![vec![Value::Int(7)], vec![Value::Int(80)], vec![Value::Int(90)]]
+    );
 }
 
 #[test]
 fn distinct_dedups() {
     let c = fixture();
     let r = run(&c, "SELECT DISTINCT state FROM covid");
-    assert_eq!(r.rows.len(), 3);
+    assert_eq!(r.len(), 3);
 }
 
 #[test]
@@ -308,7 +312,7 @@ fn case_expression() {
         "SELECT DISTINCT state, CASE WHEN cases >= 100 THEN 'high' ELSE 'low' END AS band FROM covid WHERE date = DATE '2021-12-01' ORDER BY state",
     );
     assert_eq!(
-        r.rows,
+        r.rows().collect::<Vec<_>>(),
         vec![
             vec![Value::str("FL"), Value::str("low")],
             vec![Value::str("NY"), Value::str("high")],
@@ -324,21 +328,21 @@ fn like_and_in_list() {
         &c,
         "SELECT DISTINCT state FROM covid WHERE state LIKE 'N%' OR state IN ('VT')  ORDER BY state",
     );
-    assert_eq!(r.rows, vec![vec![Value::str("NY")], vec![Value::str("VT")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::str("NY")], vec![Value::str("VT")]]);
 }
 
 #[test]
 fn date_functions() {
     let c = fixture();
     let r = run(&c, "SELECT DISTINCT year(date), month(date) FROM covid");
-    assert_eq!(r.rows, vec![vec![Value::Int(2021), Value::Int(12)]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::Int(2021), Value::Int(12)]]);
 }
 
 #[test]
 fn select_without_from() {
     let c = Catalog::new();
     let r = run(&c, "SELECT 1 + 2 AS three, 'x' AS s");
-    assert_eq!(r.rows, vec![vec![Value::Int(3), Value::str("x")]]);
+    assert_eq!(r.rows().collect::<Vec<_>>(), vec![vec![Value::Int(3), Value::str("x")]]);
     assert_eq!(r.schema.fields[0].name, "three");
 }
 
@@ -394,12 +398,12 @@ fn null_handling_in_where() {
     c.register(t);
     // NULL > 0 is NULL -> filtered out.
     let r = run(&c, "SELECT a FROM t WHERE a > 0");
-    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.len(), 1);
     let r = run(&c, "SELECT a FROM t WHERE a IS NULL");
-    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.len(), 1);
     // count(a) skips NULLs, count(*) doesn't.
     let r = run(&c, "SELECT count(a), count(*) FROM t");
-    assert_eq!(r.rows[0], vec![Value::Int(1), Value::Int(2)]);
+    assert_eq!(r.rows().next().unwrap(), vec![Value::Int(1), Value::Int(2)]);
 }
 
 #[test]
@@ -411,8 +415,8 @@ fn group_by_groups_nulls_together() {
     t.push_row(vec![Value::str("a"), Value::Int(3)]).unwrap();
     c.register(t);
     let r = run(&c, "SELECT k, sum(v) FROM t GROUP BY k ORDER BY k");
-    assert_eq!(r.rows.len(), 2);
-    assert_eq!(r.rows[0], vec![Value::Null, Value::Int(3)]);
+    assert_eq!(r.len(), 2);
+    assert_eq!(r.rows().next().unwrap(), vec![Value::Null, Value::Int(3)]);
 }
 
 #[test]

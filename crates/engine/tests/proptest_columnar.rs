@@ -78,7 +78,12 @@ fn assert_parity(c: &Catalog, sql: &str) -> std::result::Result<(), TestCaseErro
     match (c.execute_uncached(&q), c.execute_reference(&q)) {
         (Ok(f), Ok(r)) => {
             prop_assert_eq!(&f.schema.fields, &r.schema.fields, "schema mismatch for {}", sql);
-            prop_assert_eq!(&f.rows, &r.rows, "row mismatch for {}", sql);
+            prop_assert_eq!(
+                &f.rows().collect::<Vec<_>>(),
+                &r.rows().collect::<Vec<_>>(),
+                "row mismatch for {}",
+                sql
+            );
         }
         (Err(f), Err(r)) => {
             prop_assert_eq!(f.to_string(), r.to_string(), "error mismatch for {}", sql);
@@ -104,7 +109,12 @@ fn assert_delta_parity(
     match (res, c.execute_reference(&q)) {
         (Ok(d), Ok(r)) => {
             prop_assert_eq!(&d.schema.fields, &r.schema.fields, "schema for {}", sql);
-            prop_assert_eq!(&d.rows, &r.rows, "rows for {}", sql);
+            prop_assert_eq!(
+                &d.rows().collect::<Vec<_>>(),
+                &r.rows().collect::<Vec<_>>(),
+                "rows for {}",
+                sql
+            );
         }
         (Err(d), Err(r)) => {
             prop_assert_eq!(d.to_string(), r.to_string(), "error for {}", sql);

@@ -44,7 +44,7 @@ proptest! {
             .execute_sql(&format!("SELECT count(*) FROM t WHERE v > {threshold}"))
             .expect("executes");
         let expected = rows.iter().filter(|r| r.v > threshold).count() as i64;
-        prop_assert_eq!(&r.rows[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
     }
 
     #[test]
@@ -59,8 +59,8 @@ proptest! {
             e.0 += row.v;
             e.1 += 1;
         }
-        prop_assert_eq!(r.rows.len(), expected.len());
-        for (out, (k, (sum, count))) in r.rows.iter().zip(expected) {
+        prop_assert_eq!(r.len(), expected.len());
+        for (out, (k, (sum, count))) in r.rows().zip(expected) {
             prop_assert_eq!(&out[0], &Value::Int(k));
             prop_assert_eq!(&out[1], &Value::Int(sum));
             prop_assert_eq!(&out[2], &Value::Int(count));
@@ -74,14 +74,14 @@ proptest! {
         let grouped = c.execute_sql("SELECT s, sum(v) FROM t GROUP BY s").expect("executes");
         let total = c.execute_sql("SELECT sum(v) FROM t").expect("executes");
         let group_total: i64 = grouped
-            .rows
+            .rows().collect::<Vec<_>>()
             .iter()
             .map(|r| match &r[1] {
                 Value::Int(v) => *v,
                 other => panic!("{other}"),
             })
             .sum();
-        prop_assert_eq!(&total.rows[0][0], &Value::Int(group_total));
+        prop_assert_eq!(&total.columns()[0][0], &Value::Int(group_total));
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
             *counts.entry(row.k).or_insert(0) += 1;
         }
         let expected: i64 = counts.values().map(|n| n * n).sum();
-        prop_assert_eq!(&r.rows[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
     }
 
     #[test]
@@ -108,7 +108,7 @@ proptest! {
         let pair = c
             .execute_sql(&format!("SELECT count(*) FROM t WHERE v >= {lo} AND v <= {hi}"))
             .expect("executes");
-        prop_assert_eq!(&between.rows[0][0], &pair.rows[0][0]);
+        prop_assert_eq!(&between.columns()[0][0], &pair.columns()[0][0]);
     }
 
     #[test]
@@ -121,7 +121,7 @@ proptest! {
         expected.sort_unstable_by(|a, b| b.cmp(a));
         expected.truncate(limit as usize);
         let got: Vec<i64> = r
-            .rows
+            .rows().collect::<Vec<_>>()
             .iter()
             .map(|row| match &row[0] {
                 Value::Int(v) => *v,
@@ -136,7 +136,7 @@ proptest! {
         let c = catalog_of(&rows);
         let r = c.execute_sql("SELECT DISTINCT k FROM t").expect("executes");
         let expected: std::collections::BTreeSet<i64> = rows.iter().map(|r| r.k).collect();
-        prop_assert_eq!(r.rows.len(), expected.len());
+        prop_assert_eq!(r.len(), expected.len());
     }
 
     #[test]
@@ -155,7 +155,7 @@ proptest! {
             *e = (*e).max(row.v);
         }
         let expected = rows.iter().filter(|r| maxima[&r.k] == r.v).count() as i64;
-        prop_assert_eq!(&r.rows[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
     }
 
     #[test]

@@ -264,7 +264,7 @@ fn where_catalog() -> Catalog {
 /// The reference result of `sql`, with its rows or error text.
 fn reference(c: &Catalog, sql: &str) -> Result<Vec<Vec<Value>>, String> {
     let q = parse_query(sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
-    c.execute_reference(&q).map(|r| r.rows).map_err(|e| e.to_string())
+    c.execute_reference(&q).map(|r| r.rows().collect::<Vec<_>>()).map_err(|e| e.to_string())
 }
 
 /// `FROM t` streams the cursor into WHERE; `FROM (SELECT * FROM t) AS t`
@@ -320,5 +320,5 @@ fn correlated_exists_scans_the_inner_table_through_the_cursor() {
     assert_eq!(streamed, expected);
     // The fast path answers the same query identically.
     let q = parse_query(&sql("u")).unwrap();
-    assert_eq!(c.execute_uncached(&q).unwrap().rows, expected);
+    assert_eq!(c.execute_uncached(&q).unwrap().rows().collect::<Vec<_>>(), expected);
 }

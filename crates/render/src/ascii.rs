@@ -1,7 +1,7 @@
 //! ASCII rendering of charts, widgets, and layouts for the terminal.
 
 use pi2_core::ChartUpdate;
-use pi2_engine::{ResultSet, Value};
+use pi2_engine::ResultSet;
 use pi2_interface::{Channel, Chart, Element, Interface, Layout, Mark, Widget, WidgetKind};
 
 /// Default plot area for one chart, in characters.
@@ -272,9 +272,9 @@ fn field_index(result: &ResultSet, chart: &Chart, channel: Channel) -> Option<us
 }
 
 fn truncate_table(result: &ResultSet) -> String {
-    let mut capped = result.clone();
-    let total = capped.rows.len();
-    capped.rows.truncate(MAX_ROWS);
+    let capped =
+        ResultSet::from_rows(result.schema.clone(), result.rows().take(MAX_ROWS).collect());
+    let total = result.len();
     let mut s = String::new();
     for line in capped.to_ascii_table().lines() {
         s.push_str(&clip_line(line, PLOT_W));
@@ -317,7 +317,7 @@ fn render_bar(chart: &Chart, result: &ResultSet) -> String {
     let mut order: Vec<String> = Vec::new();
     let mut totals: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     let mut series: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for row in &result.rows {
+    for row in result.rows() {
         let key = row[xi].to_string();
         if !totals.contains_key(&key) {
             order.push(key.clone());
@@ -360,8 +360,7 @@ fn render_grid(chart: &Chart, result: &ResultSet) -> String {
     };
     let color_i = field_index(result, chart, Channel::Color);
     let pts: Vec<(f64, f64, Option<String>)> = result
-        .rows
-        .iter()
+        .rows()
         .filter_map(|row| {
             Some((row[xi].as_f64()?, row[yi].as_f64()?, color_i.map(|ci| row[ci].to_string())))
         })
@@ -433,7 +432,7 @@ fn render_heatmap(chart: &Chart, result: &ResultSet) -> String {
     let mut ys: Vec<String> = Vec::new();
     let mut cells: std::collections::HashMap<(usize, usize), f64> =
         std::collections::HashMap::new();
-    for row in &result.rows {
+    for row in result.rows() {
         let xk = row[xi].to_string();
         let yk = row[yi].to_string();
         let x = xs.iter().position(|v| *v == xk).unwrap_or_else(|| {
@@ -499,11 +498,6 @@ fn human(v: f64) -> String {
     }
 }
 
-/// Convenience: format one value (used by example binaries).
-pub fn value_str(v: &Value) -> String {
-    v.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +536,7 @@ mod tests {
             ],
         };
         let rows = (0..3).map(|i| vec![Value::Int(i), Value::Str("é".repeat(120))]).collect();
-        let result = ResultSet { schema, rows };
+        let result = ResultSet::from_rows(schema, rows);
         let text = truncate_table(&result);
         for line in text.lines() {
             assert!(

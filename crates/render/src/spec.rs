@@ -65,12 +65,11 @@ pub(crate) fn chart_spec(chart: &Chart, update: Option<&ChartUpdate>) -> Json {
         let columns: Vec<&str> = u.result.schema.fields.iter().map(|f| f.name.as_str()).collect();
         let rows: Vec<Json> = u
             .result
-            .rows
-            .iter()
+            .rows()
             .map(|row| {
                 let obj: serde_json::Map<String, Json> = columns
                     .iter()
-                    .zip(row)
+                    .zip(&row)
                     .map(|(c, v)| ((*c).to_string(), value_json(v)))
                     .collect();
                 Json::Object(obj)

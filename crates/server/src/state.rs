@@ -511,7 +511,7 @@ impl ServerState {
             Ok(result) => {
                 let columns: Vec<Value> =
                     result.schema.fields.iter().map(|f| json!(f.name.clone())).collect();
-                json!({"ok": true, "cell": cell, "rows": result.rows.len(), "columns": columns})
+                json!({"ok": true, "cell": cell, "rows": result.len(), "columns": columns})
             }
             Err(e) => notebook_error(&e),
         }
@@ -613,7 +613,7 @@ impl ServerState {
                             let mut obj = json!({
                                 "chart": u.chart,
                                 "sql": u.query.to_string(),
-                                "rows": u.result.rows.len(),
+                                "rows": u.result.len(),
                             });
                             if include_data {
                                 obj["data"] = result_rows(&u.result);
@@ -1558,8 +1558,7 @@ fn to_line(v: &Value) -> String {
 fn result_rows(result: &pi2_engine::ResultSet) -> Value {
     Value::Array(
         result
-            .rows
-            .iter()
+            .rows()
             .map(|row| Value::Array(row.iter().map(protocol::engine_value_to_json).collect()))
             .collect(),
     )

@@ -71,8 +71,10 @@ fn main() {
             let id = nb.add_cell(line);
             match nb.run_cell(id) {
                 Ok(result) => {
-                    let mut capped = result.clone();
-                    capped.rows.truncate(8);
+                    let capped = pi2_engine::ResultSet::from_rows(
+                        result.schema.clone(),
+                        result.rows().take(8).collect(),
+                    );
                     println!("{}", capped.to_ascii_table());
                     if result.len() > 8 {
                         println!("… {} more rows", result.len() - 8);

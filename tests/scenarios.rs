@@ -44,7 +44,7 @@ fn sdss_session_survives_random_event_storms() {
                 // The session's result must equal direct execution of the
                 // same SQL.
                 let direct = catalog.execute(&u.query).expect("direct execution");
-                assert_eq!(direct.rows.len(), u.result.rows.len());
+                assert_eq!(direct.len(), u.result.len());
                 // And the query stays inside the DiffTree's language.
                 assert!(
                     pi2_difftree::expresses(&g.forest.trees[0], &u.query).is_some(),

@@ -49,6 +49,12 @@ cargo run -q --release -p pi2-bench --bin regen_latency > /dev/null
 echo "== performance gates (release) =="
 cargo test -q --release -p pi2-bench --test gates
 
+# The JSON float printer's exact path must print every finite f64 as Rust's
+# `{v}` plus the forced `.0` (vendor/serde_json/tests/float_print.rs): ten
+# million values in release, 100k in the debug run above.
+echo "== float printer sweep (release) =="
+cargo test -q --release -p serde_json --test float_print
+
 # Footprint gate (crates/datasets/tests/footprint.rs): building the 1M-row
 # SDSS catalog may raise VmHWM by at most 160 MiB, so each table is held
 # once, as typed columns. Release-only, in a binary of its own because

@@ -650,16 +650,18 @@ impl SceneDelta {
 // Diff pass
 // ---------------------------------------------------------------------------
 
-/// The row-key hasher: FxHash's multiply-rotate step over 64-bit words,
-/// then SplitMix64's finalizer so every key bit depends on every input
-/// bit. It is not collision-resistant, and need not be: keys only propose
-/// anchors, and [`edit_script`] verifies every anchor by value.
+/// The row-key hasher: a folded 64×64→128-bit multiply per 64-bit word
+/// (the high half folded into the low, so high input bits reach low state
+/// bits), then SplitMix64's finalizer so every key bit depends on every
+/// input bit. It is not collision-resistant, and need not be: keys only
+/// propose anchors, and [`edit_script`] verifies every anchor by value.
 #[derive(Default)]
 struct RowHasher(u64);
 
 impl RowHasher {
     fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 
@@ -765,25 +767,7 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
     if cand.is_empty() {
         return None;
     }
-    // Patience LIS over the old indices.
-    let mut tails: Vec<usize> = Vec::new();
-    let mut prev: Vec<Option<usize>> = vec![None; cand.len()];
-    for (ci, &(i, _)) in cand.iter().enumerate() {
-        let pos = tails.partition_point(|&t| cand[t].0 < i);
-        prev[ci] = pos.checked_sub(1).map(|p| tails[p]);
-        if pos == tails.len() {
-            tails.push(ci);
-        } else {
-            tails[pos] = ci;
-        }
-    }
-    let mut chain = Vec::new();
-    let mut cur = tails.last().copied();
-    while let Some(ci) = cur {
-        chain.push(cand[ci]);
-        cur = prev[ci];
-    }
-    chain.reverse();
+    let chain = anchor_chain(&cand);
     // Anchors are matched by hash; verify each cell exactly so a collision
     // (or a cell that changed type but not value) can never corrupt the
     // client's scene.
@@ -824,6 +808,36 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
     };
     let inserted = if total == 0 { Vec::new() } else { new.columns.iter().map(gather).collect() };
     Some(DataPatch::Edits { inserted, ops: edits })
+}
+
+/// The longest chain of `(old, new)` candidates increasing in both
+/// indices, given candidates in increasing new-index order: a patience
+/// longest increasing subsequence over the old indices. A candidate past
+/// the last tail extends the longest chain without a binary search, which
+/// is every candidate of a window shift.
+fn anchor_chain(cand: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut tails: Vec<usize> = Vec::new();
+    let mut prev: Vec<Option<usize>> = vec![None; cand.len()];
+    for (ci, &(i, _)) in cand.iter().enumerate() {
+        let pos = match tails.last() {
+            Some(&t) if cand[t].0 < i => tails.len(),
+            _ => tails.partition_point(|&t| cand[t].0 < i),
+        };
+        prev[ci] = pos.checked_sub(1).map(|p| tails[p]);
+        if pos == tails.len() {
+            tails.push(ci);
+        } else {
+            tails[pos] = ci;
+        }
+    }
+    let mut chain = Vec::with_capacity(tails.len());
+    let mut cur = tails.last().copied();
+    while let Some(ci) = cur {
+        chain.push(cand[ci]);
+        cur = prev[ci];
+    }
+    chain.reverse();
+    chain
 }
 
 /// Diff one chart's data: `None` when unchanged, otherwise the verified
@@ -2040,6 +2054,45 @@ mod tests {
         })
     }
 
+    /// The plain patience loop, a binary search per candidate: the oracle
+    /// for [`anchor_chain`]'s append fast path.
+    fn patience_chain(cand: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let mut tails: Vec<usize> = Vec::new();
+        let mut prev: Vec<Option<usize>> = vec![None; cand.len()];
+        for (ci, &(i, _)) in cand.iter().enumerate() {
+            let pos = tails.partition_point(|&t| cand[t].0 < i);
+            prev[ci] = pos.checked_sub(1).map(|p| tails[p]);
+            if pos == tails.len() {
+                tails.push(ci);
+            } else {
+                tails[pos] = ci;
+            }
+        }
+        let mut chain = Vec::new();
+        let mut cur = tails.last().copied();
+        while let Some(ci) = cur {
+            chain.push(cand[ci]);
+            cur = prev[ci];
+        }
+        chain.reverse();
+        chain
+    }
+
+    #[test]
+    fn large_window_shift_is_one_drop_keep_insert() {
+        let (rows, shift) = (100_000, 1_234);
+        let xs: Vec<Row> = (0..rows as i64 + shift as i64).map(|x| (x, x % 7)).collect();
+        let (old, new) = (pair_scene(&xs[..rows]), pair_scene(&xs[shift..]));
+        let Some(DataPatch::Edits { inserted, ops }) = diff_data(&old, &new) else {
+            panic!("expected edits")
+        };
+        assert_eq!(
+            ops,
+            [RowEdit::Drop(shift), RowEdit::Keep(rows - shift), RowEdit::Insert(shift)]
+        );
+        assert_eq!(inserted, pair_scene(&xs[rows..]).columns);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -2064,6 +2117,23 @@ mod tests {
                     prop_assert_eq!(columns, new.columns);
                 }
             }
+        }
+
+        #[test]
+        fn anchor_chain_is_the_plain_patience_chain(
+            olds in proptest::collection::vec(0usize..500, 0..120),
+            order in 0u8..3,
+        ) {
+            // Unique anchors have distinct old indices.
+            let mut seen = std::collections::HashSet::new();
+            let mut olds: Vec<usize> = olds.into_iter().filter(|i| seen.insert(*i)).collect();
+            match order {
+                0 => {}
+                1 => olds.sort_unstable(),
+                _ => olds.sort_unstable_by(|a, b| b.cmp(a)),
+            }
+            let cand: Vec<(usize, usize)> = olds.into_iter().enumerate().map(|(j, i)| (i, j)).collect();
+            prop_assert_eq!(anchor_chain(&cand), patience_chain(&cand));
         }
 
         #[test]

@@ -314,6 +314,32 @@ impl Column {
             ColumnData::Date(v) => Value::Date(Date(v[i])),
         }
     }
+
+    /// Append the values of `rows` to `into`: one loop per storage type,
+    /// with a null test per row only when the column has NULLs.
+    pub(crate) fn gather(&self, rows: &[usize], into: &mut Vec<Value>) {
+        fn typed(
+            rows: &[usize],
+            nulls: Option<&BitMask>,
+            into: &mut Vec<Value>,
+            get: impl Fn(usize) -> Value,
+        ) {
+            match nulls {
+                None => into.extend(rows.iter().map(|&r| get(r))),
+                Some(n) => {
+                    into.extend(rows.iter().map(|&r| if n.get(r) { Value::Null } else { get(r) }))
+                }
+            }
+        }
+        let nulls = self.nulls.as_ref();
+        match &self.data {
+            ColumnData::Int(v) => typed(rows, nulls, into, |r| Value::Int(v[r])),
+            ColumnData::Float(v) => typed(rows, nulls, into, |r| Value::Float(v[r])),
+            ColumnData::Bool(v) => typed(rows, nulls, into, |r| Value::Bool(v[r])),
+            ColumnData::Str(d) => typed(rows, nulls, into, |r| Value::Str(d.get(r).to_string())),
+            ColumnData::Date(v) => typed(rows, nulls, into, |r| Value::Date(Date(v[r]))),
+        }
+    }
 }
 
 /// Append-only typed storage for one column of a [`crate::Table`] under

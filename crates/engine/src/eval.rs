@@ -139,7 +139,8 @@ impl<'c> ExecCtx<'c> {
     /// Enforce the catalog's [`crate::catalog::ExecLimits`] against the
     /// number of rows an operator has materialized so far. Called from
     /// the executor's row-producing loops; the wall-clock check is
-    /// amortized to every 256th row to keep the common case to a compare.
+    /// amortized to every [`LIMIT_CHECK_ROWS`]th row to keep the common case
+    /// to a compare.
     pub(crate) fn check_limits(&self, rows: usize) -> Result<()> {
         enforce_limits(&self.limits, self.started, rows)
     }
@@ -434,6 +435,9 @@ pub fn cmp_values(a: &Value, b: &Value) -> Result<Option<Ordering>> {
     }))
 }
 
+/// Rows between two wall-clock checks of [`enforce_limits`].
+pub(crate) const LIMIT_CHECK_ROWS: usize = 256;
+
 /// Wall-clock / row-count limit enforcement shared by the reference and
 /// columnar executors (see [`ExecCtx::check_limits`] for the cadence).
 pub(crate) fn enforce_limits(
@@ -448,7 +452,7 @@ pub(crate) fn enforce_limits(
         )));
     }
     if let Some(timeout) = limits.timeout {
-        if rows.is_multiple_of(256) && started.elapsed() >= timeout {
+        if rows.is_multiple_of(LIMIT_CHECK_ROWS) && started.elapsed() >= timeout {
             return Err(EngineError::ResourceExhausted(format!(
                 "query timeout: exceeded {timeout:?}"
             )));

@@ -39,7 +39,7 @@ use crate::columnar::{
 use crate::error::{EngineError, Result};
 use crate::eval::{
     and3, apply_comparison, arithmetic, cmp_values, enforce_limits, like_match, or3,
-    three_valued_cmp, to_bool3, RelSchema,
+    three_valued_cmp, to_bool3, RelSchema, LIMIT_CHECK_ROWS,
 };
 use crate::exec::{
     collect_aggregates, expand_projection, finalize_result, infer_type, output_name, qualified,
@@ -574,16 +574,70 @@ impl ColCtx<'_> {
             for column in &mut out.columns {
                 column.reserve_exact(selected);
             }
-            for row in mask.iter_ones() {
-                self.check_limits(out.len)?;
-                for (column, e) in out.columns.iter_mut().zip(&self.plan.items) {
-                    column.push(self.eval(e, Some(row), &[])?);
+            if let Some((columns, keys)) = self.bare_columns() {
+                self.gather(mask, &columns, &keys, &mut out)?;
+            } else {
+                for row in mask.iter_ones() {
+                    self.check_limits(out.len)?;
+                    for (column, e) in out.columns.iter_mut().zip(&self.plan.items) {
+                        column.push(self.eval(e, Some(row), &[])?);
+                    }
+                    self.push_keys(Some(row), &[], &mut out)?;
                 }
-                self.push_keys(Some(row), &[], &mut out)?;
             }
         }
 
         Ok(finalize_result(q, out_fields, out))
+    }
+
+    /// When every projected item is a bare column and every ORDER BY key an
+    /// output column: the items' table columns and the keys' output columns.
+    fn bare_columns(&self) -> Option<(Vec<usize>, Vec<usize>)> {
+        let items = self.plan.items.iter().map(|e| match e {
+            CExpr::Col(i) => Some(*i),
+            _ => None,
+        });
+        let keys = self.plan.order_keys.iter().map(|k| match k {
+            KeySpec::Output(i) => Some(*i),
+            KeySpec::Compiled(_) => None,
+        });
+        Some((items.collect::<Option<_>>()?, keys.collect::<Option<_>>()?))
+    }
+
+    /// Project the bare table `columns` (sorting by the output columns
+    /// `keys`) over the selected rows: the row indices are collected once,
+    /// then each output column is filled by one typed loop per chunk of
+    /// [`LIMIT_CHECK_ROWS`] rows. Before each chunk the limits are checked
+    /// as the row loop checks them before each of its rows: the timeout on
+    /// the chunk's first row (the only one it checks the clock on), and the
+    /// row cap on the first row past it, so both fail at the same row count
+    /// with the same error.
+    fn gather(
+        &self,
+        mask: &BitMask,
+        columns: &[usize],
+        keys: &[usize],
+        out: &mut Output,
+    ) -> Result<()> {
+        // The row loop fails at the latest on row `max_rows + 1`.
+        let cap = self.limits.max_rows.map_or(usize::MAX, |m| m.saturating_add(2));
+        let rows: Vec<usize> = mask.iter_ones().take(cap).collect();
+        for (n, chunk) in rows.chunks(LIMIT_CHECK_ROWS).enumerate() {
+            let start = n * LIMIT_CHECK_ROWS;
+            self.check_limits(start)?;
+            if let Some(m) = self.limits.max_rows.filter(|&m| start + chunk.len() - 1 > m) {
+                self.check_limits(m + 1)?;
+            }
+            for (column, &c) in out.columns.iter_mut().zip(columns) {
+                self.col(c).gather(chunk, column);
+            }
+        }
+        out.len = rows.len();
+        if !keys.is_empty() {
+            let key = |r: usize| keys.iter().map(|&i| out.columns[i][r].clone()).collect();
+            out.keys = (0..out.len).map(key).collect();
+        }
+        Ok(())
     }
 
     /// Hash-aggregate the selected rows, filter with HAVING, project.

@@ -230,3 +230,66 @@ fn row_limits_apply_on_columnar_path() {
     let reference = c.execute_reference(&q).unwrap_err();
     assert_eq!(fast.to_string(), reference.to_string());
 }
+
+/// 1000 rows of `x` 0..1000 with a NULL-bearing string and float column;
+/// `x < 600` selects 600 of them, spanning three 256-row chunks.
+fn limits_catalog(limits: pi2_engine::ExecLimits) -> Catalog {
+    let mut c = Catalog::with_limits(limits);
+    let mut t = Table::builder("t")
+        .column("x", DataType::Int)
+        .column("s", DataType::Str)
+        .column("f", DataType::Float)
+        .build();
+    for i in 0..1000i64 {
+        t.push_row(vec![
+            Value::Int(i),
+            if i % 3 == 0 { Value::Null } else { Value::str(format!("s{}", i % 10)) },
+            if i % 5 == 0 { Value::Null } else { Value::Float(i as f64 / 4.0) },
+        ])
+        .unwrap();
+    }
+    c.register(t);
+    c
+}
+
+/// The outcome of `sql`: its row count, or its error text.
+fn outcome(c: &Catalog, sql: &str) -> Result<usize, String> {
+    let q = parse_query(sql).unwrap();
+    c.execute_uncached(&q).map(|r| r.len()).map_err(|e| e.to_string())
+}
+
+/// The gathered bare-column projection fails on the same row and with the
+/// same error as the row loop: pinned outcomes at `max_rows` = selected - 2
+/// .. selected + 1 and a zero timeout, for gathered queries and for queries
+/// that keep the row loop (a computed item, an ORDER BY key outside the
+/// projection).
+#[test]
+fn bare_column_projection_keeps_row_and_time_limits() {
+    let selected = 600;
+    let row_cap = |m: usize| {
+        format!("resource exhausted: row limit exceeded: materialized {} rows (limit {m})", m + 1)
+    };
+    for sql in [
+        "SELECT x, s, f FROM t WHERE x < 600",
+        "SELECT x, s, f FROM t WHERE x < 600 ORDER BY f DESC",
+        "SELECT s, f FROM t WHERE x < 600 ORDER BY x DESC",
+        "SELECT x + 1, s FROM t WHERE x < 600",
+    ] {
+        // The NULL-bearing columns project as the reference does.
+        assert_parity(&limits_catalog(pi2_engine::ExecLimits::default()), sql);
+        let want = [
+            (selected - 2, Err(row_cap(selected - 2))),
+            (selected - 1, Ok(selected)),
+            (selected, Ok(selected)),
+            (selected + 1, Ok(selected)),
+        ];
+        for (max_rows, want) in want {
+            let c = limits_catalog(pi2_engine::ExecLimits::rows(max_rows));
+            assert_eq!(outcome(&c, sql), want, "{sql} with max_rows {max_rows}");
+        }
+        let zero =
+            pi2_engine::ExecLimits { max_rows: None, timeout: Some(std::time::Duration::ZERO) };
+        let want = Err("resource exhausted: query timeout: exceeded 0ns".to_string());
+        assert_eq!(outcome(&limits_catalog(zero), sql), want, "{sql} with a zero timeout");
+    }
+}

@@ -581,6 +581,32 @@ mod journal_corruption {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A number that overflows `f64` is refused as it is parsed: the
+    /// gesture is a `bad_request`, so nothing is applied that the journal
+    /// could not record, and the recovered session renders as the live one.
+    #[test]
+    fn out_of_range_number_is_refused_and_recovery_matches_live_state() {
+        let dir = temp_dir("overflow");
+        let (client, _) = journaled(&dir);
+        let (session, _) = drive(&client, true);
+        let line = format!(
+            r#"{{"cmd":"gesture","session":{session},"events":[{{"type":"set_widget","widget":0,"value":{{"scalar":1e400}}}}]}}"#
+        );
+        let response: Value = serde_json::from_str(&client.request_line(&line)).unwrap();
+        assert_eq!(response["error"]["kind"].as_str(), Some("bad_request"), "{response}");
+        let stats = ok(&client, json!({"cmd": "stats"}));
+        assert_eq!(stats["stats"]["journal"]["warnings"].as_u64(), Some(0), "{stats}");
+        let live = ok(&client, json!({"cmd": "render", "session": session}));
+        drop(client);
+
+        let (client, report) = journaled(&dir);
+        assert_eq!(report.sessions_recovered, 1, "{report:?}");
+        assert!(report.warnings.is_empty(), "{report:?}");
+        let recovered = ok(&client, json!({"cmd": "render", "session": session}));
+        assert_eq!(recovered["text"], live["text"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn garbage_journal_yields_empty_state_not_a_panic() {
         let dir = temp_dir("garbage");

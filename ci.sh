@@ -55,12 +55,15 @@ cargo test -q --release -p pi2-bench --test gates
 echo "== float printer sweep (release) =="
 cargo test -q --release -p serde_json --test float_print
 
-# Footprint gate (crates/datasets/tests/footprint.rs): building the 1M-row
-# SDSS catalog may raise VmHWM by at most 160 MiB, so each table is held
-# once, as typed columns. Release-only, in a binary of its own because
-# VmHWM is process-wide.
+# Footprint gates, release-only, each in a binary of its own because VmHWM
+# is process-wide: building the 1M-row SDSS catalog may raise VmHWM by at
+# most 160 MiB, so each table is held once, as typed columns
+# (crates/datasets/tests/footprint.rs); filling the shared 256-entry result
+# cache with Figure 1 windows over it may raise VmHWM by at most 40 MiB, so
+# each result column holds typed cells, not a Value each
+# (crates/datasets/tests/result_cache_footprint.rs).
 echo "== footprint gate (release) =="
-cargo test -q --release -p pi2-datasets --test footprint
+cargo test -q --release -p pi2-datasets --test footprint --test result_cache_footprint
 
 # perfbench is a workspace of its own that builds against the scene codec
 # and the session API by path: an API break must fail here, not in a

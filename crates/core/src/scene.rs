@@ -21,7 +21,8 @@
 //! [`SceneGraph::build_from`] of the live session at every step.
 
 use crate::session::{ChartUpdate, InterfaceSession, SessionError, WidgetState};
-use pi2_engine::{ResultSet, Value};
+use pi2_engine::columnar::BitMask;
+use pi2_engine::{Column, ColumnBuilder, ColumnData, ResultSet, Value};
 use pi2_interface::{
     Channel, ChartId, Element, Encoding, FieldType, Interface, Layout, Mark, WidgetId,
 };
@@ -96,32 +97,33 @@ pub struct Rect {
 // Scene nodes
 // ---------------------------------------------------------------------------
 
-/// One column of a chart's mark data. The values are the result column's
-/// own [`Arc`], so retained scenes, `Replace` patches and the catalog's
-/// result cache share one copy instead of copying rows per frame.
+/// One column of a chart's mark data. The values are the result's own
+/// typed [`Column`] behind its [`Arc`], so retained scenes, `Replace`
+/// patches and the catalog's result cache share one copy instead of
+/// copying rows per frame.
 #[derive(Debug, Clone)]
 pub struct ColumnSlice {
     /// Result field name.
     pub field: String,
     /// Column values, one per mark.
-    pub values: Arc<Vec<Value>>,
+    pub values: Arc<Column>,
 }
 
-/// Cells compare as the wire spells them: the same variant and the same
-/// bits, so `Int(1)` and `Float(1.0)` (equal as SQL values) differ.
-impl PartialEq for ColumnSlice {
-    fn eq(&self, other: &Self) -> bool {
-        self.field == other.field
-            && (Arc::ptr_eq(&self.values, &other.values)
-                || (self.values.len() == other.values.len()
-                    && self.values.iter().zip(other.values.iter()).all(|(a, b)| same_cell(a, b))))
+impl ColumnSlice {
+    /// A column of `values` (in the column's canonical form) named `field`.
+    pub fn new(field: impl Into<String>, values: impl IntoIterator<Item = Value>) -> Self {
+        ColumnSlice { field: field.into(), values: Arc::new(values.into_iter().collect()) }
     }
 }
 
-/// Exact cell identity: the same variant, then `Value`'s equality, which
-/// orders two floats by `total_cmp` and so equates them only bit for bit.
-fn same_cell(a: &Value, b: &Value) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+/// Cells compare as the wire spells them: the same variant and the same
+/// bits ([`Column::same_cell`]), so `Int(1)` and `Float(1.0)` (equal as
+/// SQL values) differ.
+impl PartialEq for ColumnSlice {
+    fn eq(&self, other: &Self) -> bool {
+        self.field == other.field
+            && (Arc::ptr_eq(&self.values, &other.values) || self.values.identical(&other.values))
+    }
 }
 
 /// A positional axis derived from an encoding plus the current data.
@@ -243,6 +245,31 @@ fn shared_columns(result: &ResultSet) -> Vec<ColumnSlice> {
         .collect()
 }
 
+/// The non-null cells of typed `values` (`nulls` marks the NULL rows).
+fn live<'a, T: Copy>(values: &'a [T], nulls: Option<&'a BitMask>) -> impl Iterator<Item = T> + 'a {
+    let null = move |i: usize| nulls.is_some_and(|n| n.get(i));
+    values.iter().enumerate().filter(move |(i, _)| !null(*i)).map(|(_, v)| *v)
+}
+
+/// The finite minimum and maximum of a column's numeric cells (dates as day
+/// numbers, booleans as 0 and 1), read from its typed storage.
+fn numeric_domain(column: &Column) -> (Option<f64>, Option<f64>) {
+    let fold = |cells: &mut dyn Iterator<Item = f64>| {
+        cells.filter(|v| v.is_finite()).fold((None, None), |(lo, hi): (Option<f64>, _), v| {
+            (Some(lo.map_or(v, |l: f64| l.min(v))), Some(hi.map_or(v, |h: f64| h.max(v))))
+        })
+    };
+    let nulls = column.nulls();
+    match column.data() {
+        ColumnData::Float(v) => fold(&mut live(v, nulls)),
+        ColumnData::Int(v) => fold(&mut live(v, nulls).map(|x| x as f64)),
+        ColumnData::Date(v) => fold(&mut live(v, nulls).map(f64::from)),
+        ColumnData::Bool(v) => fold(&mut live(v, nulls).map(|b| b as i64 as f64)),
+        ColumnData::Str(_) => (None, None),
+        ColumnData::Values(v) => fold(&mut v.iter().filter_map(Value::as_f64)),
+    }
+}
+
 fn axes_for(encodings: &[Encoding], columns: &[ColumnSlice]) -> Vec<AxisScene> {
     encodings
         .iter()
@@ -252,18 +279,7 @@ fn axes_for(encodings: &[Encoding], columns: &[ColumnSlice]) -> Vec<AxisScene> {
                 FieldType::Quantitative | FieldType::Temporal => columns
                     .iter()
                     .find(|c| c.field == e.field)
-                    .map(|c| {
-                        c.values.iter().filter_map(Value::as_f64).filter(|v| v.is_finite()).fold(
-                            (None, None),
-                            |(lo, hi): (Option<f64>, Option<f64>), v| {
-                                (
-                                    Some(lo.map_or(v, |l: f64| l.min(v))),
-                                    Some(hi.map_or(v, |h: f64| h.max(v))),
-                                )
-                            },
-                        )
-                    })
-                    .unwrap_or((None, None)),
+                    .map_or((None, None), |c| numeric_domain(&c.values)),
                 _ => (None, None),
             };
             AxisScene {
@@ -721,15 +737,96 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// One key per row over every column, column by column.
-fn row_keys(columns: &[ColumnSlice], rows: usize) -> Vec<u64> {
+/// One key per row over every column, column by column, read straight
+/// from the typed columns: each cell hashes as `Value`'s `Hash` spells it
+/// (a variant tag, then an INT as its f64 bits, a FLOAT's bits, a date's
+/// day number or a string's bytes). `by_code[c]`: the strings of column
+/// `c` hash by dictionary code instead, which the caller sets only when
+/// the old and new column share one dictionary.
+fn row_keys(columns: &[ColumnSlice], rows: usize, by_code: &[bool]) -> Vec<u64> {
+    /// Hash each row's cell with `cell`, or as NULL.
+    fn each<T: Copy>(
+        values: &[T],
+        nulls: Option<&BitMask>,
+        hashers: &mut [RowHasher],
+        cell: impl Fn(&mut RowHasher, T),
+    ) {
+        match nulls {
+            None => hashers.iter_mut().zip(values).for_each(|(h, &v)| cell(h, v)),
+            Some(n) => {
+                for (i, (h, &v)) in hashers.iter_mut().zip(values).enumerate() {
+                    if n.get(i) {
+                        Value::Null.hash(h);
+                    } else {
+                        cell(h, v);
+                    }
+                }
+            }
+        }
+    }
     let mut hashers: Vec<RowHasher> = (0..rows).map(|_| RowHasher::default()).collect();
-    for c in columns {
-        for (h, v) in hashers.iter_mut().zip(c.values.iter()) {
-            v.hash(h);
+    for (c, &by_code) in columns.iter().zip(by_code) {
+        let (h, nulls) = (&mut hashers, c.values.nulls());
+        match c.values.data() {
+            ColumnData::Int(v) => each(v, nulls, h, |h, x| {
+                2u8.hash(h);
+                (x as f64).to_bits().hash(h);
+            }),
+            ColumnData::Float(v) => each(v, nulls, h, |h, x| {
+                2u8.hash(h);
+                x.to_bits().hash(h);
+            }),
+            ColumnData::Bool(v) => each(v, nulls, h, |h, b| {
+                1u8.hash(h);
+                b.hash(h);
+            }),
+            ColumnData::Date(v) => each(v, nulls, h, |h, d| {
+                4u8.hash(h);
+                pi2_sql::Date(d).hash(h);
+            }),
+            ColumnData::Str(d) if by_code => each(&d.codes, nulls, h, |h, code| {
+                3u8.hash(h);
+                code.hash(h);
+            }),
+            ColumnData::Str(d) => each(&d.codes, nulls, h, |h, code| {
+                3u8.hash(h);
+                d.dict[code as usize].as_str().hash(h);
+            }),
+            ColumnData::Values(v) => h.iter_mut().zip(v).for_each(|(h, x)| x.hash(h)),
         }
     }
     hashers.iter().map(Hasher::finish).collect()
+}
+
+/// True when both columns hold strings coded against one dictionary.
+fn shared_dictionary(a: &Column, b: &Column) -> bool {
+    matches!((a.data(), b.data()), (ColumnData::Str(x), ColumnData::Str(y)) if Arc::ptr_eq(&x.dict, &y.dict))
+}
+
+/// Marks a key that occurs more than once among the old keys.
+const REPEATED: usize = usize::MAX;
+
+/// Anchor candidates `(old, new)` in new-row order: rows whose key occurs
+/// exactly once among the old keys and once among the new ones. One map
+/// indexes the old keys; every new row carrying a key that is unique on
+/// the old side finds the same old row, so a dense per-old-row hit count
+/// tells a new key seen once from a repeated one.
+fn anchor_candidates(old: &[u64], new: &[u64]) -> Vec<(usize, usize)> {
+    type Index = HashMap<u64, usize, BuildHasherDefault<KeyHasher>>;
+    let mut index = Index::with_capacity_and_hasher(old.len(), Default::default());
+    for (i, k) in old.iter().enumerate() {
+        index.entry(*k).and_modify(|at| *at = REPEATED).or_insert(i);
+    }
+    let mut hits = vec![0u8; old.len()];
+    let mut cand: Vec<(usize, usize)> = Vec::with_capacity(new.len().min(old.len()));
+    for (j, k) in new.iter().enumerate() {
+        if let Some(&i) = index.get(k).filter(|&&i| i != REPEATED) {
+            hits[i] = hits[i].saturating_add(1);
+            cand.push((i, j));
+        }
+    }
+    cand.retain(|&(i, _)| hits[i] == 1);
+    cand
 }
 
 /// Row-level edit script between two same-schema column sets: anchor on
@@ -740,40 +837,24 @@ fn row_keys(columns: &[ColumnSlice], rows: usize) -> Vec<u64> {
 /// filter on a non-sort column moved) becomes short runs around the
 /// surviving rows. Returns `None` when no anchor survives verification.
 fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
-    #[derive(Clone, Copy)]
-    enum Seen {
-        Once(usize),
-        Dup,
-    }
-    type Seens = HashMap<u64, Seen, BuildHasherDefault<KeyHasher>>;
-    fn seen(keys: &[u64]) -> Seens {
-        let mut seen = Seens::with_capacity_and_hasher(keys.len(), Default::default());
-        for (i, k) in keys.iter().enumerate() {
-            seen.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(i));
-        }
-        seen
-    }
-    let ka = row_keys(&old.columns, old.rows);
-    let kb = row_keys(&new.columns, new.rows);
-    let (seen_old, seen_new) = (seen(&ka), seen(&kb));
-    // Candidate anchors in new-row order; a kept chain must also be
-    // increasing in old-row order (longest increasing subsequence).
-    let mut cand: Vec<(usize, usize)> = Vec::new();
-    for (j, k) in kb.iter().enumerate() {
-        if let (Some(Seen::Once(i)), Some(Seen::Once(_))) = (seen_old.get(k), seen_new.get(k)) {
-            cand.push((*i, j));
-        }
-    }
+    let pairs = || old.columns.iter().zip(new.columns.iter());
+    let by_code: Vec<bool> =
+        pairs().map(|(a, b)| shared_dictionary(&a.values, &b.values)).collect();
+    let cand = anchor_candidates(
+        &row_keys(&old.columns, old.rows, &by_code),
+        &row_keys(&new.columns, new.rows, &by_code),
+    );
     if cand.is_empty() {
         return None;
     }
+    // A kept chain must also be increasing in old-row order (longest
+    // increasing subsequence).
     let chain = anchor_chain(&cand);
     // Anchors are matched by hash; verify each cell exactly so a collision
     // (or a cell that changed type but not value) can never corrupt the
     // client's scene.
     for &(i, j) in &chain {
-        let same = |(a, b): (&ColumnSlice, &ColumnSlice)| same_cell(&a.values[i], &b.values[j]);
-        if !old.columns.iter().zip(new.columns.iter()).all(same) {
+        if !pairs().all(|(a, b)| a.values.same_cell(i, &b.values, j)) {
             return None;
         }
     }
@@ -799,12 +880,12 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
         ai = i + 1;
         bi = j + 1;
     }
-    // One copy of the inserted rows, one column at a time.
+    // One copy of the inserted rows, one typed column at a time.
     let total = inserts.iter().map(|r| r.len()).sum();
     let gather = |c: &ColumnSlice| {
-        let mut values = Vec::with_capacity(total);
-        inserts.iter().for_each(|r| values.extend_from_slice(&c.values[r.clone()]));
-        ColumnSlice { field: c.field.clone(), values: Arc::new(values) }
+        let mut block = ColumnBuilder::like(&c.values, total);
+        inserts.iter().for_each(|r| block.extend_range(&c.values, r.clone()));
+        ColumnSlice { field: c.field.clone(), values: Arc::new(block.finish()) }
     };
     let inserted = if total == 0 { Vec::new() } else { new.columns.iter().map(gather).collect() };
     Some(DataPatch::Edits { inserted, ops: edits })
@@ -816,7 +897,7 @@ fn edit_script(old: &ChartScene, new: &ChartScene) -> Option<DataPatch> {
 /// the last tail extends the longest chain without a binary search, which
 /// is every candidate of a window shift.
 fn anchor_chain(cand: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut tails: Vec<usize> = Vec::new();
+    let mut tails: Vec<usize> = Vec::with_capacity(cand.len());
     let mut prev: Vec<Option<usize>> = vec![None; cand.len()];
     for (ci, &(i, _)) in cand.iter().enumerate() {
         let pos = match tails.last() {
@@ -902,7 +983,14 @@ fn apply_edits(
             "edit script inserted block does not match the chart's fields".into(),
         ));
     }
-    let mut out: Vec<Vec<Value>> = old.iter().map(|_| Vec::new()).collect();
+    // Room for every kept and inserted row the script can validly take.
+    let taken = ops.iter().map(|op| match *op {
+        RowEdit::Keep(n) | RowEdit::Insert(n) => n,
+        RowEdit::Drop(_) => 0,
+    });
+    let capacity = taken.fold(0, usize::saturating_add).min(old_rows.saturating_add(inserted_rows));
+    let mut out: Vec<ColumnBuilder> =
+        old.iter().map(|c| ColumnBuilder::like(&c.values, capacity)).collect();
     let (mut cursor, mut next, mut rows) = (0usize, 0usize, 0usize);
     let advance = |at: usize, n: usize, len: usize, what: &str| {
         at.checked_add(n).filter(|&e| e <= len).ok_or_else(|| internal(what.to_string()))
@@ -911,8 +999,8 @@ fn apply_edits(
         match *op {
             RowEdit::Keep(n) => {
                 let end = advance(cursor, n, old_rows, "edit script keeps past the end")?;
-                for (col, values) in old.iter().zip(out.iter_mut()) {
-                    values.extend_from_slice(&col.values[cursor..end]);
+                for (col, column) in old.iter().zip(out.iter_mut()) {
+                    column.extend_range(&col.values, cursor..end);
                 }
                 cursor = end;
                 rows += n;
@@ -923,8 +1011,8 @@ fn apply_edits(
             RowEdit::Insert(n) => {
                 let end =
                     advance(next, n, inserted_rows, "edit script inserts past the inserted rows")?;
-                for (block, values) in inserted.iter().zip(out.iter_mut()) {
-                    values.extend_from_slice(&block.values[next..end]);
+                for (block, column) in inserted.iter().zip(out.iter_mut()) {
+                    column.extend_range(&block.values, next..end);
                 }
                 next = end;
                 rows += n;
@@ -940,7 +1028,10 @@ fn apply_edits(
     let columns = old
         .iter()
         .zip(out)
-        .map(|(c, values)| ColumnSlice { field: c.field.clone(), values: Arc::new(values) })
+        .map(|(c, column)| ColumnSlice {
+            field: c.field.clone(),
+            values: Arc::new(column.finish()),
+        })
         .collect();
     Ok((columns, rows))
 }
@@ -1282,6 +1373,32 @@ fn rect_from_json(v: &Json) -> Result<Rect, String> {
     Ok(Rect { x: g(0)?, y: g(1)?, w: g(2)?, h: g(3)? })
 }
 
+/// The cells of rows `rows` of `column`, one typed loop per column.
+fn column_json(column: &Column, rows: std::ops::Range<usize>) -> Json {
+    fn cells<T: Copy>(
+        values: &[T],
+        nulls: Option<&BitMask>,
+        rows: std::ops::Range<usize>,
+        json: impl Fn(T) -> Json,
+    ) -> Vec<Json> {
+        match nulls {
+            None => values[rows].iter().map(|&v| json(v)).collect(),
+            Some(n) => rows.map(|i| if n.get(i) { Json::Null } else { json(values[i]) }).collect(),
+        }
+    }
+    let nulls = column.nulls();
+    Json::Array(match column.data() {
+        ColumnData::Int(v) => cells(v, nulls, rows, |x| Json::Number(serde_json::Number::Int(x))),
+        ColumnData::Float(v) => cells(v, nulls, rows, f64_json),
+        ColumnData::Bool(v) => cells(v, nulls, rows, Json::Bool),
+        ColumnData::Date(v) => cells(v, nulls, rows, |d| date_json(pi2_sql::Date(d))),
+        ColumnData::Str(d) => {
+            cells(&d.codes, nulls, rows, |c| Json::String(d.dict[c as usize].clone()))
+        }
+        ColumnData::Values(v) => v[rows].iter().map(value_to_json).collect(),
+    })
+}
+
 /// The column block of rows `skip..skip + take` of `columns` (clamped to
 /// the rows each column holds).
 fn columns_json(columns: &[ColumnSlice], skip: usize, take: usize) -> Json {
@@ -1289,17 +1406,20 @@ fn columns_json(columns: &[ColumnSlice], skip: usize, take: usize) -> Json {
         columns
             .iter()
             .map(|c| {
-                let values = c.values.iter().skip(skip).take(take).map(value_to_json);
+                let len = c.values.len();
+                let start = skip.min(len);
+                let rows = start..start.saturating_add(take).min(len);
                 object([
                     ("field", Json::String(c.field.clone())),
-                    ("values", Json::Array(values.collect())),
+                    ("values", column_json(&c.values, rows)),
                 ])
             })
             .collect(),
     )
 }
 
-fn columns_from_json(v: &Json) -> Result<Vec<ColumnSlice>, String> {
+/// The `(field, cells)` of each column of an encoded column block.
+fn column_parts(v: &Json) -> Result<Vec<(&str, &[Json])>, String> {
     v.as_array()
         .ok_or("columns must be an array")?
         .iter()
@@ -1308,14 +1428,31 @@ fn columns_from_json(v: &Json) -> Result<Vec<ColumnSlice>, String> {
                 .get("field")
                 .and_then(Json::as_str)
                 .ok_or_else(|| "column needs a field".to_string())?;
-            let values = c
+            let cells = c
                 .get("values")
                 .and_then(Json::as_array)
-                .ok_or_else(|| "column needs values".to_string())?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<Vec<Value>, String>>()?;
-            Ok(ColumnSlice { field: field.to_string(), values: Arc::new(values) })
+                .ok_or_else(|| "column needs values".to_string())?;
+            Ok((field, cells.as_slice()))
+        })
+        .collect()
+}
+
+/// Append decoded `cells` to `column`.
+fn push_cells(column: &mut ColumnBuilder, cells: &[Json]) -> Result<(), String> {
+    for cell in cells {
+        column.push(value_from_json(cell)?);
+    }
+    Ok(())
+}
+
+/// Decode a column block, each column in canonical form.
+fn columns_from_json(v: &Json) -> Result<Vec<ColumnSlice>, String> {
+    column_parts(v)?
+        .into_iter()
+        .map(|(field, cells)| {
+            let mut column = ColumnBuilder::default();
+            push_cells(&mut column, cells)?;
+            Ok(ColumnSlice { field: field.to_string(), values: Arc::new(column.finish()) })
         })
         .collect()
 }
@@ -1603,36 +1740,46 @@ pub fn delta_to_json(d: &SceneDelta) -> Json {
     ])
 }
 
-/// Decode an edit script, concatenating its inline insert blocks into the
-/// patch's one inserted-rows block.
+/// Decode an edit script, appending the cells of its inline insert blocks
+/// to the patch's one inserted-rows block.
 fn edits_from_json(v: &Json) -> Result<DataPatch, String> {
-    let (mut ops, mut blocks) = (Vec::new(), Vec::new());
+    let mut ops = Vec::new();
+    let mut inserted: Option<(Vec<&str>, Vec<ColumnBuilder>)> = None;
     for op in v.as_array().ok_or("edits must be an array")? {
         ops.push(match op.as_i64() {
             Some(n) if n > 0 => RowEdit::Keep(n as usize),
             Some(n) if n < 0 => RowEdit::Drop(n.unsigned_abs() as usize),
             Some(_) => return Err("zero-length edit op".to_string()),
             None if op.as_array().is_some() => {
-                let block = columns_from_json(op)?;
-                let rows = block_rows(&block)?;
-                blocks.push(block);
+                let block = column_parts(op)?;
+                let rows = block.first().map_or(0, |(_, cells)| cells.len());
+                if let Some((field, cells)) = block.iter().find(|(_, cells)| cells.len() != rows) {
+                    let n = cells.len();
+                    return Err(format!("column {field} has {n} values, expected {rows}"));
+                }
+                let (fields, columns) = inserted.get_or_insert_with(|| {
+                    let fields = block.iter().map(|(field, _)| *field).collect();
+                    (fields, vec![ColumnBuilder::default(); block.len()])
+                });
+                if block.len() != fields.len() || block.iter().zip(&*fields).any(|(b, f)| b.0 != *f)
+                {
+                    return Err("edit script inserts differ in fields".to_string());
+                }
+                for ((_, cells), column) in block.iter().zip(columns.iter_mut()) {
+                    push_cells(column, cells)?;
+                }
                 RowEdit::Insert(rows)
             }
             None => return Err("bad edit op".to_string()),
         });
     }
-    let mut blocks = blocks.into_iter();
-    let mut inserted = blocks.next().unwrap_or_default();
-    for block in blocks {
-        if block.len() != inserted.len()
-            || block.iter().zip(&inserted).any(|(b, i)| b.field != i.field)
-        {
-            return Err("edit script inserts differ in fields".to_string());
-        }
-        for (column, b) in inserted.iter_mut().zip(block) {
-            Arc::make_mut(&mut column.values).extend_from_slice(&b.values);
-        }
-    }
+    let column = |(field, column): (&str, ColumnBuilder)| ColumnSlice {
+        field: field.to_string(),
+        values: Arc::new(column.finish()),
+    };
+    let inserted = inserted.map_or_else(Vec::new, |(fields, columns)| {
+        fields.into_iter().zip(columns).map(column).collect()
+    });
     Ok(DataPatch::Edits { inserted, ops })
 }
 
@@ -1828,10 +1975,7 @@ mod tests {
         // the wire, so the sync must ship them.
         let ints = graph_of(chart_scene(&[1, 2], "q"));
         let mut floats = ints.clone();
-        floats.charts[0].columns[0] = ColumnSlice {
-            field: "x".into(),
-            values: Arc::new(vec![Value::Float(1.0), Value::Float(2.0)]),
-        };
+        floats.charts[0].columns[0] = ColumnSlice::new("x", [Value::Float(1.0), Value::Float(2.0)]);
         assert_ne!(ints, floats);
         let mut state = SceneState::new(ints.clone());
         let delta = state.sync(floats.clone()).expect("a type change is damage");
@@ -1839,8 +1983,9 @@ mod tests {
         client.apply(&delta_from_json(&delta_to_json(&delta)).unwrap()).unwrap();
         assert_eq!(scene_to_json(&client).to_string(), scene_to_json(&floats).to_string());
         // Zeros of either sign are distinct cells too.
-        assert!(!same_cell(&Value::Float(0.0), &Value::Float(-0.0)));
-        assert!(same_cell(&Value::Float(f64::NAN), &Value::Float(f64::NAN)));
+        let cells: Column = [0.0, -0.0, f64::NAN].map(Value::Float).into_iter().collect();
+        assert!(!cells.same_cell(0, &cells, 1));
+        assert!(cells.same_cell(2, &cells, 2));
     }
 
     #[test]
@@ -1860,10 +2005,7 @@ mod tests {
 
         // Ragged blocks: an insert of 3 `x` values and 0 `y` values, and a
         // replacement of the same shape.
-        let ragged = vec![
-            ColumnSlice { field: "x".into(), values: Arc::new(vec![Value::Int(7); 3]) },
-            ColumnSlice { field: "y".into(), values: Arc::new(Vec::new()) },
-        ];
+        let ragged = vec![ColumnSlice::new("x", vec![Value::Int(7); 3]), ColumnSlice::new("y", [])];
         for data in [
             DataPatch::Edits {
                 inserted: ragged.clone(),
@@ -1898,10 +2040,7 @@ mod tests {
     fn schema_change_full_replaces_and_reestablishes_fields() {
         let old = graph_of(chart_scene(&[1, 2, 3], "q"));
         let mut fresh = chart_scene(&[4, 5], "q2");
-        fresh.columns = vec![ColumnSlice {
-            field: "renamed".into(),
-            values: Arc::new(vec![Value::Int(4), Value::Int(5)]),
-        }];
+        fresh.columns = vec![ColumnSlice::new("renamed", [Value::Int(4), Value::Int(5)])];
         fresh.rows = 2;
         let new = graph_of(fresh);
         let delta = diff_graphs(&old, &new);
@@ -2024,9 +2163,8 @@ mod tests {
 
     /// A two-int-column chart over `rows`.
     fn pair_scene(rows: &[Row]) -> ChartScene {
-        let column = |field: &str, pick: fn(&Row) -> i64| ColumnSlice {
-            field: field.into(),
-            values: Arc::new(rows.iter().map(|r| Value::Int(pick(r))).collect()),
+        let column = |field: &str, pick: fn(&Row) -> i64| {
+            ColumnSlice::new(field, rows.iter().map(|r| Value::Int(pick(r))))
         };
         ChartScene {
             columns: vec![column("x", |r| r.0), column("y", |r| r.1)],
@@ -2078,6 +2216,52 @@ mod tests {
         chain
     }
 
+    /// The two-map candidate builder (a map per side, each new key probed
+    /// in both): the oracle for [`anchor_candidates`].
+    fn two_map_candidates(old: &[u64], new: &[u64]) -> Vec<(usize, usize)> {
+        #[derive(Clone, Copy)]
+        enum Seen {
+            Once(usize),
+            Dup,
+        }
+        fn seen(keys: &[u64]) -> HashMap<u64, Seen> {
+            let mut seen = HashMap::new();
+            for (i, k) in keys.iter().enumerate() {
+                seen.entry(*k).and_modify(|s| *s = Seen::Dup).or_insert(Seen::Once(i));
+            }
+            seen
+        }
+        let (seen_old, seen_new) = (seen(old), seen(new));
+        let mut cand = Vec::new();
+        for (j, k) in new.iter().enumerate() {
+            if let (Some(Seen::Once(i)), Some(Seen::Once(_))) = (seen_old.get(k), seen_new.get(k)) {
+                cand.push((*i, j));
+            }
+        }
+        cand
+    }
+
+    /// Key lists for the candidate oracle: random keys from a domain of
+    /// `domain` values (small domains are duplicate-heavy), and the new list
+    /// either drawn independently or shifted from the old one by `shift`
+    /// with fresh keys appended.
+    fn key_lists() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
+        let keys = || proptest::collection::vec(any::<u64>(), 0..200);
+        (0usize..3, 0usize..50, any::<bool>(), keys(), keys()).prop_map(
+            |(domain, shift, shifted, old, fresh)| {
+                let domain = [4, 40, u64::MAX][domain];
+                let old: Vec<u64> = old.into_iter().map(|k| k % domain).collect();
+                let fresh = fresh.into_iter().map(|k| k % domain);
+                let new = if shifted {
+                    old.iter().copied().skip(shift).chain(fresh.take(shift)).collect()
+                } else {
+                    fresh.collect()
+                };
+                (old, new)
+            },
+        )
+    }
+
     #[test]
     fn large_window_shift_is_one_drop_keep_insert() {
         let (rows, shift) = (100_000, 1_234);
@@ -2117,6 +2301,14 @@ mod tests {
                     prop_assert_eq!(columns, new.columns);
                 }
             }
+        }
+
+        #[test]
+        fn anchor_candidates_match_the_two_map_builder(keys in key_lists()) {
+            let (old, new) = keys;
+            let cand = anchor_candidates(&old, &new);
+            prop_assert_eq!(&cand, &two_map_candidates(&old, &new));
+            prop_assert_eq!(anchor_chain(&cand), anchor_chain(&two_map_candidates(&old, &new)));
         }
 
         #[test]

@@ -1,9 +1,12 @@
 //! The scene's data path copies chart data once: a rebuilt chart holds
-//! its result's own columns, and a delta's edit script carries one
-//! inserted-rows block however many insert runs it has, so cloning a delta
-//! into the history ring (and dropping an evicted one) costs a fixed number
-//! of allocations. This binary counts allocations with its own global
-//! allocator, per thread, so concurrently running tests do not interfere.
+//! its result's own typed columns, and a delta's edit script carries one
+//! inserted-rows block however many insert runs it has, gathered as one
+//! typed copy per column (a string column's cells are dictionary codes,
+//! not a `String` each). So building a chart, diffing a pan into an edit
+//! script, and cloning a delta into the history ring (and dropping an
+//! evicted one) each cost a number of allocations that does not grow with
+//! the rows. This binary counts allocations with its own global allocator,
+//! per thread, so concurrently running tests do not interfere.
 
 use pi2_core::scene::{
     ChartScene, ColumnSlice, DataPatch, Rect, RowEdit, SceneGraph, SceneNodeId, SceneState,
@@ -71,14 +74,84 @@ fn xy_chart() -> Chart {
     }
 }
 
-#[test]
-fn rebuilt_chart_shares_the_result_columns() {
-    let interface = Interface {
+fn xy_interface() -> Interface {
+    Interface {
         charts: vec![xy_chart()],
         widgets: Vec::new(),
         layout: Layout::Leaf(Element::Chart(0)),
         screen: ScreenSpec::default(),
+    }
+}
+
+/// A typed result of `rows` distinct rows: `x` FLOAT (NULL every seventh
+/// row) and `y` TEXT.
+fn float_text_result(rows: i64) -> Arc<ResultSet> {
+    let row = |i: i64| {
+        let x = if i % 7 == 3 { Value::Null } else { Value::Float(i as f64 / 4.0) };
+        vec![x, Value::Str(format!("s{i}"))]
     };
+    Arc::new(ResultSet::from_rows(
+        Schema::new(vec![Field::new("x", DataType::Float), Field::new("y", DataType::Str)]),
+        (0..rows).map(row).collect(),
+    ))
+}
+
+fn update(result: Arc<ResultSet>) -> ChartUpdate {
+    let query = pi2_sql::parse_query("SELECT x, y FROM t").expect("valid SQL");
+    ChartUpdate { chart: 0, query, result }
+}
+
+#[test]
+fn chart_built_from_a_typed_result_does_not_allocate_per_row() {
+    let interface = xy_interface();
+    let build = |rows: i64| {
+        let update = update(float_text_result(rows));
+        let mut scene = None;
+        let n = allocations(|| scene = Some(SceneGraph::build(&interface, &[update], &[])));
+        assert_eq!(scene.expect("built").charts[0].rows, rows as usize);
+        n
+    };
+    let (a, b) = (build(1000), build(4000));
+    assert_eq!(a, b, "building the chart allocated {a} times at 1000 rows and {b} at 4000");
+}
+
+/// The allocations of syncing a FLOAT and TEXT chart of `rows` rows to the
+/// same chart panned by a quarter of its rows, whose edit script inserts
+/// that quarter.
+fn pan_sync_allocations(rows: i64) -> usize {
+    let interface = xy_interface();
+    let (shift, all) = (rows / 4, float_text_result(rows + rows / 4));
+    let window = |from: i64| {
+        let rows = all.rows().skip(from as usize).take(rows as usize).collect();
+        update(Arc::new(ResultSet::from_rows(all.schema.clone(), rows)))
+    };
+    let (old, new) = (window(0), window(shift));
+    let mut state = SceneState::new(SceneGraph::build(&interface, &[old], &[]));
+    let new = SceneGraph::build(&interface, &[new], &[]);
+    let mut delta = None;
+    let n = allocations(|| delta = state.sync(new));
+    let delta = delta.expect("a pan is damage");
+    let Some(DataPatch::Edits { inserted, ops }) = &delta.charts[0].data else {
+        panic!("a pan ships an edit script")
+    };
+    let keep = (rows - shift) as usize;
+    assert_eq!(
+        ops,
+        &[RowEdit::Drop(shift as usize), RowEdit::Keep(keep), RowEdit::Insert(shift as usize)]
+    );
+    assert_eq!(inserted[1].values.len(), shift as usize);
+    n
+}
+
+#[test]
+fn pan_edit_script_over_float_and_text_does_not_allocate_per_row() {
+    let (a, b) = (pan_sync_allocations(1000), pan_sync_allocations(4000));
+    assert_eq!(a, b, "the pan's sync allocated {a} times at 1000 rows and {b} at 4000");
+}
+
+#[test]
+fn rebuilt_chart_shares_the_result_columns() {
+    let interface = xy_interface();
     let result = Arc::new(ResultSet::from_rows(
         Schema::new(vec![Field::new("x", DataType::Int), Field::new("y", DataType::Str)]),
         (0..100).map(|i| vec![Value::Int(i), Value::Str(format!("s{i}"))]).collect(),
@@ -99,10 +172,8 @@ fn rebuilt_chart_shares_the_result_columns() {
 
 /// A two-column chart over `xs`.
 fn chart_of(xs: &[i64]) -> SceneGraph {
-    let column = |field: &str, f: fn(i64) -> Value| ColumnSlice {
-        field: field.into(),
-        values: Arc::new(xs.iter().map(|&x| f(x)).collect()),
-    };
+    let column =
+        |field: &str, f: fn(i64) -> Value| ColumnSlice::new(field, xs.iter().map(|&x| f(x)));
     let chart = ChartScene {
         node: SceneNodeId::chart(0),
         chart: 0,

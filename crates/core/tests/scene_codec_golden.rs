@@ -7,22 +7,21 @@
 //! the wire format.
 
 use pi2_core::scene::{
-    delta_to_json, scene_to_json, AxisScene, ChartPatch, ChartScene, ColumnSlice, DataPatch,
-    FrameKind, LayoutFrame, Rect, RowEdit, SceneDelta, SceneGraph, SceneNodeId, WidgetPatch,
-    WidgetScene,
+    delta_from_json, delta_to_json, scene_to_json, AxisScene, ChartPatch, ChartScene, ColumnSlice,
+    DataPatch, FrameKind, LayoutFrame, Rect, RowEdit, SceneDelta, SceneGraph, SceneNodeId,
+    WidgetPatch, WidgetScene,
 };
 use pi2_core::WidgetState;
-use pi2_engine::Value;
+use pi2_engine::{ColumnData, Value};
 use pi2_interface::{Channel, Encoding, FieldType, Mark};
 use pi2_sql::{Date, Literal, F64};
-use std::sync::Arc;
 
 fn date(s: &str) -> Date {
     Date::parse(s).expect("valid date")
 }
 
 fn column(field: &str, values: Vec<Value>) -> ColumnSlice {
-    ColumnSlice { field: field.into(), values: Arc::new(values) }
+    ColumnSlice::new(field, values)
 }
 
 /// Three rows covering every cell kind: ints, finite and non-finite
@@ -206,6 +205,60 @@ fn widgets_delta() -> SceneDelta {
     })
 }
 
+/// One column of each result column form: a typed FLOAT column with
+/// NULLs, a dictionary TEXT column, a DATE column, and a column whose cells
+/// mix INT and FLOAT (held as one `Value` per cell).
+fn typed_columns() -> Vec<ColumnSlice> {
+    let date = |s: &str| Value::Date(date(s));
+    vec![
+        column(
+            "f",
+            vec![
+                Value::Float(0.5),
+                Value::Null,
+                Value::Float(-0.001),
+                Value::Null,
+                Value::Float(1.0),
+            ],
+        ),
+        column(
+            "s",
+            vec![
+                Value::str("pear"),
+                Value::str("apple"),
+                Value::Null,
+                Value::str("pear"),
+                Value::str("é \"q\""),
+            ],
+        ),
+        column(
+            "d",
+            vec![
+                date("2021-01-01"),
+                date("1970-01-01"),
+                date("1969-12-31"),
+                Value::Null,
+                date("2000-02-29"),
+            ],
+        ),
+        column(
+            "m",
+            vec![Value::Int(1), Value::Float(1.0), Value::Null, Value::Int(-2), Value::Float(2.5)],
+        ),
+    ]
+}
+
+/// The typed columns as a replacement and as an edit script's two
+/// inserted runs.
+fn typed_delta() -> SceneDelta {
+    SceneDelta::new(20, 21)
+        .chart(ChartPatch::new(SceneNodeId::chart(0), 0).data(DataPatch::Replace(typed_columns())))
+        .chart(ChartPatch::new(SceneNodeId::chart(1), 1).data(DataPatch::Edits {
+            inserted: typed_columns(),
+            ops: vec![RowEdit::Insert(2), RowEdit::Keep(3), RowEdit::Insert(3), RowEdit::Drop(1)],
+        }))
+}
+
 /// Print through both public printers, which must agree.
 fn text(v: &serde_json::Value) -> String {
     let compact = serde_json::to_string(v).expect("printable");
@@ -231,6 +284,44 @@ fn edits_delta_bytes_are_pinned() {
 #[test]
 fn widget_delta_bytes_are_pinned() {
     assert_eq!(text(&delta_to_json(&widgets_delta())), WIDGETS);
+}
+
+#[test]
+fn typed_column_bytes_are_pinned() {
+    assert_eq!(text(&delta_to_json(&typed_delta())), TYPED);
+}
+
+/// Each typed column decodes back to its canonical form: FLOAT, TEXT and
+/// DATE cells typed, the mixed column one `Value` per cell with `INT 1`
+/// kept apart from `FLOAT 1.0`.
+#[test]
+fn typed_columns_decode_to_their_canonical_form() {
+    let json = serde_json::from_str(TYPED).expect("valid JSON");
+    let decoded = delta_from_json(&json).expect("decodes");
+    assert_eq!(decoded, typed_delta());
+    for patch in &decoded.charts {
+        let columns = match patch.data.as_ref().expect("data") {
+            DataPatch::Replace(columns) => columns,
+            DataPatch::Edits { inserted, .. } => inserted,
+        };
+        let forms: Vec<&ColumnData> = columns.iter().map(|c| c.values.data()).collect();
+        assert!(
+            matches!(
+                forms[..],
+                [
+                    ColumnData::Float(_),
+                    ColumnData::Str(_),
+                    ColumnData::Date(_),
+                    ColumnData::Values(_)
+                ]
+            ),
+            "{forms:?}"
+        );
+        let mixed = &columns[3].values;
+        assert!(matches!((mixed.value(0), mixed.value(1)), (Value::Int(1), Value::Float(_))));
+        assert!(!mixed.same_cell(0, mixed, 1));
+        assert_eq!(text(&delta_to_json(&decoded)), TYPED);
+    }
 }
 
 #[test]
@@ -321,6 +412,22 @@ const WIDGETS: &str = concat!(
     r#"{"node":33554439,"widget":7,"state":{"flags":[true,false,true]}},"#,
     r#"{"node":33554440,"widget":8,"state":{"flags":[]}},"#,
     r#"{"node":33554441,"widget":9,"state":{"unknown":true}}]}"#,
+);
+
+const TYPED: &str = concat!(
+    r#"{"from":20,"to":21,"charts":[{"node":16777216,"chart":0,"data":{"replace":["#,
+    r#"{"field":"f","values":[0.5,null,-0.001,null,1.0]},"#,
+    r#"{"field":"s","values":["pear","apple",null,"pear","é \"q\""]},"#,
+    r#"{"field":"d","values":[{"$date":"2021-01-01"},{"$date":"1970-01-01"},"#,
+    r#"{"$date":"1969-12-31"},null,{"$date":"2000-02-29"}]},"#,
+    r#"{"field":"m","values":[1,1.0,null,-2,2.5]}]}},"#,
+    r#"{"node":16777217,"chart":1,"data":{"edits":[[{"field":"f","values":[0.5,null]},"#,
+    r#"{"field":"s","values":["pear","apple"]},"#,
+    r#"{"field":"d","values":[{"$date":"2021-01-01"},{"$date":"1970-01-01"}]},"#,
+    r#"{"field":"m","values":[1,1.0]}],3,[{"field":"f","values":[-0.001,null,1.0]},"#,
+    r#"{"field":"s","values":[null,"pear","é \"q\""]},"#,
+    r#"{"field":"d","values":[{"$date":"1969-12-31"},null,{"$date":"2000-02-29"}]},"#,
+    r#"{"field":"m","values":[null,-2,2.5]}],-1]}}],"widgets":[]}"#,
 );
 
 const EMPTY_DELTA: &str = r#"{"from":0,"to":1,"charts":[],"widgets":[]}"#;

@@ -211,9 +211,9 @@ mod tests {
     fn generates_all_states_and_days() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT count(*) FROM covid").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(50 * 61));
+        assert_eq!(r.columns()[0].value(0), Value::Int(50 * 61));
         let r = c.execute_sql("SELECT count(*) FROM regions").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(50));
+        assert_eq!(r.columns()[0].value(0), Value::Int(50));
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         let r = c
             .execute_sql("SELECT date FROM covid GROUP BY date ORDER BY sum(cases) DESC LIMIT 1")
             .unwrap();
-        let Value::Date(peak) = &r.columns()[0][0] else { panic!() };
+        let Value::Date(peak) = &r.columns()[0].value(0) else { panic!() };
         let (y, m, d) = peak.ymd();
         assert_eq!((y, m), (2021, 12), "peak at {peak}");
         assert!(d >= 15, "peak at {peak}");
@@ -280,6 +280,6 @@ mod tests {
     fn state_limit_shrinks_fixture() {
         let c = catalog(&Config { state_limit: Some(3), days: 5, ..Config::default() });
         let r = c.execute_sql("SELECT count(*) FROM covid").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(15));
+        assert_eq!(r.columns()[0].value(0), Value::Int(15));
     }
 }

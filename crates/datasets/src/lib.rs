@@ -18,7 +18,7 @@
 //!
 //! let catalog = covid::catalog(&covid::Config::default());
 //! let r = catalog.execute_sql("SELECT count(DISTINCT state) FROM covid").unwrap();
-//! assert_eq!(r.columns()[0][0], pi2_engine::Value::Int(50));
+//! assert_eq!(r.columns()[0].value(0), pi2_engine::Value::Int(50));
 //! ```
 
 pub mod covid;

@@ -163,7 +163,7 @@ mod tests {
     fn generates_requested_count() {
         let c = catalog(&Config { objects: 500, seed: 1 });
         let r = c.execute_sql("SELECT count(*) FROM photoobj").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(500));
+        assert_eq!(r.columns()[0].value(0), Value::Int(500));
     }
 
     #[test]
@@ -204,17 +204,17 @@ mod tests {
     fn sized_overrides_object_count() {
         let c = catalog(&Config::sized(123));
         let r = c.execute_sql("SELECT count(*) FROM photoobj").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(123));
+        assert_eq!(r.columns()[0].value(0), Value::Int(123));
     }
 
     #[test]
     fn classes_have_expected_redshift_ranges() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT max(redshift) FROM photoobj WHERE class = 'STAR'").unwrap();
-        let Value::Float(v) = r.columns()[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0].value(0) else { panic!() };
         assert!(v < 0.01);
         let r = c.execute_sql("SELECT min(redshift) FROM photoobj WHERE class = 'QSO'").unwrap();
-        let Value::Float(v) = r.columns()[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0].value(0) else { panic!() };
         assert!(v > 0.4);
     }
 

@@ -125,16 +125,16 @@ mod tests {
     fn generates_expected_cardinalities() {
         let c = catalog(&Config { days: 10, ..Config::default() });
         let r = c.execute_sql("SELECT count(*) FROM prices").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(20 * 10));
+        assert_eq!(r.columns()[0].value(0), Value::Int(20 * 10));
         let r = c.execute_sql("SELECT count(DISTINCT sector) FROM companies").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(6));
+        assert_eq!(r.columns()[0].value(0), Value::Int(6));
     }
 
     #[test]
     fn prices_stay_positive() {
         let c = catalog(&Config::default());
         let r = c.execute_sql("SELECT min(close) FROM prices").unwrap();
-        let Value::Float(v) = r.columns()[0][0] else { panic!() };
+        let Value::Float(v) = r.columns()[0].value(0) else { panic!() };
         assert!(v > 0.0);
     }
 

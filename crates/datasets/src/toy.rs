@@ -117,7 +117,7 @@ mod tests {
     fn domains_are_small() {
         let c = default_catalog();
         let r = c.execute_sql("SELECT count(DISTINCT p), count(DISTINCT a) FROM t").unwrap();
-        assert_eq!(r.columns()[0][0], Value::Int(8));
-        assert_eq!(r.columns()[1][0], Value::Int(5));
+        assert_eq!(r.columns()[0].value(0), Value::Int(8));
+        assert_eq!(r.columns()[1].value(0), Value::Int(5));
     }
 }

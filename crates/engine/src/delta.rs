@@ -192,7 +192,7 @@ fn dirty_blocks(
         {
             continue; // bounds unchanged for this conjunct
         }
-        let zones = &p.table.columns[col].zones;
+        let zones = &p.table.zones[col];
         for (b, z) in zones.iter().enumerate() {
             if dirty[b] {
                 continue;

@@ -264,7 +264,7 @@ impl<'c> ExecCtx<'c> {
                 }
                 let mut saw_null = false;
                 for v in result.column(0) {
-                    match cmp_values(&needle, v)? {
+                    match cmp_values(&needle, &v)? {
                         None => saw_null = true,
                         Some(Ordering::Equal) => return Ok(Value::Bool(!negated)),
                         Some(_) => {}
@@ -302,7 +302,7 @@ impl<'c> ExecCtx<'c> {
                 }
                 match result.len() {
                     0 => Ok(Value::Null),
-                    1 => Ok(result.columns()[0][0].clone()),
+                    1 => Ok(result.columns()[0].value(0)),
                     n => Err(EngineError::ScalarSubquery(format!(
                         "scalar subquery returned {n} rows"
                     ))),

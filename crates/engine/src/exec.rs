@@ -8,7 +8,7 @@
 //! streams into WHERE, which keeps only the rows that pass.
 
 use crate::catalog::Catalog;
-use crate::columnar::ColumnarTable;
+use crate::columnar::{Column, ColumnBuilder, ColumnarTable};
 use crate::error::{EngineError, Result};
 use crate::eval::{AggBindings, ExecCtx, RelField, RelSchema, Scope};
 use crate::result::ResultSet;
@@ -456,10 +456,11 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Projected output columns and, when the query sorts, each row's ORDER BY
-/// keys (`keys[i]` belongs to row `i`; `keys` stays empty otherwise).
+/// Projected output columns, built as typed columns, and, when the query
+/// sorts, each row's ORDER BY keys (`keys[i]` belongs to row `i`; `keys`
+/// stays empty otherwise).
 pub(crate) struct Output {
-    pub(crate) columns: Vec<Vec<Value>>,
+    pub(crate) columns: Vec<ColumnBuilder>,
     pub(crate) len: usize,
     pub(crate) keys: Vec<Vec<Value>>,
 }
@@ -467,15 +468,20 @@ pub(crate) struct Output {
 impl Output {
     /// An empty output of `width` columns.
     pub(crate) fn new(width: usize) -> Self {
-        Output { columns: (0..width).map(|_| Vec::new()).collect(), len: 0, keys: Vec::new() }
+        Output { columns: vec![ColumnBuilder::default(); width], len: 0, keys: Vec::new() }
     }
 
     /// Append one row of `width` values.
-    pub(crate) fn push_row(&mut self, values: Vec<Value>) {
+    pub(crate) fn push_row(&mut self, values: impl IntoIterator<Item = Value>) {
         for (column, v) in self.columns.iter_mut().zip(values) {
             column.push(v);
         }
         self.len += 1;
+    }
+
+    /// The finished columns and the row count.
+    pub(crate) fn finish(self) -> (Vec<Column>, usize) {
+        (self.columns.into_iter().map(ColumnBuilder::finish).collect(), self.len)
     }
 }
 
@@ -484,9 +490,11 @@ impl Output {
 /// columnar executors funnel through this, so the post-projection semantics
 /// cannot drift between them. A query without any of them moves its output
 /// columns into the result as they are; otherwise the surviving rows are
-/// picked as an index list and each column is gathered once.
-pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output) -> ResultSet {
-    let Output { mut columns, mut len, keys } = out;
+/// picked as an index list and each column is gathered once
+/// ([`Column::gather`]).
+pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, mut out: Output) -> ResultSet {
+    let keys = std::mem::take(&mut out.keys);
+    let (mut columns, mut len) = out.finish();
     debug_assert!(keys.len() == if q.order_by.is_empty() { 0 } else { len });
     let offset = q.offset.unwrap_or(0) as usize;
     let limit = q.limit.map_or(usize::MAX, |l| l as usize);
@@ -494,8 +502,8 @@ pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output
         let mut order: Vec<usize> = (0..len).collect();
         // DISTINCT (keeps each row's first occurrence).
         if q.distinct {
-            let mut seen: HashSet<Vec<&Value>> = HashSet::new();
-            order.retain(|&i| seen.insert(columns.iter().map(|c| &c[i]).collect()));
+            let mut seen: HashSet<Vec<Value>> = HashSet::new();
+            order.retain(|&i| seen.insert(columns.iter().map(|c| c.value(i)).collect()));
         }
         // ORDER BY: a stable sort of the surviving rows; DESC flips per key.
         let dirs: Vec<SortDir> = q.order_by.iter().map(|o| o.dir).collect();
@@ -514,18 +522,15 @@ pub(crate) fn finalize_result(q: &Query, mut out_fields: Vec<Field>, out: Output
         });
         // OFFSET / LIMIT, after ORDER BY; then one gather per column.
         let order: Vec<usize> = order.into_iter().skip(offset).take(limit).collect();
-        for column in &mut columns {
-            *column =
-                order.iter().map(|&i| std::mem::replace(&mut column[i], Value::Null)).collect();
-        }
+        columns = columns.iter().map(|c| c.gather(&order)).collect();
         len = order.len();
     }
 
     // Dynamic type refinement for columns the static pass couldn't type.
     for (f, column) in out_fields.iter_mut().zip(&columns) {
         if f.data_type == DataType::Null {
-            if let Some(v) = column.iter().find(|v| !v.is_null()) {
-                f.data_type = v.data_type();
+            if let Some(t) = column.non_null_type() {
+                f.data_type = t;
             }
         }
     }

@@ -34,7 +34,7 @@
 
 use crate::catalog::Catalog;
 use crate::columnar::{
-    block_count, block_range, BitMask, Column, ColumnData, ColumnarTable, ZoneMap,
+    block_count, block_range, BitMask, Column, ColumnBuilder, ColumnData, ColumnarTable, ZoneMap,
 };
 use crate::error::{EngineError, Result};
 use crate::eval::{
@@ -503,17 +503,14 @@ impl<D: Fn(usize) -> Decision, K: Fn(usize) -> bool> TypedLoop for Loop<D, K> {
     }
 }
 
-/// A typed loop over `column` whose blocks are decided by `zone` (blocks
-/// without a zone map are scanned).
+/// A typed loop over a column with zone maps `zones`, whose blocks are
+/// decided by `zone` (blocks without a zone map are scanned).
 fn zoned<'a>(
-    column: &'a Column,
+    zones: &'a [ZoneMap],
     zone: impl Fn(&ZoneMap) -> Decision + 'a,
     keep: impl Fn(usize) -> bool + 'a,
 ) -> Box<dyn TypedLoop + 'a> {
-    Box::new(Loop {
-        decide: move |b: usize| column.zones.get(b).map_or(Decision::Scan, &zone),
-        keep,
-    })
+    Box::new(Loop { decide: move |b: usize| zones.get(b).map_or(Decision::Scan, &zone), keep })
 }
 
 /// Execution context for one columnar query run.
@@ -568,21 +565,13 @@ impl ColCtx<'_> {
             if q.having.is_some() {
                 return Err(EngineError::Unsupported("HAVING without aggregation".into()));
             }
-            // Room for every selected row, up to one past the row limit.
-            let cap = self.limits.max_rows.map_or(usize::MAX, |m| m.saturating_add(1));
-            let selected = mask.count_ones().min(cap);
-            for column in &mut out.columns {
-                column.reserve_exact(selected);
-            }
             if let Some((columns, keys)) = self.bare_columns() {
                 self.gather(mask, &columns, &keys, &mut out)?;
             } else {
+                let mut values = Vec::with_capacity(self.plan.items.len());
                 for row in mask.iter_ones() {
                     self.check_limits(out.len)?;
-                    for (column, e) in out.columns.iter_mut().zip(&self.plan.items) {
-                        column.push(self.eval(e, Some(row), &[])?);
-                    }
-                    self.push_keys(Some(row), &[], &mut out)?;
+                    self.push_row(Some(row), &[], &mut values, &mut out)?;
                 }
             }
         }
@@ -606,12 +595,13 @@ impl ColCtx<'_> {
 
     /// Project the bare table `columns` (sorting by the output columns
     /// `keys`) over the selected rows: the row indices are collected once,
-    /// then each output column is filled by one typed loop per chunk of
-    /// [`LIMIT_CHECK_ROWS`] rows. Before each chunk the limits are checked
-    /// as the row loop checks them before each of its rows: the timeout on
-    /// the chunk's first row (the only one it checks the clock on), and the
-    /// row cap on the first row past it, so both fail at the same row count
-    /// with the same error.
+    /// then each output column gathers its rows from the table column, in
+    /// the table column's typed form, one chunk of [`LIMIT_CHECK_ROWS`]
+    /// rows at a time. Before each chunk the limits are checked as the row
+    /// loop checks them before each of its rows: the timeout on the chunk's
+    /// first row (the only one it checks the clock on), and the row cap on
+    /// the first row past it, so both fail at the same row count with the
+    /// same error.
     fn gather(
         &self,
         mask: &BitMask,
@@ -622,6 +612,8 @@ impl ColCtx<'_> {
         // The row loop fails at the latest on row `max_rows + 1`.
         let cap = self.limits.max_rows.map_or(usize::MAX, |m| m.saturating_add(2));
         let rows: Vec<usize> = mask.iter_ones().take(cap).collect();
+        out.columns =
+            columns.iter().map(|&c| ColumnBuilder::like(self.col(c), rows.len())).collect();
         for (n, chunk) in rows.chunks(LIMIT_CHECK_ROWS).enumerate() {
             let start = n * LIMIT_CHECK_ROWS;
             self.check_limits(start)?;
@@ -629,13 +621,13 @@ impl ColCtx<'_> {
                 self.check_limits(m + 1)?;
             }
             for (column, &c) in out.columns.iter_mut().zip(columns) {
-                self.col(c).gather(chunk, column);
+                column.extend_rows(self.col(c), chunk);
             }
         }
         out.len = rows.len();
         if !keys.is_empty() {
-            let key = |r: usize| keys.iter().map(|&i| out.columns[i][r].clone()).collect();
-            out.keys = (0..out.len).map(key).collect();
+            let key = |&r: &usize| keys.iter().map(|&k| self.col(columns[k]).value(r)).collect();
+            out.keys = rows.iter().map(key).collect();
         }
         Ok(())
     }
@@ -665,6 +657,7 @@ impl ColCtx<'_> {
             groups.push((Vec::new(), Vec::new()));
         }
 
+        let mut values = Vec::with_capacity(plan.items.len());
         for (_, group_rows) in groups {
             self.check_limits(out.len)?;
             let mut agg_values = Vec::with_capacity(plan.aggs.len());
@@ -679,10 +672,7 @@ impl ColCtx<'_> {
                     continue;
                 }
             }
-            for (column, e) in out.columns.iter_mut().zip(&plan.items) {
-                column.push(self.eval(e, rep, &agg_values)?);
-            }
-            self.push_keys(rep, &agg_values, out)?;
+            self.push_row(rep, &agg_values, &mut values, out)?;
         }
         Ok(())
     }
@@ -735,20 +725,32 @@ impl ColCtx<'_> {
         }
     }
 
-    /// Count the output row just pushed into `out`'s columns, and record its
-    /// ORDER BY keys when the query sorts.
-    fn push_keys(&self, row: Option<usize>, aggs: &[Value], out: &mut Output) -> Result<()> {
+    /// Evaluate the projection for one output row (`row = None`: the
+    /// synthetic all-NULL row of an empty aggregation group) into `values`
+    /// (a buffer reused across rows), record its ORDER BY keys when the
+    /// query sorts, and append it to `out`.
+    fn push_row(
+        &self,
+        row: Option<usize>,
+        aggs: &[Value],
+        values: &mut Vec<Value>,
+        out: &mut Output,
+    ) -> Result<()> {
+        values.clear();
+        for e in &self.plan.items {
+            values.push(self.eval(e, row, aggs)?);
+        }
         if !self.plan.order_keys.is_empty() {
             let mut keys = Vec::with_capacity(self.plan.order_keys.len());
             for spec in &self.plan.order_keys {
                 keys.push(match spec {
-                    KeySpec::Output(i) => out.columns[*i][out.len].clone(),
+                    KeySpec::Output(i) => values[*i].clone(),
                     KeySpec::Compiled(e) => self.eval(e, row, aggs)?,
                 });
             }
             out.keys.push(keys);
         }
-        out.len += 1;
+        out.push_row(values.drain(..));
         Ok(())
     }
 
@@ -758,6 +760,10 @@ impl ColCtx<'_> {
 
     fn col(&self, i: usize) -> &Column {
         &self.table.columns[i]
+    }
+
+    fn zones(&self, i: usize) -> &[ZoneMap] {
+        &self.table.zones[i]
     }
 
     /// Clear mask slots whose rows do not satisfy `e` (strictly-true
@@ -947,7 +953,7 @@ impl ColCtx<'_> {
                 let CExpr::Col(c) = expr.as_ref() else { return None };
                 let (column, negated) = (self.col(*c), *negated);
                 Some(zoned(
-                    column,
+                    self.zones(*c),
                     move |z| null_decision(z, negated),
                     move |i| column.is_null(i) != negated,
                 ))
@@ -968,14 +974,14 @@ impl ColCtx<'_> {
         if konst.is_null() {
             return Some(Box::new(Loop { decide: |_| Decision::AllFail, keep: |_| false }));
         }
-        let column = self.col(col);
+        let (column, zones) = (self.col(col), self.zones(col));
         let keep =
             move |ord: Ordering| apply_comparison(op, if flipped { ord.reverse() } else { ord });
         macro_rules! typed_loop {
             ($data:expr, $cmp:expr) => {{
                 let (data, cmp) = ($data, $cmp);
                 Some(zoned(
-                    column,
+                    zones,
                     move |z| prune_decision(z, konst, keep),
                     move |i| !column.is_null(i) && keep(cmp(&data[i])),
                 ))
@@ -1027,13 +1033,13 @@ impl ColCtx<'_> {
         lo: &'s Value,
         hi: &'s Value,
     ) -> Option<Box<dyn TypedLoop + 's>> {
-        let column = self.col(col);
+        let (column, zones) = (self.col(col), self.zones(col));
         let numeric = lo.data_type().is_numeric() && hi.data_type().is_numeric();
         let dates = matches!((lo, hi), (Value::Date(_), Value::Date(_)));
         let zone = move |z: &ZoneMap| range_decision(z, lo, hi);
         if let ColumnData::Int(d) = &column.data {
             let (lo, hi) = (IntBound::of(lo)?, IntBound::of(hi)?);
-            return Some(zoned(column, zone, move |i| {
+            return Some(zoned(zones, zone, move |i| {
                 !column.is_null(i)
                     && lo.order(d[i]) != Ordering::Less
                     && hi.order(d[i]) != Ordering::Greater
@@ -1045,10 +1051,10 @@ impl ColCtx<'_> {
         };
         match &column.data {
             ColumnData::Float(d) if numeric => {
-                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(d[i])))
+                Some(zoned(zones, zone, move |i| !column.is_null(i) && in_range(d[i])))
             }
             ColumnData::Date(d) if dates => {
-                Some(zoned(column, zone, move |i| !column.is_null(i) && in_range(f64::from(d[i]))))
+                Some(zoned(zones, zone, move |i| !column.is_null(i) && in_range(f64::from(d[i]))))
             }
             _ => None,
         }

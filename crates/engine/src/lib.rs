@@ -32,7 +32,7 @@
 //!
 //! let q = parse_query("SELECT state FROM covid WHERE cases > 200").unwrap();
 //! let result = catalog.execute(&q).unwrap();
-//! assert_eq!(*result.columns()[0], [Value::str("FL")]);
+//! assert_eq!(result.column(0).collect::<Vec<_>>(), [Value::str("FL")]);
 //! ```
 
 pub mod catalog;
@@ -51,6 +51,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Catalog, ExecLimits, Obtained};
+pub use columnar::{Column, ColumnBuilder, ColumnData};
 pub use delta::{DeltaCache, DeltaOutcome};
 pub use error::{EngineError, Result};
 pub use result::ResultSet;

@@ -1,30 +1,32 @@
 //! Query results.
 
+use crate::columnar::{compute_stats, Column};
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// The materialized result of executing a query: an inferred output schema
-/// plus one shared column of values per output field. The columns are
-/// behind [`Arc`]s so the result cache, sessions and retained scenes hold
-/// the same storage instead of copying it.
+/// plus one shared typed [`Column`] per output field — the storage's own
+/// column type, so a 1M-row `FLOAT` column is 8 bytes a cell plus a null
+/// mask. The columns are behind [`Arc`]s so the result cache, sessions and
+/// retained scenes hold the same storage instead of copying it.
 ///
-/// Equality is value equality: same schema, same row count, equal cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Equality is value equality: same schema, same row count, equal cells
+/// (see [`Column`]'s equality).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
     /// The output schema.
     pub schema: Schema,
-    columns: Vec<Arc<Vec<Value>>>,
+    columns: Vec<Arc<Column>>,
     len: usize,
 }
 
 impl ResultSet {
-    /// A result from columns that each hold `len` values (one column per
+    /// A result from columns that each hold `len` rows (one column per
     /// schema field).
-    pub(crate) fn new(schema: Schema, columns: Vec<Vec<Value>>, len: usize) -> Self {
+    pub(crate) fn new(schema: Schema, columns: Vec<Column>, len: usize) -> Self {
         assert!(
             columns.len() == schema.len() && columns.iter().all(|c| c.len() == len),
             "result columns must match the schema and hold one value per row"
@@ -37,7 +39,8 @@ impl ResultSet {
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
         let mut out = crate::exec::Output::new(schema.len());
         rows.into_iter().for_each(|row| out.push_row(row));
-        ResultSet::new(schema, out.columns, out.len)
+        let (columns, len) = out.finish();
+        ResultSet::new(schema, columns, len)
     }
 
     /// Number of result rows.
@@ -51,24 +54,25 @@ impl ResultSet {
     }
 
     /// The shared output columns, in schema order.
-    pub fn columns(&self) -> &[Arc<Vec<Value>>] {
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
 
-    /// All values of output column `idx`.
-    pub fn column(&self, idx: usize) -> impl Iterator<Item = &Value> {
+    /// All values of output column `idx`, each materialized as a
+    /// [`Value`].
+    pub fn column(&self, idx: usize) -> impl ExactSizeIterator<Item = Value> + '_ {
         self.columns[idx].iter()
     }
 
-    /// The rows, each copied out of the columns (for row consumers such as
-    /// table renderers).
+    /// The rows, each materialized from the columns (for row consumers
+    /// such as table renderers).
     pub fn rows(&self) -> impl ExactSizeIterator<Item = Vec<Value>> + '_ {
-        (0..self.len).map(|i| self.columns.iter().map(|c| c[i].clone()).collect())
+        (0..self.len).map(|i| self.columns.iter().map(|c| c.value(i)).collect())
     }
 
     /// Statistics for output column `idx`.
     pub fn column_stats(&self, idx: usize) -> ColumnStats {
-        ColumnStats::compute(&self.schema.fields[idx], self.column(idx))
+        compute_stats(&self.schema.fields[idx], &self.columns[idx])
     }
 
     /// Render the result as an ASCII table (the "static table" rendering the

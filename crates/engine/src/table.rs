@@ -104,7 +104,7 @@ impl TableBuilder {
 
     /// Finish, producing an empty table.
     pub fn build(self) -> Table {
-        let columns = self.fields.iter().map(|f| ColumnBuilder::new(f.data_type)).collect();
+        let columns = self.fields.iter().map(|f| ColumnBuilder::declared(f.data_type)).collect();
         Table { name: self.name, schema: Schema::new(self.fields), columns, len: 0 }
     }
 }

@@ -18,10 +18,10 @@ fn register_invalidates_cached_results() {
     let mut c = Catalog::new();
     c.register(table_with(&[1, 2, 3]));
     let q = pi2_sql::parse_query("SELECT sum(v) FROM t").unwrap();
-    assert_eq!(c.execute(&q).unwrap().columns()[0][0], Value::Int(6));
+    assert_eq!(c.execute(&q).unwrap().columns()[0].value(0), Value::Int(6));
     // Replace the table; the cached result must not survive.
     c.register(table_with(&[10, 20]));
-    assert_eq!(c.execute(&q).unwrap().columns()[0][0], Value::Int(30));
+    assert_eq!(c.execute(&q).unwrap().columns()[0].value(0), Value::Int(30));
 }
 
 #[test]
@@ -33,14 +33,14 @@ fn clones_share_the_cache_until_either_registers() {
     // Warm via the clone; both observe the same data, and the hit is the
     // clone's cached result itself, not a copy.
     let warm = b.execute(&q).unwrap();
-    assert_eq!(warm.columns()[0][0], Value::Int(5));
+    assert_eq!(warm.columns()[0].value(0), Value::Int(5));
     assert!(Arc::ptr_eq(&warm, &a.execute(&q).unwrap()));
     // Registering on `a` moves it to a fresh version, but `b` still sees
     // its own (old) tables: results must reflect each catalog's table map.
     a.register(table_with(&[7]));
-    assert_eq!(a.execute(&q).unwrap().columns()[0][0], Value::Int(7));
+    assert_eq!(a.execute(&q).unwrap().columns()[0].value(0), Value::Int(7));
     // NOTE: b's table map still holds the old Arc'd table.
-    assert_eq!(b.execute(&q).unwrap().columns()[0][0], Value::Int(5));
+    assert_eq!(b.execute(&q).unwrap().columns()[0].value(0), Value::Int(5));
 }
 
 #[test]

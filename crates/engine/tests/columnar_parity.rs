@@ -2,7 +2,7 @@
 //! from the row-at-a-time reference executor — same schema (names and
 //! types), same rows in the same order, same errors.
 
-use pi2_engine::{Catalog, DataType, Table, Value};
+use pi2_engine::{Catalog, ColumnData, DataType, Table, Value};
 use pi2_sql::parse_query;
 
 fn assert_parity(catalog: &Catalog, sql: &str) {
@@ -292,4 +292,89 @@ fn bare_column_projection_keeps_row_and_time_limits() {
         let want = Err("resource exhausted: query timeout: exceeded 0ns".to_string());
         assert_eq!(outcome(&limits_catalog(zero), sql), want, "{sql} with a zero timeout");
     }
+}
+
+/// `t(x INT, f FLOAT)`: (1, 1.0), (2, 2.5), (3, NULL).
+fn int_float_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let mut t = Table::builder("t").column("x", DataType::Int).column("f", DataType::Float).build();
+    for (x, f) in [(1, Some(1.0)), (2, Some(2.5)), (3, None)] {
+        t.push_row(vec![Value::Int(x), f.map_or(Value::Null, Value::Float)]).unwrap();
+    }
+    c.register(t);
+    c
+}
+
+/// An expression whose cells mix `INT` and `FLOAT` yields a
+/// [`ColumnData::Values`] column that keeps `Int(1)` apart from
+/// `Float(1.0)`; any selection of it whose cells share one variant is
+/// typed again.
+#[test]
+fn mixed_variant_column_keeps_int_apart_from_float() {
+    let c = int_float_catalog();
+    let run = |sql: &str| {
+        assert_parity(&c, sql);
+        c.execute_uncached(&parse_query(sql).unwrap()).unwrap()
+    };
+    let mixed = run("SELECT CASE WHEN x = 1 THEN x ELSE f END AS v FROM t");
+    let column = &mixed.columns()[0];
+    assert!(matches!(column.data(), ColumnData::Values(_)), "{column:?}");
+    assert!(matches!(column.value(0), Value::Int(1)));
+    assert!(matches!(column.value(1), Value::Float(v) if v == 2.5));
+    assert!(column.is_null(2));
+    let swapped = run("SELECT CASE WHEN x = 1 THEN f ELSE x END AS v FROM t");
+    assert!(matches!(swapped.columns()[0].value(0), Value::Float(v) if v == 1.0));
+    // Equal as SQL values, distinct as cells.
+    assert_eq!(column.value(0), swapped.columns()[0].value(0));
+    assert!(!column.same_cell(0, &swapped.columns()[0], 0));
+    assert!(!column.identical(&swapped.columns()[0]));
+
+    // One variant left after LIMIT, ORDER BY or a filter: typed.
+    for sql in [
+        "SELECT CASE WHEN x = 1 THEN x ELSE f END AS v FROM t LIMIT 1",
+        "SELECT CASE WHEN x = 1 THEN x ELSE f END AS v FROM t ORDER BY x DESC LIMIT 2",
+        "SELECT CASE WHEN x = 1 THEN x ELSE f END AS v FROM t WHERE x > 1",
+    ] {
+        let r = run(sql);
+        assert!(!matches!(r.columns()[0].data(), ColumnData::Values(_)), "{sql}: {r:?}");
+    }
+}
+
+/// A column whose cells share one variant is typed whichever path built
+/// it: bare columns, expressions, aggregates, all-NULL columns.
+#[test]
+fn single_variant_columns_are_typed() {
+    let c = mixed_catalog();
+    for sql in [
+        "SELECT id, city, temp, day, ok FROM obs",
+        "SELECT id + 1 AS a, temp * 2 AS b, upper(city) AS c, day + 1 AS d FROM obs",
+        "SELECT city, count(*) AS n, avg(temp) AS t, max(day) AS d FROM obs GROUP BY city",
+        "SELECT NULL AS z, CASE WHEN id > 100 THEN temp END AS w FROM obs",
+        "SELECT DISTINCT city FROM obs ORDER BY city LIMIT 3",
+    ] {
+        assert_parity(&c, sql);
+        let r = c.execute_uncached(&parse_query(sql).unwrap()).unwrap();
+        for (field, column) in r.schema.fields.iter().zip(r.columns()) {
+            assert!(
+                !matches!(column.data(), ColumnData::Values(_)),
+                "{sql}: column {} is untyped: {column:?}",
+                field.name
+            );
+        }
+    }
+}
+
+/// A gathered string column shares the table's dictionary instead of
+/// copying a `String` per cell.
+#[test]
+fn gathered_strings_share_the_table_dictionary() {
+    let c = mixed_catalog();
+    let r = c.execute_uncached(&parse_query("SELECT city FROM obs WHERE id > 1").unwrap()).unwrap();
+    let table = c.get("obs").unwrap();
+    let (ColumnData::Str(gathered), ColumnData::Str(stored)) =
+        (r.columns()[0].data(), table.columns[1].data())
+    else {
+        panic!("expected dictionary columns")
+    };
+    assert!(std::sync::Arc::ptr_eq(&gathered.dict, &stored.dict));
 }

@@ -74,7 +74,7 @@ fn arithmetic_projection_types() {
     let r = run(&c, "SELECT cases * 2 AS double_cases FROM covid LIMIT 1");
     assert_eq!(r.schema.fields[0].name, "double_cases");
     assert_eq!(r.schema.fields[0].data_type, DataType::Int);
-    assert_eq!(r.columns()[0][0], Value::Int(200));
+    assert_eq!(r.columns()[0].value(0), Value::Int(200));
 }
 
 #[test]
@@ -93,10 +93,10 @@ fn global_aggregate_without_group_by() {
     let c = fixture();
     let r = run(&c, "SELECT count(*), sum(cases), avg(cases), min(cases), max(cases) FROM covid");
     assert_eq!(r.len(), 1);
-    assert_eq!(r.columns()[0][0], Value::Int(9));
-    assert_eq!(r.columns()[1][0], Value::Int(798));
-    assert_eq!(r.columns()[3][0], Value::Int(5));
-    assert_eq!(r.columns()[4][0], Value::Int(200));
+    assert_eq!(r.columns()[0].value(0), Value::Int(9));
+    assert_eq!(r.columns()[1].value(0), Value::Int(798));
+    assert_eq!(r.columns()[3].value(0), Value::Int(5));
+    assert_eq!(r.columns()[4].value(0), Value::Int(200));
 }
 
 #[test]
@@ -104,8 +104,8 @@ fn aggregate_over_empty_input_yields_one_row() {
     let c = fixture();
     let r = run(&c, "SELECT count(*), sum(cases) FROM covid WHERE cases > 99999");
     assert_eq!(r.len(), 1);
-    assert_eq!(r.columns()[0][0], Value::Int(0));
-    assert_eq!(r.columns()[1][0], Value::Null);
+    assert_eq!(r.columns()[0].value(0), Value::Int(0));
+    assert_eq!(r.columns()[1].value(0), Value::Null);
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn having_filters_groups() {
 fn count_distinct() {
     let c = fixture();
     let r = run(&c, "SELECT count(DISTINCT state) FROM covid");
-    assert_eq!(r.columns()[0][0], Value::Int(3));
+    assert_eq!(r.columns()[0].value(0), Value::Int(3));
 }
 
 #[test]
@@ -171,21 +171,21 @@ fn left_join_keeps_unmatched() {
 fn cross_join_cardinality() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM covid CROSS JOIN regions");
-    assert_eq!(r.columns()[0][0], Value::Int(27));
+    assert_eq!(r.columns()[0].value(0), Value::Int(27));
 }
 
 #[test]
 fn comma_join_is_cross_product() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM covid, regions");
-    assert_eq!(r.columns()[0][0], Value::Int(27));
+    assert_eq!(r.columns()[0].value(0), Value::Int(27));
 }
 
 #[test]
 fn nested_loop_join_on_inequality() {
     let c = fixture();
     let r = run(&c, "SELECT count(*) FROM regions a JOIN regions b ON a.state < b.state");
-    assert_eq!(r.columns()[0][0], Value::Int(3)); // FL<NY, FL<VT, NY<VT
+    assert_eq!(r.columns()[0].value(0), Value::Int(3)); // FL<NY, FL<VT, NY<VT
 }
 
 #[test]
@@ -196,7 +196,7 @@ fn derived_table() {
         "SELECT s.state, s.total FROM (SELECT state, sum(cases) AS total FROM covid GROUP BY state) AS s WHERE s.total > 100 ORDER BY s.total",
     );
     assert_eq!(r.len(), 2);
-    assert_eq!(r.columns()[0][0], Value::str("FL"));
+    assert_eq!(r.columns()[0].value(0), Value::str("FL"));
 }
 
 #[test]
@@ -205,7 +205,7 @@ fn scalar_subquery() {
     let r = run(&c, "SELECT state, cases FROM covid WHERE cases > (SELECT avg(cases) FROM covid) ORDER BY cases");
     // avg = 88.67 -> rows with cases in {90,100,150,160,200}
     assert_eq!(r.len(), 5);
-    assert_eq!(r.columns()[1][0], Value::Int(90));
+    assert_eq!(r.columns()[1].value(0), Value::Int(90));
 }
 
 #[test]
@@ -269,7 +269,7 @@ fn between_dates() {
         &c,
         "SELECT count(*) FROM covid WHERE date BETWEEN DATE '2021-12-02' AND DATE '2021-12-03'",
     );
-    assert_eq!(r.columns()[0][0], Value::Int(6));
+    assert_eq!(r.columns()[0].value(0), Value::Int(6));
 }
 
 #[test]
@@ -284,7 +284,7 @@ fn order_by_multiple_keys_and_direction() {
 fn order_by_position() {
     let c = fixture();
     let r = run(&c, "SELECT state, sum(cases) FROM covid GROUP BY state ORDER BY 2 DESC LIMIT 1");
-    assert_eq!(r.columns()[0][0], Value::str("NY"));
+    assert_eq!(r.columns()[0].value(0), Value::str("NY"));
 }
 
 #[test]

@@ -6,12 +6,16 @@
 //! full-execute equivalence over random pan/zoom sequences, including INT
 //! bounds at 2^53, where f64 comparison stops being exact.
 //!
+//! A last property pins the typed result columns: on random NULL-bearing
+//! INT/FLOAT/TEXT/DATE tables the fast path returns the reference's cells
+//! exactly, and every result column of either path is in canonical form.
+//!
 //! These run in debug builds, so every pruned block and every delta mask
 //! is additionally re-verified row-by-row by the executor's internal
 //! `debug_assert`s while the properties check end-to-end results.
 
 use pi2_engine::columnar::{ColumnData, BLOCK_ROWS};
-use pi2_engine::{Catalog, DataType, DeltaCache, ExecLimits, Table, Value};
+use pi2_engine::{Catalog, DataType, DeltaCache, ExecLimits, ResultSet, Table, Value};
 use pi2_sql::parse_query;
 use proptest::prelude::*;
 
@@ -135,7 +139,7 @@ proptest! {
     ) {
         let t = str_table(&vals);
         let c = t.seal();
-        let ColumnData::Str(d) = &c.columns[0].data else {
+        let ColumnData::Str(d) = c.columns[0].data() else {
             return Err(TestCaseError::fail("expected dictionary column"));
         };
         // Decode: every row materializes back to its original value.
@@ -345,5 +349,120 @@ proptest! {
             &c,
             &format!("SELECT m, count(*) AS n FROM t WHERE {w} GROUP BY m ORDER BY n DESC, m"),
         )?;
+    }
+}
+
+/// One row of [`nullable_catalog`]: INT, FLOAT, TEXT (an index into four
+/// strings) and DATE cells, each possibly NULL.
+type NullableRow = (Option<i64>, Option<f64>, Option<usize>, Option<i32>);
+
+fn nullable_row() -> impl Strategy<Value = NullableRow> {
+    (
+        proptest::option::of(-6i64..6),
+        // Halves, so a FLOAT cell often equals an INT one as a SQL value.
+        proptest::option::of((-12i64..12).prop_map(|k| k as f64 / 2.0)),
+        proptest::option::of(0usize..4),
+        proptest::option::of(18_000i32..18_010),
+    )
+}
+
+/// Table `t`: the rows' `x INT, f FLOAT, s TEXT, d DATE`, plus `n INT`,
+/// NULL in every row.
+fn nullable_catalog(rows: &[NullableRow]) -> Catalog {
+    let mut t = Table::builder("t")
+        .column("x", DataType::Int)
+        .column("f", DataType::Float)
+        .column("s", DataType::Str)
+        .column("d", DataType::Date)
+        .column("n", DataType::Int)
+        .build();
+    for &(x, f, s, d) in rows {
+        t.push_row(vec![
+            x.map_or(Value::Null, Value::Int),
+            f.map_or(Value::Null, Value::Float),
+            s.map_or(Value::Null, |s| Value::str(["pear", "apple", "fig", ""][s])),
+            d.map_or(Value::Null, |d| Value::Date(pi2_sql::Date(d))),
+            Value::Null,
+        ])
+        .expect("valid row");
+    }
+    let mut c = Catalog::new();
+    c.register(t);
+    c
+}
+
+/// Every column of `r` is in canonical form: a column holds one `Value`
+/// per cell only when its non-null cells mix variants, and a typed column
+/// decodes to cells of its own variant.
+fn assert_canonical(r: &ResultSet, sql: &str) -> std::result::Result<(), TestCaseError> {
+    for (field, column) in r.schema.fields.iter().zip(r.columns()) {
+        let variants: std::collections::HashSet<DataType> =
+            column.iter().filter(|v| !v.is_null()).map(|v| v.data_type()).collect();
+        let mixed = matches!(column.data(), ColumnData::Values(_));
+        prop_assert_eq!(mixed, variants.len() > 1, "{} column {}: {:?}", sql, field.name, variants);
+    }
+    Ok(())
+}
+
+/// The fast path's typed result holds exactly the reference's cells —
+/// variant and bits, not just SQL equality — and both are canonical.
+fn assert_typed_parity(c: &Catalog, sql: &str) -> std::result::Result<(), TestCaseError> {
+    let q = parse_query(sql).unwrap_or_else(|e| panic!("parse {sql}: {e}"));
+    match (c.execute_uncached(&q), c.execute_reference(&q)) {
+        (Ok(f), Ok(r)) => {
+            prop_assert_eq!(&f, &r, "result mismatch for {}", sql);
+            prop_assert_eq!(&f.schema.fields, &r.schema.fields, "schema mismatch for {}", sql);
+            for (a, b) in f.columns().iter().zip(r.columns()) {
+                prop_assert!(a.identical(b), "cells differ for {}: {:?} vs {:?}", sql, a, b);
+            }
+            assert_canonical(&f, sql)?;
+            assert_canonical(&r, sql)?;
+        }
+        (Err(f), Err(r)) => {
+            prop_assert_eq!(f.to_string(), r.to_string(), "error mismatch for {}", sql);
+        }
+        (f, r) => {
+            prop_assert!(false, "status mismatch for {}: fast={:?} reference={:?}", sql, f, r)
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn typed_results_match_reference_and_stay_canonical(
+        rows in proptest::collection::vec(nullable_row(), 0..120),
+        lo in -7i64..7,
+        width in 0i64..8,
+        k in 0usize..10,
+        o in 0usize..6,
+    ) {
+        let c = nullable_catalog(&rows);
+        let hi = lo + width;
+        for sql in [
+            format!("SELECT x, f, s, d, n FROM t WHERE x BETWEEN {lo} AND {hi}"),
+            format!("SELECT f, s FROM t WHERE f >= {lo}.5 OR s IS NULL"),
+            "SELECT DISTINCT s, n FROM t".to_string(),
+            "SELECT DISTINCT f, x FROM t".to_string(),
+            format!("SELECT x, f, s, d, n FROM t ORDER BY f DESC, x, s LIMIT {k} OFFSET {o}"),
+            format!("SELECT d, s FROM t ORDER BY d, s DESC OFFSET {o}"),
+            format!("SELECT s, d FROM t LIMIT {k}"),
+            "SELECT s, count(*) AS c, sum(x) AS sx, avg(f) AS af, min(d) AS md, \
+             max(s) AS ms, min(n) AS mn FROM t GROUP BY s ORDER BY s"
+                .to_string(),
+            format!("SELECT count(*) AS c, sum(f) AS sf, max(x) AS mx FROM t WHERE f > {lo}"),
+            format!("SELECT d, count(*) AS c FROM t WHERE x > {lo} GROUP BY d ORDER BY c DESC, d"),
+            // Mixed variants: INT on some rows, FLOAT on others.
+            format!("SELECT CASE WHEN x > {lo} THEN x ELSE f END AS v, s FROM t"),
+            format!(
+                "SELECT DISTINCT CASE WHEN x > {lo} THEN x ELSE f END AS v FROM t \
+                 ORDER BY v LIMIT {k}"
+            ),
+            format!("SELECT x + f AS xf, n + 1 AS n1, coalesce(f, x) AS cf FROM t LIMIT {k}"),
+        ] {
+            assert_typed_parity(&c, &sql)?;
+        }
     }
 }

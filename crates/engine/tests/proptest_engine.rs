@@ -44,7 +44,7 @@ proptest! {
             .execute_sql(&format!("SELECT count(*) FROM t WHERE v > {threshold}"))
             .expect("executes");
         let expected = rows.iter().filter(|r| r.v > threshold).count() as i64;
-        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0].value(0), &Value::Int(expected));
     }
 
     #[test]
@@ -81,7 +81,7 @@ proptest! {
                 other => panic!("{other}"),
             })
             .sum();
-        prop_assert_eq!(&total.columns()[0][0], &Value::Int(group_total));
+        prop_assert_eq!(&total.columns()[0].value(0), &Value::Int(group_total));
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
             *counts.entry(row.k).or_insert(0) += 1;
         }
         let expected: i64 = counts.values().map(|n| n * n).sum();
-        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0].value(0), &Value::Int(expected));
     }
 
     #[test]
@@ -108,7 +108,7 @@ proptest! {
         let pair = c
             .execute_sql(&format!("SELECT count(*) FROM t WHERE v >= {lo} AND v <= {hi}"))
             .expect("executes");
-        prop_assert_eq!(&between.columns()[0][0], &pair.columns()[0][0]);
+        prop_assert_eq!(&between.columns()[0].value(0), &pair.columns()[0].value(0));
     }
 
     #[test]
@@ -155,7 +155,7 @@ proptest! {
             *e = (*e).max(row.v);
         }
         let expected = rows.iter().filter(|r| maxima[&r.k] == r.v).count() as i64;
-        prop_assert_eq!(&r.columns()[0][0], &Value::Int(expected));
+        prop_assert_eq!(&r.columns()[0].value(0), &Value::Int(expected));
     }
 
     #[test]

@@ -322,7 +322,7 @@ mod tests {
         let mut nb = toy_notebook();
         let c = nb.add_cell("SELECT count(*) FROM t");
         let r = nb.run_cell(c).unwrap();
-        assert_eq!(r.columns()[0][0], pi2_engine::Value::Int(200));
+        assert_eq!(r.columns()[0].value(0), pi2_engine::Value::Int(200));
         assert_eq!(nb.cells()[c].execution_count, 1);
     }
 

@@ -123,9 +123,9 @@ pub struct GenerationStats {
     /// Search-layer statistics (iterations, workers, reward cache), when a
     /// search strategy ran.
     pub search: Option<SearchStats>,
-    /// Per-phase timings and counters for this run: `phase.parse`,
-    /// `phase.search`, `phase.map`, `phase.cost`, plus `memo.hits` /
-    /// `memo.misses` for the cross-run cost memo.
+    /// Per-phase timings for this run: `phase.parse`, `phase.search`,
+    /// `phase.map`, `phase.cost` and, on a degraded run, `phase.fallback`
+    /// (read them with [`GenerationStats::phase`]).
     pub telemetry: Snapshot,
     /// Cost-memo lookups this run answered from cache (includes entries
     /// memoized by *earlier* runs of the same [`Pi2`]).
@@ -159,22 +159,6 @@ impl GenerationStats {
     /// `"map"`, `"cost"`), zero if the phase never ran.
     pub fn phase(&self, name: &str) -> Duration {
         self.telemetry.timer_total(&format!("phase.{name}"))
-    }
-
-    /// Flat JSON object with every counter and timer of the run plus
-    /// `elapsed_ms` and `candidates_considered`.
-    pub fn to_json(&self) -> String {
-        let inner = self.telemetry.to_json();
-        let mut out = String::from(inner.trim_end_matches('}'));
-        if out.len() > 1 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"elapsed_ms\":{:.3},\"candidates_considered\":{}}}",
-            self.elapsed.as_secs_f64() * 1e3,
-            self.candidates_considered
-        ));
-        out
     }
 }
 
@@ -467,7 +451,6 @@ impl Pi2 {
                 // timeout, not a join); generate privately without
                 // publishing (the leader keeps the lease).
                 None => {
-                    telemetry.add("fleet.join_timeout", 1);
                     let mut result = self.generate_cold(queries, telemetry, None);
                     if let Ok(g) = &mut result {
                         g.stats.fleet = Some(FleetOutcome::JoinTimeout);
@@ -478,7 +461,6 @@ impl Pi2 {
             Role::Lead(lease) => {
                 let permit = handle.admit();
                 let shed = permit.is_none();
-                telemetry.add(if shed { "fleet.shed" } else { "fleet.miss" }, 1);
                 let overflow = shed.then(|| handle.config().overflow_budget.clone());
                 let mut result =
                     self.generate_cold(queries, Arc::clone(&telemetry), overflow.as_ref());
@@ -549,13 +531,9 @@ impl Pi2 {
         telemetry: Arc<Registry>,
     ) -> Result<GeneratedInterface, Pi2Error> {
         if queries == cached.queries.as_slice() {
-            match verbatim {
-                FleetOutcome::Hit => {
-                    handle.note_hit();
-                    telemetry.add("fleet.hit", 1);
-                }
-                // A join was already counted when the flight yielded.
-                _ => telemetry.add("fleet.join", 1),
+            // A join was already counted when the flight yielded.
+            if verbatim == FleetOutcome::Hit {
+                handle.note_hit();
             }
             return Ok(self.serve_cached(
                 cached,
@@ -570,14 +548,12 @@ impl Pi2 {
             self.respecialize(cached, queries, &telemetry, start, degradation, degradation_reason)
         {
             handle.note_rebind();
-            telemetry.add("fleet.rebind", 1);
             return Ok(g);
         }
         // Same fingerprint, but the cached design cannot be replayed over
         // this log (a fingerprint collision, or the respecialized forest
         // is inexpressive): run the full pipeline privately.
         handle.note_miss();
-        telemetry.add("fleet.miss", 1);
         let mut result = self.generate_cold(queries, telemetry, None);
         if let Ok(g) = &mut result {
             g.stats.fleet = Some(FleetOutcome::Miss);
@@ -643,7 +619,7 @@ impl Pi2 {
             trees.push(merge_queries(&indexed));
         }
 
-        let mapper_cfg = MapperConfig { screen: self.screen, enumerate_variants: true };
+        let mapper_cfg = MapperConfig { screen: self.screen };
         let search = InterfaceSearch::with_memo(
             queries,
             &self.catalog,
@@ -663,8 +639,6 @@ impl Pi2 {
         };
         let memo_hits = self.memo.hits() - hits_before;
         let memo_misses = self.memo.misses() - misses_before;
-        telemetry.add("memo.hits", memo_hits);
-        telemetry.add("memo.misses", memo_misses);
         Some(GeneratedInterface {
             queries: queries.to_vec(),
             forest,
@@ -725,7 +699,7 @@ impl Pi2 {
         overflow: Option<&GenerationBudget>,
     ) -> Result<GeneratedInterface, Pi2Error> {
         let start = Instant::now();
-        let mapper_cfg = MapperConfig { screen: self.screen, enumerate_variants: true };
+        let mapper_cfg = MapperConfig { screen: self.screen };
         let search = InterfaceSearch::with_memo(
             queries,
             &self.catalog,
@@ -815,16 +789,6 @@ impl Pi2 {
 
         let memo_hits = self.memo.hits() - hits_before;
         let memo_misses = self.memo.misses() - misses_before;
-        telemetry.add("memo.hits", memo_hits);
-        telemetry.add("memo.misses", memo_misses);
-        if let Some(s) = &search_stats {
-            telemetry.add("search.iterations", s.iterations as u64);
-            telemetry.add("search.expansions", s.expansions as u64);
-            telemetry.add("search.reward_cache.hits", s.cache_hits);
-            telemetry.add("search.reward_cache.misses", s.cache_misses);
-            telemetry.add("search.workers", s.workers.len() as u64);
-            telemetry.add("search.worker_panics", s.worker_panics as u64);
-        }
 
         let (degradation, degradation_reason) =
             if search_stats.as_ref().is_some_and(|s| s.budget_exhausted) {
@@ -872,7 +836,6 @@ impl Pi2 {
         let (forest, interface, cost) = telemetry.time("phase.fallback", || {
             crate::fallback::fallback_interface(queries, &self.catalog, self.screen, &self.weights)
         });
-        telemetry.add("degraded.fallback", 1);
         Ok(GeneratedInterface {
             queries: queries.to_vec(),
             forest,
@@ -1011,10 +974,6 @@ mod tests {
         assert!(g.stats.phase("cost") > Duration::ZERO);
         assert!(g.stats.memo_misses > 0);
         assert!(g.stats.memo_entries > 0);
-        let json = g.stats.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"phase_search_ms\""));
-        assert!(json.contains("\"elapsed_ms\""));
     }
 
     #[test]

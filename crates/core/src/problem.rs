@@ -163,7 +163,6 @@ fn context_fingerprint(queries: &[Query], weights: &CostWeights, cfg: &MapperCon
     weights_fingerprint(weights).hash(&mut h);
     cfg.screen.width.hash(&mut h);
     cfg.screen.height.hash(&mut h);
-    cfg.enumerate_variants.hash(&mut h);
     h.finish()
 }
 

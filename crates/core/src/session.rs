@@ -12,12 +12,10 @@ use pi2_difftree::{Binding, Bindings, DiffForest, Domain, NodeKind};
 use pi2_engine::{Catalog, DeltaCache, DeltaOutcome, Obtained, ResultSet};
 use pi2_interface::{ChartId, Interface, Target, VizInteraction, WidgetId, WidgetKind};
 use pi2_sql::{Date, Literal, Query};
-use pi2_telemetry::LatencyHistogram;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A value delivered by a widget event.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,21 +77,6 @@ pub enum Event {
         /// The event's value.
         value: Literal,
     },
-}
-
-impl Event {
-    /// The event's class name ("set_widget", "brush", "pan", "zoom",
-    /// "click"), used to key per-class latency histograms in
-    /// [`SessionStats`] and benchmark reports.
-    pub fn class(&self) -> &'static str {
-        match self {
-            Event::SetWidget { .. } => "set_widget",
-            Event::Brush { .. } => "brush",
-            Event::Pan { .. } => "pan",
-            Event::Zoom { .. } => "zoom",
-            Event::Click { .. } => "click",
-        }
-    }
 }
 
 /// Session errors.
@@ -162,7 +145,7 @@ pub struct ChartUpdate {
     pub result: Arc<ResultSet>,
 }
 
-/// Counters and per-event-class dispatch latency for one session.
+/// Dispatch and execution counters for one session.
 ///
 /// Returned by [`InterfaceSession::stats`]; reset-free (counts accumulate
 /// for the session's lifetime).
@@ -191,33 +174,6 @@ pub struct SessionStats {
     pub charts_updated: u64,
     /// Charts skipped because their tree's bindings did not change.
     pub charts_skipped: u64,
-    /// Dispatch latency per event class (see [`Event::class`]).
-    pub latency: BTreeMap<&'static str, LatencyHistogram>,
-}
-
-impl SessionStats {
-    /// Render as a JSON object (flat counters plus a `latency` object of
-    /// per-event-class histograms).
-    pub fn to_json(&self) -> String {
-        let latency: Vec<String> =
-            self.latency.iter().map(|(k, h)| format!("\"{k}\":{}", h.to_json())).collect();
-        format!(
-            "{{\"dispatches\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"delta_hits\":{},\"delta_seeds\":{},\
-             \"columnar_execs\":{},\"reference_execs\":{},\
-             \"charts_updated\":{},\"charts_skipped\":{},\"latency\":{{{}}}}}",
-            self.dispatches,
-            self.cache_hits,
-            self.cache_misses,
-            self.delta_hits,
-            self.delta_seeds,
-            self.columnar_execs,
-            self.reference_execs,
-            self.charts_updated,
-            self.charts_skipped,
-            latency.join(",")
-        )
-    }
 }
 
 /// Interior-mutable session state: the delta cache and counters that
@@ -383,8 +339,8 @@ impl InterfaceSession {
         }
     }
 
-    /// Execution counters and dispatch-latency histograms accumulated so
-    /// far (a snapshot; the live counters keep accumulating).
+    /// Dispatch and execution counters accumulated so far (a snapshot;
+    /// the live counters keep accumulating).
     pub fn stats(&self) -> SessionStats {
         self.state.borrow().stats.clone()
     }
@@ -417,8 +373,6 @@ impl InterfaceSession {
     /// events that restate the current value (zero-delta pan, re-picking
     /// the selected option) update nothing.
     pub fn dispatch(&mut self, event: Event) -> Result<Vec<ChartUpdate>, SessionError> {
-        let started = Instant::now();
-        let class = event.class();
         let changed_trees = match &event {
             Event::SetWidget { widget, value } => self.apply_widget(*widget, value)?,
             Event::Brush { chart, low, high } => self.apply_brush(*chart, *low, *high)?,
@@ -439,7 +393,6 @@ impl InterfaceSession {
         st.stats.dispatches += 1;
         st.stats.charts_updated += updates.len() as u64;
         st.stats.charts_skipped += skipped as u64;
-        st.stats.latency.entry(class).or_default().record(started.elapsed());
         Ok(updates)
     }
 
@@ -1316,15 +1269,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_has_counters_and_latency() {
+    fn stats_count_dispatches_and_chart_work() {
         let (pi2, g) = sdss_session();
         let mut s = pi2.session(&g);
-        s.dispatch(Event::Pan { chart: 0, dx: 0.25, dy: 0.0 }).unwrap();
-        let json = s.stats().to_json();
-        assert!(json.contains("\"dispatches\":1"), "{json}");
-        assert!(json.contains("\"pan\":{\"count\":1"), "{json}");
-        assert!(json.contains("\"cache_misses\""), "{json}");
-        assert!(json.contains("\"columnar_execs\""), "{json}");
+        let charts = s.interface().charts.len() as u64;
+        let updates = s.dispatch(Event::Pan { chart: 0, dx: 0.25, dy: 0.0 }).unwrap();
+        let st = s.stats();
+        assert_eq!(st.dispatches, 1);
+        assert_eq!(st.charts_updated, updates.len() as u64);
+        assert_eq!(st.charts_updated + st.charts_skipped, charts);
+        assert!(st.cache_hits + st.cache_misses >= st.charts_updated, "{st:?}");
+        // A zero-delta pan restates the window: dispatched, nothing re-run.
+        s.dispatch(Event::Pan { chart: 0, dx: 0.0, dy: 0.0 }).unwrap();
+        let again = s.stats();
+        assert_eq!(again.dispatches, 2);
+        assert_eq!(again.charts_updated, st.charts_updated);
+        assert_eq!(again.charts_skipped, st.charts_skipped + charts);
+        assert_eq!(again.cache_hits + again.cache_misses, st.cache_hits + st.cache_misses);
     }
 
     // ---- scene sync from dispatch damage ------------------------------------

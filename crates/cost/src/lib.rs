@@ -486,7 +486,7 @@ mod tests {
         let queries = pi2_datasets::toy::fig2_queries();
         let forest = DiffForest::singletons(&queries);
         let weights = CostWeights::default();
-        let cfg = MapperConfig { screen: ScreenSpec::NARROW, enumerate_variants: false };
+        let cfg = MapperConfig { screen: ScreenSpec::NARROW };
         let cands = map_forest(&forest, &catalog, &queries, &cfg).unwrap();
         let (best_idx, _) = choose_best(&cands, &forest, &queries, &catalog, &weights).unwrap();
         // The chosen layout should not put three charts side by side on a

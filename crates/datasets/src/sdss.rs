@@ -32,18 +32,6 @@ impl Config {
     pub fn sized(objects: usize) -> Self {
         Self { objects, ..Self::default() }
     }
-
-    /// The default configuration, with the object count overridable via the
-    /// `PI2_SDSS_OBJECTS` environment variable — how the scaling benchmarks
-    /// reach 10M+ rows without recompiling.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(n) = std::env::var("PI2_SDSS_OBJECTS").ok().and_then(|v| v.trim().parse().ok())
-        {
-            cfg.objects = n;
-        }
-        cfg
-    }
 }
 
 /// Sky clusters (ra center, dec center, spread in degrees) the demo's

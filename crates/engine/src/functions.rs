@@ -3,17 +3,6 @@
 use crate::error::{EngineError, Result};
 use crate::value::Value;
 
-/// Names of the scalar (non-aggregate) functions the engine implements.
-pub const SCALAR_FUNCTIONS: &[&str] = &[
-    "abs", "round", "floor", "ceil", "lower", "upper", "length", "coalesce", "substr", "year",
-    "month", "day",
-];
-
-/// Is `name` a known scalar function?
-pub fn is_scalar_function(name: &str) -> bool {
-    SCALAR_FUNCTIONS.iter().any(|f| f.eq_ignore_ascii_case(name))
-}
-
 /// Evaluate scalar function `name` over already-evaluated arguments.
 pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
     let arity = |n: usize| -> Result<()> {

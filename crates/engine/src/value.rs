@@ -29,11 +29,6 @@ impl DataType {
         matches!(self, DataType::Int | DataType::Float)
     }
 
-    /// True for Date (the only temporal type in this dialect).
-    pub fn is_temporal(self) -> bool {
-        matches!(self, DataType::Date)
-    }
-
     /// The wider of two numeric types, or `None` if they aren't unifiable.
     pub fn unify(self, other: DataType) -> Option<DataType> {
         use DataType::*;

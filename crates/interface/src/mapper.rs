@@ -31,20 +31,10 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Mapper configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MapperConfig {
     /// The screen the layout was computed for.
     pub screen: ScreenSpec,
-    /// Also emit the widgets-only variant (no visualization interactions),
-    /// used by ablations and by the cost model to demonstrate the value of
-    /// in-visualization interactions.
-    pub enumerate_variants: bool,
-}
-
-impl Default for MapperConfig {
-    fn default() -> Self {
-        Self { screen: ScreenSpec::default(), enumerate_variants: true }
-    }
 }
 
 /// Mapping errors.
@@ -77,6 +67,10 @@ struct TreeAnalysis {
 }
 
 /// Map a forest to candidate interfaces (at least one).
+///
+/// Every layout is emitted twice: with in-visualization interactions and
+/// as the widgets-only variant, so the cost model can weigh the value of
+/// interacting with the charts themselves.
 ///
 /// `log` is the original query log: each tree's *default* instantiation is
 /// the witness of its first source query (see
@@ -119,8 +113,7 @@ pub fn map_forest(
         .collect();
 
     let mut out = Vec::new();
-    let modes: &[bool] = if cfg.enumerate_variants { &[true, false] } else { &[true] };
-    for &viz_interactions in modes {
+    for viz_interactions in [true, false] {
         let (charts, widgets) =
             map_interactions(forest, &analyses, charts_base.clone(), viz_interactions);
         for layout in layout_variants(&charts, &widgets, cfg.screen) {

@@ -332,17 +332,6 @@ impl SearchStats {
             Some(self.cache_hits as f64 / total as f64)
         }
     }
-
-    /// Ratio of the slowest worker's wall-clock to the fastest's — 1.0
-    /// means perfectly balanced trees. `None` for empty worker lists.
-    pub fn worker_balance(&self) -> Option<f64> {
-        let min = self.workers.iter().map(|w| w.elapsed).min()?;
-        let max = self.workers.iter().map(|w| w.elapsed).max()?;
-        if min.is_zero() {
-            return Some(1.0);
-        }
-        Some(max.as_secs_f64() / min.as_secs_f64())
-    }
 }
 
 struct Node<A> {

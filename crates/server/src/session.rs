@@ -19,7 +19,7 @@ use pi2_notebook::{Notebook, NotebookError};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard};
 
 /// Maximum pending (version, event) pairs per session. Beyond this the
 /// server answers `overloaded` and the client must retry after backoff.
@@ -286,17 +286,6 @@ impl SessionEntry {
     pub fn drain_and_dispatch(&self) -> Result<DrainOutcome, NotebookError> {
         let mut core = lock(&self.core);
         self.drain_locked(&mut core)
-    }
-
-    /// As [`drain_and_dispatch`](Self::drain_and_dispatch), but gives up
-    /// immediately when another thread holds the core lock (that thread's
-    /// drain loop will dispatch our queued events).
-    pub fn try_drain_and_dispatch(&self) -> Option<Result<DrainOutcome, NotebookError>> {
-        match self.core.try_lock() {
-            Ok(mut core) => Some(self.drain_locked(&mut core)),
-            Err(TryLockError::Poisoned(p)) => Some(self.drain_locked(&mut p.into_inner())),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Swap out the pending queue and coalesce it, **without**

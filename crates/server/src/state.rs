@@ -260,11 +260,6 @@ impl ServerState {
         ))
     }
 
-    /// Handle a parsed request (with no idempotency key).
-    pub fn handle_request(&self, request: Request) -> Value {
-        self.handle_request_with(request, None)
-    }
-
     /// Handle a parsed request carrying an optional client-assigned
     /// `req_id`. A mutating request whose `req_id` was already accepted
     /// is answered from the cached response (marked `"deduped": true`)
@@ -714,8 +709,21 @@ impl ServerState {
                 {
                     let core = entry.lock_core();
                     for (version, live) in &core.live {
-                        per_version
-                            .insert(format!("v{version}"), parse_json(&live.stats().to_json()));
+                        let st = live.stats();
+                        per_version.insert(
+                            format!("v{version}"),
+                            json!({
+                                "dispatches": st.dispatches,
+                                "cache_hits": st.cache_hits,
+                                "cache_misses": st.cache_misses,
+                                "delta_hits": st.delta_hits,
+                                "delta_seeds": st.delta_seeds,
+                                "columnar_execs": st.columnar_execs,
+                                "reference_execs": st.reference_execs,
+                                "charts_updated": st.charts_updated,
+                                "charts_skipped": st.charts_skipped,
+                            }),
+                        );
                     }
                 }
                 json!({
@@ -749,7 +757,7 @@ impl ServerState {
     pub fn stats_json(&self) -> Value {
         let endpoints: serde_json::Map = lock(&self.endpoint_latency)
             .iter()
-            .map(|(name, h)| ((*name).to_string(), parse_json(&h.to_json())))
+            .map(|(name, h)| ((*name).to_string(), histogram_json(h)))
             .collect();
         let mut active = 0u64;
         let (mut queued, mut enqueued, mut coalesced, mut dispatched, mut overloaded) =
@@ -881,7 +889,7 @@ impl ServerState {
     ) {
         let session = entry.id;
         let token = response["session_token"].as_str().map(str::to_string);
-        if matches!(record.kind, MutationKind::Applied) {
+        if matches!(record.kind, MutationKind::Applied(_)) {
             // Pin the version the server resolved: a replayed `latest`
             // would resolve against the *final* version count, not the
             // one this gesture actually addressed.
@@ -902,48 +910,22 @@ impl ServerState {
             MutationKind::Open => durable.open_req = record.req.clone(),
             MutationKind::Cell(sql) => durable.ops.push(DurableOp::Cell(sql)),
             MutationKind::Generate => durable.ops.push(DurableOp::Generate),
-            MutationKind::Applied => {
+            MutationKind::Applied(events) => {
                 let version = record.req["version"].as_u64().unwrap_or(0) as usize;
-                let pairs: Vec<(usize, Event)> = match protocol::parse_request_value(&record.req) {
-                    Ok(Request::Gesture { events, .. }) => {
-                        events.into_iter().map(|e| (version, e)).collect()
-                    }
-                    Ok(Request::ApplyBinding { widget, value, .. }) => {
-                        vec![(version, Event::SetWidget { widget, value })]
-                    }
-                    _ => Vec::new(),
-                };
                 let mut merged = std::mem::take(&mut durable.applied);
-                merged.extend(pairs);
+                merged.extend(events.into_iter().map(|e| (version, e)));
                 durable.applied = coalesce(merged);
             }
         }
         durable.mutations_since_ckpt += 1;
         if durable.mutations_since_ckpt >= journal.config().checkpoint_every {
-            self.checkpoint_locked(journal, entry, &mut durable, lsn);
+            if let Err(e) = checkpoint_session(journal, entry, &mut durable, lsn) {
+                self.journal_warn(format!("checkpoint for session {}: {e}", entry.id));
+            }
         }
         drop(durable);
         if journal.wants_compaction() {
             self.compact_journal(journal);
-        }
-    }
-
-    /// Write a checkpoint for `entry` covering frames up to `cover_lsn`,
-    /// with its durable state already locked by the caller.
-    fn checkpoint_locked(
-        &self,
-        journal: &Journal,
-        entry: &SessionEntry,
-        durable: &mut crate::session::Durable,
-        cover_lsn: u64,
-    ) {
-        let doc = checkpoint_doc(entry, durable, cover_lsn);
-        match journal.write_checkpoint(entry.id, &doc) {
-            Ok(()) => {
-                durable.last_ckpt_lsn = cover_lsn;
-                durable.mutations_since_ckpt = 0;
-            }
-            Err(e) => self.journal_warn(format!("checkpoint for session {}: {e}", entry.id)),
         }
     }
 
@@ -979,17 +961,9 @@ impl ServerState {
         let cover = journal.last_lsn();
         let mut all_ok = true;
         for entry in self.registry.entries() {
-            let mut durable = entry.lock_durable();
-            let doc = checkpoint_doc(&entry, &durable, cover);
-            match journal.write_checkpoint(entry.id, &doc) {
-                Ok(()) => {
-                    durable.last_ckpt_lsn = cover;
-                    durable.mutations_since_ckpt = 0;
-                }
-                Err(e) => {
-                    all_ok = false;
-                    self.journal_warn(format!("shutdown checkpoint for session {}: {e}", entry.id));
-                }
+            if let Err(e) = checkpoint_session(journal, &entry, &mut entry.lock_durable(), cover) {
+                all_ok = false;
+                self.journal_warn(format!("shutdown checkpoint for session {}: {e}", entry.id));
             }
         }
         if !all_ok {
@@ -1180,20 +1154,13 @@ impl ServerState {
             let cover = max_ckpt_lsn.max(scan.max_lsn);
             let mut all_ok = true;
             for entry in state.registry.entries() {
-                let mut durable = entry.lock_durable();
-                let doc = checkpoint_doc(&entry, &durable, cover);
-                match journal.write_checkpoint(entry.id, &doc) {
-                    Ok(()) => {
-                        durable.last_ckpt_lsn = cover;
-                        durable.mutations_since_ckpt = 0;
-                    }
-                    Err(e) => {
-                        all_ok = false;
-                        report.warnings.push(format!(
-                            "post-recovery checkpoint for session {}: {e}",
-                            entry.id
-                        ));
-                    }
+                if let Err(e) =
+                    checkpoint_session(&journal, &entry, &mut entry.lock_durable(), cover)
+                {
+                    all_ok = false;
+                    report
+                        .warnings
+                        .push(format!("post-recovery checkpoint for session {}: {e}", entry.id));
                 }
             }
             if all_ok && failed.is_empty() {
@@ -1379,9 +1346,9 @@ enum MutationKind {
     Open,
     Cell(String),
     Generate,
-    /// `gesture` / `apply_binding`: the journaled frame carries the
-    /// (coalesced, version-pinned) events themselves.
-    Applied,
+    /// `gesture` / `apply_binding`: the (coalesced) events the journaled
+    /// frame carries, to fold into the session's applied history.
+    Applied(Vec<Event>),
 }
 
 /// A mutating request's wire form plus its durable-op classification.
@@ -1401,22 +1368,28 @@ fn mutation_record(request: &Request, req_id: Option<&str>) -> MutationRecord {
         Request::Open { .. } => MutationKind::Open,
         Request::RunCell { sql, .. } => MutationKind::Cell(sql.clone()),
         Request::Generate { .. } => MutationKind::Generate,
-        _ => MutationKind::Applied,
-    };
-    let mut req = match request {
-        Request::Gesture { session, version, events, include_data } => {
-            let events: Vec<Event> = coalesce(events.iter().map(|e| (0, e.clone())).collect())
+        Request::Gesture { events, .. } => MutationKind::Applied(
+            coalesce(events.iter().map(|e| (0, e.clone())).collect())
                 .into_iter()
                 .map(|(_, e)| e)
-                .collect();
-            protocol::request_to_json(&Request::Gesture {
-                session: *session,
-                version: *version,
-                events,
-                include_data: *include_data,
-            })
+                .collect(),
+        ),
+        Request::ApplyBinding { widget, value, .. } => {
+            MutationKind::Applied(vec![Event::SetWidget { widget: *widget, value: value.clone() }])
         }
-        other => protocol::request_to_json(other),
+        _ => MutationKind::Applied(Vec::new()),
+    };
+    let mut req = match (request, &kind) {
+        (
+            Request::Gesture { session, version, include_data, .. },
+            MutationKind::Applied(events),
+        ) => protocol::request_to_json(&Request::Gesture {
+            session: *session,
+            version: *version,
+            events: events.clone(),
+            include_data: *include_data,
+        }),
+        _ => protocol::request_to_json(request),
     };
     if let Some(rid) = req_id {
         req["req_id"] = json!(rid);
@@ -1476,6 +1449,22 @@ fn replay_generate(entry: &SessionEntry) -> Result<(), NotebookError> {
 /// The `message` of an error-response document (for recovery warnings).
 fn error_message(e: &Value) -> &str {
     e["error"]["message"].as_str().unwrap_or("unknown error")
+}
+
+/// Write `entry`'s checkpoint covering frames up to `cover_lsn`, with its
+/// durable state locked by the caller; on success the session's
+/// checkpoint cadence restarts from `cover_lsn`. The caller reports a
+/// failure through its own warning sink.
+fn checkpoint_session(
+    journal: &Journal,
+    entry: &SessionEntry,
+    durable: &mut crate::session::Durable,
+    cover_lsn: u64,
+) -> std::io::Result<()> {
+    journal.write_checkpoint(entry.id, &checkpoint_doc(entry, durable, cover_lsn))?;
+    durable.last_ckpt_lsn = cover_lsn;
+    durable.mutations_since_ckpt = 0;
+    Ok(())
 }
 
 /// A checkpoint document: everything [`ServerState::rebuild_session`]
@@ -1542,9 +1531,18 @@ fn notebook_error(e: &NotebookError) -> Value {
     error_response(kind, e)
 }
 
-/// Embed a JSON string produced by a `to_json()` helper as a value.
-fn parse_json(text: &str) -> Value {
-    serde_json::from_str(text).unwrap_or(Value::Null)
+/// One endpoint's latency histogram as `stats` reports it: the sample
+/// count and the p50/p95/p99/mean/max latencies in microseconds.
+fn histogram_json(h: &LatencyHistogram) -> Value {
+    let us = |d: Duration| d.as_nanos() as f64 / 1e3;
+    json!({
+        "count": h.count(),
+        "p50_us": us(h.percentile(0.50)),
+        "p95_us": us(h.percentile(0.95)),
+        "p99_us": us(h.percentile(0.99)),
+        "mean_us": us(h.mean()),
+        "max_us": us(h.max()),
+    })
 }
 
 /// Serialize a response document to one protocol line.

@@ -409,3 +409,82 @@ fn tcp_server_shuts_down_gracefully() {
     let r = local.request(json!({"cmd": "stats"}));
     assert_eq!(r["ok"].as_bool(), Some(true));
 }
+
+/// The keys of a JSON object, in order.
+fn keys(v: &Value) -> Vec<&str> {
+    v.as_object().expect("object").iter().map(|(k, _)| k.as_str()).collect()
+}
+
+#[test]
+fn stats_shape_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("pi2-stats-shape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (state, _) = ServerState::with_journal(
+        pi2_core::prelude::FleetConfig::default(),
+        pi2_server::JournalConfig::new(&dir),
+    )
+    .expect("with_journal");
+    let client = LocalClient::new(Arc::new(state));
+    let session = open_toy(&client);
+    for value in [2.0, 1.0, 2.0] {
+        assert_eq!(set_slider(&client, session, value)["ok"].as_bool(), Some(true));
+    }
+
+    let all = client.request(json!({"cmd": "stats"}));
+    let stats = &all["stats"];
+    let endpoints = stats["endpoints"].as_object().expect("endpoints");
+    assert!(endpoints.contains_key("gesture"), "{stats}");
+    for (name, h) in endpoints.iter() {
+        assert_eq!(
+            keys(h),
+            ["count", "p50_us", "p95_us", "p99_us", "mean_us", "max_us"],
+            "endpoints.{name}"
+        );
+        assert!(h.as_object().expect("histogram").iter().all(|(_, v)| v.as_f64().is_some()));
+    }
+    assert_eq!(endpoints.get("gesture").expect("gesture")["count"].as_u64(), Some(3));
+    assert_eq!(
+        keys(&stats["session_totals"]),
+        ["queue_depth", "enqueued", "coalesced", "dispatched", "overloaded"]
+    );
+    assert_eq!(
+        keys(&stats["fleet"]),
+        ["hits", "misses", "joins", "sheds", "rebinds", "join_timeouts", "entries"]
+    );
+    assert_eq!(
+        keys(&stats["journal"]),
+        [
+            "enabled",
+            "journal_bytes",
+            "sessions_recovered",
+            "frames_replayed",
+            "frames_skipped",
+            "warnings"
+        ]
+    );
+    assert_eq!(
+        keys(&stats["engine"]["toy"]),
+        ["blocks_scanned", "blocks_pruned", "exec_columnar", "exec_reference", "columnar_build_ms"]
+    );
+
+    let one = client.request(json!({"cmd": "stats", "session": session}));
+    let v1 = &one["versions"]["v1"];
+    assert_eq!(
+        keys(v1),
+        [
+            "dispatches",
+            "cache_hits",
+            "cache_misses",
+            "delta_hits",
+            "delta_seeds",
+            "columnar_execs",
+            "reference_execs",
+            "charts_updated",
+            "charts_skipped"
+        ],
+        "{one}"
+    );
+    assert_eq!(one["dispatched"].as_u64(), Some(3), "{one}");
+    assert_eq!(v1["dispatches"], one["dispatched"], "{one}");
+    std::fs::remove_dir_all(&dir).expect("remove journal dir");
+}

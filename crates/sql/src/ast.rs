@@ -522,15 +522,6 @@ impl TableRef {
     pub fn aliased(name: impl Into<String>, alias: impl Into<String>) -> Self {
         TableRef::Named { name: name.into(), alias: Some(alias.into()) }
     }
-
-    /// The name this relation is visible as in the enclosing scope.
-    pub fn visible_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Named { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableRef::Subquery { alias, .. } => Some(alias),
-            TableRef::Join { .. } => None,
-        }
-    }
 }
 
 /// Sort direction for `ORDER BY`.

@@ -1,15 +1,14 @@
-//! Lightweight telemetry for the PI2 pipeline.
+//! Lightweight telemetry for the PI2 pipeline, with no dependencies
+//! outside `std`.
 //!
-//! A [`Registry`] collects named **counters** (monotonic u64) and named
-//! **timers** (accumulated wall-clock durations with call counts) from any
-//! number of threads. Phases of the pipeline time themselves with
-//! [`Registry::span`] RAII guards; the search layer bumps counters for
-//! iterations, expansions, and cache hits. A [`Snapshot`] freezes the
-//! registry into plain data that `GenerationStats` embeds and that dumps
-//! to a flat JSON object — all with no dependencies outside `std`.
+//! A [`Registry`] accumulates named **phase timers** (wall-clock totals
+//! with call counts) from any number of threads; generation times its
+//! parse, search, map and cost phases with [`Registry::time`], and a
+//! [`Snapshot`] freezes the timers into the plain data that
+//! `GenerationStats` embeds. A [`LatencyHistogram`] records per-request
+//! latencies (the server keeps one per endpoint).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -22,31 +21,14 @@ pub struct TimerStat {
     pub count: u64,
 }
 
-impl TimerStat {
-    /// Mean duration per recorded interval (zero if never recorded).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    timers: BTreeMap<String, TimerStat>,
-}
-
-/// A thread-safe sink for counters and timers.
+/// A thread-safe sink for phase timers.
 ///
 /// Locking is a plain `std::sync::Mutex`: telemetry writes are rare
 /// (per-phase, per-search) rather than per-iteration, so contention is
 /// negligible next to the work being measured.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    timers: Mutex<BTreeMap<String, TimerStat>>,
 }
 
 impl Registry {
@@ -55,31 +37,16 @@ impl Registry {
         Self::default()
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add `delta` to the named counter (creating it at zero).
-    pub fn add(&self, name: &str, delta: u64) {
-        *self.locked().counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Set the named counter to `value`, discarding any previous value.
-    pub fn set(&self, name: &str, value: u64) {
-        self.locked().counters.insert(name.to_string(), value);
+    fn locked(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, TimerStat>> {
+        self.timers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Record one interval of `elapsed` against the named timer.
     pub fn record(&self, name: &str, elapsed: Duration) {
-        let mut inner = self.locked();
-        let stat = inner.timers.entry(name.to_string()).or_default();
+        let mut timers = self.locked();
+        let stat = timers.entry(name.to_string()).or_default();
         stat.total += elapsed;
         stat.count += 1;
-    }
-
-    /// Start a RAII span; the elapsed time is recorded when the guard drops.
-    pub fn span<'a>(&'a self, name: &'a str) -> Span<'a> {
-        Span { registry: self, name, start: Instant::now() }
     }
 
     /// Time a closure and record it under `name`, passing through its result.
@@ -90,125 +57,24 @@ impl Registry {
         out
     }
 
-    /// Current value of a counter (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.locked().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current state of a timer (default if absent).
-    pub fn timer(&self, name: &str) -> TimerStat {
-        self.locked().timers.get(name).copied().unwrap_or_default()
-    }
-
-    /// Freeze the current state into plain data.
+    /// Freeze the current timers into plain data.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.locked();
-        Snapshot { counters: inner.counters.clone(), timers: inner.timers.clone() }
-    }
-
-    /// Merge another snapshot's counters and timers into this registry.
-    pub fn absorb(&self, snap: &Snapshot) {
-        let mut inner = self.locked();
-        for (k, v) in &snap.counters {
-            *inner.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &snap.timers {
-            let stat = inner.timers.entry(k.clone()).or_default();
-            stat.total += v.total;
-            stat.count += v.count;
-        }
+        Snapshot { timers: self.locked().clone() }
     }
 }
 
-/// RAII timing guard returned by [`Registry::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    registry: &'a Registry,
-    name: &'a str,
-    start: Instant,
-}
-
-impl Span<'_> {
-    /// Elapsed time so far without ending the span.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.registry.record(self.name, self.start.elapsed());
-    }
-}
-
-/// An immutable copy of a registry's state.
+/// An immutable copy of a registry's timers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Monotonic counters by name.
-    pub counters: BTreeMap<String, u64>,
     /// Accumulated timers by name.
     pub timers: BTreeMap<String, TimerStat>,
 }
 
 impl Snapshot {
-    /// Value of a counter (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Total accumulated time of a timer (zero if absent).
     pub fn timer_total(&self, name: &str) -> Duration {
         self.timers.get(name).map(|t| t.total).unwrap_or(Duration::ZERO)
     }
-
-    /// Ratio `hits / (hits + misses)` of two counters, or `None` if both
-    /// are zero. The conventional names are `<prefix>.hits` / `<prefix>.misses`.
-    pub fn hit_rate(&self, prefix: &str) -> Option<f64> {
-        let hits = self.counter(&format!("{prefix}.hits"));
-        let misses = self.counter(&format!("{prefix}.misses"));
-        let total = hits + misses;
-        if total == 0 {
-            None
-        } else {
-            Some(hits as f64 / total as f64)
-        }
-    }
-
-    /// Render as a JSON object: counters as integers, timers as
-    /// `{name}_ms` floats plus `{name}_count` integers. Names are
-    /// sanitized (`.` becomes `_`) so the output is a flat object that is
-    /// easy to consume.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, value) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", sanitize(name), value);
-        }
-        for (name, stat) in &self.timers {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}_ms\":{:.3},\"{}_count\":{}",
-                sanitize(name),
-                stat.total.as_secs_f64() * 1e3,
-                sanitize(name),
-                stat.count
-            );
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
 /// A log-scaled latency histogram for wall-clock durations.
@@ -345,22 +211,6 @@ impl LatencyHistogram {
         self.min_nanos = self.min_nanos.min(other.min_nanos);
         self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
-
-    /// Render as a flat JSON object fragment: `{"count":..,"p50_us":..,
-    /// "p95_us":..,"p99_us":..,"mean_us":..,"max_us":..}`.
-    pub fn to_json(&self) -> String {
-        let us = |d: Duration| d.as_secs_f64() * 1e6;
-        format!(
-            "{{\"count\":{},\"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3},\
-             \"mean_us\":{:.3},\"max_us\":{:.3}}}",
-            self.count,
-            us(self.percentile(0.50)),
-            us(self.percentile(0.95)),
-            us(self.percentile(0.99)),
-            us(self.mean()),
-            us(self.max()),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -368,52 +218,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
+    fn timers_accumulate_into_snapshot() {
         let reg = Registry::new();
-        reg.add("search.iterations", 10);
-        reg.add("search.iterations", 5);
-        assert_eq!(reg.counter("search.iterations"), 15);
-        assert_eq!(reg.counter("missing"), 0);
-    }
-
-    #[test]
-    fn spans_record_on_drop() {
-        let reg = Registry::new();
-        {
-            let _s = reg.span("phase.parse");
-        }
-        reg.time("phase.parse", || std::thread::sleep(Duration::from_millis(1)));
-        let stat = reg.timer("phase.parse");
-        assert_eq!(stat.count, 2);
-        assert!(stat.total >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn hit_rate_and_json() {
-        let reg = Registry::new();
-        reg.add("cache.hits", 3);
-        reg.add("cache.misses", 1);
-        reg.record("phase.map", Duration::from_millis(2));
+        reg.record("phase.parse", Duration::from_millis(2));
+        let parsed = reg.time("phase.parse", || {
+            std::thread::sleep(Duration::from_millis(1));
+            7
+        });
+        assert_eq!(parsed, 7);
         let snap = reg.snapshot();
-        assert_eq!(snap.hit_rate("cache"), Some(0.75));
-        assert_eq!(snap.hit_rate("other"), None);
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cache_hits\":3"));
-        assert!(json.contains("\"phase_map_ms\""));
-        assert!(json.contains("\"phase_map_count\":1"));
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let a = Registry::new();
-        a.add("n", 1);
-        let b = Registry::new();
-        b.add("n", 2);
-        b.record("t", Duration::from_millis(1));
-        a.absorb(&b.snapshot());
-        assert_eq!(a.counter("n"), 3);
-        assert_eq!(a.timer("t").count, 1);
+        let stat = snap.timers["phase.parse"];
+        assert_eq!(stat.count, 2);
+        assert!(stat.total >= Duration::from_millis(3));
+        assert_eq!(snap.timer_total("phase.parse"), stat.total);
+        assert_eq!(snap.timer_total("phase.map"), Duration::ZERO);
     }
 
     #[test]
@@ -457,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_absorb_and_json() {
+    fn latency_histogram_absorb() {
         let mut a = LatencyHistogram::new();
         let mut b = LatencyHistogram::new();
         a.record(Duration::from_micros(10));
@@ -466,8 +284,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Duration::from_micros(10));
         assert_eq!(a.max(), Duration::from_micros(1000));
-        let json = a.to_json();
-        assert!(json.contains("\"count\":2"), "{json}");
-        assert!(json.contains("p99_us"), "{json}");
+        assert_eq!(a.mean(), Duration::from_micros(505));
     }
 }

@@ -462,8 +462,7 @@ impl Pi2 {
                 let permit = handle.admit();
                 let shed = permit.is_none();
                 let overflow = shed.then(|| handle.config().overflow_budget.clone());
-                let mut result =
-                    self.generate_cold(queries, Arc::clone(&telemetry), overflow.as_ref());
+                let mut result = self.generate_cold(queries, telemetry, overflow.as_ref());
                 drop(permit);
                 if shed {
                     if let Ok(g) = &mut result {

@@ -5,10 +5,13 @@
 //! state when only a checkpoint died, and warnings (never an abort)
 //! when recovery itself cannot fsync.
 //!
-//! These oracles run against the server's `toy` scenario (the seed
-//! varies the cell log and the gesture); the fuzz catalog/log that
-//! drive the generation oracles don't apply here because the protocol
-//! opens sessions by scenario name.
+//! These oracles run against two sessions: one on the server's `toy`
+//! scenario (the seed varies the cell log and the gesture) and one on
+//! `covid` whose date window is panned by separate requests — a
+//! fractional pair that rounds away live and an edge-clamped pan back —
+//! so replay must dispatch each request's pans as they ran. The fuzz
+//! catalog/log that drive the generation oracles don't apply here
+//! because the protocol opens sessions by scenario name.
 
 use crate::oracles::Failure;
 use pi2_core::prelude::FleetConfig;
@@ -45,13 +48,20 @@ fn ok(client: &LocalClient, request: Value, oracle: &'static str) -> Result<Valu
     Ok(response)
 }
 
+/// Sessions every oracle drives (and every recovery must rebuild).
+const SESSIONS: u64 = 2;
+
 struct Driven {
+    /// The toy session whose slider the faulted gesture moves.
     session: u64,
     token: String,
+    /// The covid session panned by separate requests.
+    panned: u64,
 }
 
 /// Open a toy session and run a seed-varied cell log + generation. The
 /// seed picks how many cells run and which literal the slider starts on.
+/// Then open the covid leg ([`drive_pans`]).
 fn drive(client: &LocalClient, seed: u64, oracle: &'static str) -> Result<Driven, Failure> {
     let opened = ok(client, json!({"cmd": "open", "scenario": "toy"}), oracle)?;
     let session = opened["session"]
@@ -75,7 +85,40 @@ fn drive(client: &LocalClient, seed: u64, oracle: &'static str) -> Result<Driven
     }
     ok(client, json!({"cmd": "generate", "session": session}), oracle)?;
     gesture(client, session, slider_value(seed), oracle)?;
-    Ok(Driven { session, token })
+    let panned = drive_pans(client, seed, oracle)?;
+    Ok(Driven { session, token, panned })
+}
+
+/// Open a covid session over two date-window cells, generate, and pan
+/// its chart by four separate requests: a seed-varied fractional pair
+/// (each rounds to no move; summed, they would move the window a day),
+/// then a pan clamped at the domain edge and a small pan back (summed,
+/// the clamp would swallow the pan back). Returns the session id.
+fn drive_pans(client: &LocalClient, seed: u64, oracle: &'static str) -> Result<u64, Failure> {
+    let opened = ok(client, json!({"cmd": "open", "scenario": "covid"}), oracle)?;
+    let session = opened["session"]
+        .as_u64()
+        .ok_or_else(|| Failure::new(oracle, "open returned no session id"))?;
+    for (from, to) in [("2021-11-06", "2021-11-21"), ("2021-11-21", "2021-12-06")] {
+        let sql = format!(
+            "SELECT date, sum(cases) AS cases FROM covid \
+             WHERE date BETWEEN DATE '{from}' AND DATE '{to}' GROUP BY date ORDER BY date"
+        );
+        ok(client, json!({"cmd": "run_cell", "session": session, "sql": sql}), oracle)?;
+    }
+    ok(client, json!({"cmd": "generate", "session": session}), oracle)?;
+    let fraction = 0.3 + 0.1 * (seed % 2) as f64;
+    for dx in [fraction, fraction, 1000.0, -5.0] {
+        ok(
+            client,
+            json!({
+                "cmd": "gesture", "session": session,
+                "events": [{"type": "pan", "chart": 0, "dx": dx, "dy": 0.0}],
+            }),
+            oracle,
+        )?;
+    }
+    Ok(session)
 }
 
 fn slider_value(seed: u64) -> f64 {
@@ -110,6 +153,15 @@ fn render(client: &LocalClient, session: u64, oracle: &'static str) -> Result<St
         .ok_or_else(|| Failure::new(oracle, "render returned no text"))
 }
 
+/// The renders of both driven sessions, toy first.
+fn renders(
+    client: &LocalClient,
+    driven: &Driven,
+    oracle: &'static str,
+) -> Result<[String; 2], Failure> {
+    Ok([render(client, driven.session, oracle)?, render(client, driven.panned, oracle)?])
+}
+
 fn resume(client: &LocalClient, driven: &Driven, oracle: &'static str) -> Result<(), Failure> {
     let resumed = ok(client, json!({"cmd": "resume", "token": driven.token.clone()}), oracle)?;
     if resumed["session"].as_u64() != Some(driven.session) {
@@ -131,7 +183,7 @@ pub fn torn_write(seed: u64) -> Result<(), Failure> {
     // No cadence checkpoints: recovery leans fully on the frame tail.
     let (client, _) = journaled(&dir, 1000, ORACLE)?;
     let driven = drive(&client, seed, ORACLE)?;
-    let mid = render(&client, driven.session, ORACLE)?;
+    let mid = renders(&client, &driven, ORACLE)?;
     {
         // The *next* gesture's frame is torn; the in-memory effect still
         // happens (availability over durability), then the crash eats it.
@@ -141,14 +193,14 @@ pub fn torn_write(seed: u64) -> Result<(), Failure> {
     drop(client);
 
     let (client, report) = journaled(&dir, 1000, ORACLE)?;
-    if report.sessions_recovered != 1 {
+    if report.sessions_recovered != SESSIONS {
         return Err(Failure::new(ORACLE, format!("session did not recover: {report:?}")));
     }
     if report.warnings.is_empty() {
         return Err(Failure::new(ORACLE, "torn tail produced no warning"));
     }
     resume(&client, &driven, ORACLE)?;
-    let recovered = render(&client, driven.session, ORACLE)?;
+    let recovered = renders(&client, &driven, ORACLE)?;
     if recovered != mid {
         return Err(Failure::new(
             ORACLE,
@@ -170,11 +222,11 @@ pub fn checkpoint_crash(seed: u64) -> Result<(), Failure> {
     // "frame durable, checkpoint dead".
     let (client, _) = journaled(&dir, 1, ORACLE)?;
     let driven = drive(&client, seed, ORACLE)?;
-    let pre = render(&client, driven.session, ORACLE)?;
+    let pre = renders(&client, &driven, ORACLE)?;
     let post = {
         let _fault = inject(Fault::CheckpointCrash);
         gesture(&client, driven.session, 3.0 - slider_value(seed), ORACLE)?;
-        render(&client, driven.session, ORACLE)?
+        renders(&client, &driven, ORACLE)?
     };
     if post == pre {
         return Err(Failure::new(ORACLE, "faulted gesture had no visible effect to verify"));
@@ -182,7 +234,7 @@ pub fn checkpoint_crash(seed: u64) -> Result<(), Failure> {
     drop(client);
 
     let (client, report) = journaled(&dir, 1, ORACLE)?;
-    if report.sessions_recovered != 1 {
+    if report.sessions_recovered != SESSIONS {
         return Err(Failure::new(ORACLE, format!("session did not recover: {report:?}")));
     }
     if report.frames_replayed < 1 {
@@ -192,7 +244,7 @@ pub fn checkpoint_crash(seed: u64) -> Result<(), Failure> {
         ));
     }
     resume(&client, &driven, ORACLE)?;
-    let recovered = render(&client, driven.session, ORACLE)?;
+    let recovered = renders(&client, &driven, ORACLE)?;
     if recovered != post {
         return Err(Failure::new(
             ORACLE,
@@ -212,34 +264,34 @@ pub fn recovery_fsync(seed: u64) -> Result<(), Failure> {
     let dir = temp_dir("fsync", seed);
     let (client, _) = journaled(&dir, 1000, ORACLE)?;
     let driven = drive(&client, seed, ORACLE)?;
-    let post = render(&client, driven.session, ORACLE)?;
+    let post = renders(&client, &driven, ORACLE)?;
     drop(client);
 
     let (client, report) = {
         let _fault = inject(Fault::RecoveryFsync);
         journaled(&dir, 1000, ORACLE)?
     };
-    if report.sessions_recovered != 1 {
+    if report.sessions_recovered != SESSIONS {
         return Err(Failure::new(ORACLE, format!("session did not recover: {report:?}")));
     }
     if report.warnings.is_empty() {
         return Err(Failure::new(ORACLE, "fsync failures during recovery went unreported"));
     }
     resume(&client, &driven, ORACLE)?;
-    if render(&client, driven.session, ORACLE)? != post {
+    if renders(&client, &driven, ORACLE)? != post {
         return Err(Failure::new(ORACLE, "recovered render diverged under fsync errors"));
     }
     // The post-recovery truncate must have been withheld: the frames are
     // still on disk, so a crash right now recovers again, faultlessly.
     drop(client);
     let (client, report) = journaled(&dir, 1000, ORACLE)?;
-    if report.sessions_recovered != 1 {
+    if report.sessions_recovered != SESSIONS {
         return Err(Failure::new(
             ORACLE,
             format!("second recovery after failed fsyncs lost the session: {report:?}"),
         ));
     }
-    if render(&client, driven.session, ORACLE)? != post {
+    if renders(&client, &driven, ORACLE)? != post {
         return Err(Failure::new(ORACLE, "second recovery diverged"));
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,12 +7,12 @@
 //!
 //! [`TcpClient::send`] layers the resilience protocol on top of the raw
 //! transport: mutating requests are stamped with a client-assigned
-//! `req_id`, retryable errors (`overloaded`) back off with jittered
-//! exponential delays, and a dropped connection is survived by
-//! reconnecting, replaying `resume` with the session token learned from
-//! `open`, and resending the in-flight request under its original
-//! `req_id` — the server's dedupe window turns the at-least-once resend
-//! into an exactly-once visible effect.
+//! `req_id`, and a dropped connection is survived by reconnecting,
+//! replaying `resume` with the session token learned from `open`, and
+//! resending the in-flight request under its original `req_id` after a
+//! jittered exponential backoff — the server's dedupe window turns the
+//! at-least-once resend into an exactly-once visible effect. Error
+//! responses are returned as they are: none is transient.
 
 use crate::state::ServerState;
 use serde_json::{json, Value};
@@ -58,14 +58,15 @@ impl LocalClient {
     }
 }
 
-/// Bounded-retry policy for [`TcpClient::send`].
+/// Reconnect policy for [`TcpClient::send`]: how often a request is sent
+/// again over a fresh connection after the previous one dropped.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// Total attempts per request, including the first (minimum 1).
+    /// Total sends per request, including the first (minimum 1).
     pub max_attempts: u32,
-    /// Delay before the first retry; doubles per attempt.
+    /// Delay before the first resend; doubles per attempt.
     pub base_delay: Duration,
-    /// Ceiling on the per-retry delay (before jitter).
+    /// Ceiling on the per-resend delay (before jitter).
     pub max_delay: Duration,
     /// Reconnect and `resume` after a dropped connection. Off, an IO
     /// error is returned to the caller unchanged.
@@ -84,12 +85,12 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries or reconnects (raw fail-fast).
+    /// A policy that never reconnects (raw fail-fast).
     pub fn none() -> Self {
         Self { max_attempts: 1, reconnect: false, ..Self::default() }
     }
 
-    /// The sleep before retry number `attempt` (0-based): exponential in
+    /// The sleep before resend number `attempt` (0-based): exponential in
     /// `attempt`, capped at `max_delay`, then jittered into the upper
     /// half of the window so synchronized clients fan out. `seed` is the
     /// caller's jitter state, advanced per call.
@@ -104,7 +105,7 @@ impl RetryPolicy {
 /// A blocking TCP client (used by the smoke test and the CI gate).
 ///
 /// [`request`](Self::request) is the raw one-shot path; [`send`](Self::send)
-/// adds retry, reconnect, and resume per the configured [`RetryPolicy`].
+/// adds reconnect, resume and resend per the configured [`RetryPolicy`].
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -175,11 +176,11 @@ impl TcpClient {
         Ok(parsed)
     }
 
-    /// Send with resilience: stamps a `req_id` on mutating requests,
-    /// backs off and retries responses marked `retry: true`
-    /// (`overloaded`), and — when the connection drops — reconnects,
-    /// resumes the session by token, and resends the same `req_id` so
-    /// the server's dedupe window suppresses double application.
+    /// Send with resilience: stamps a `req_id` on mutating requests and,
+    /// when the connection drops, reconnects, resumes the session by
+    /// token, and resends the same `req_id` so the server's dedupe window
+    /// suppresses double application. Any response, error or not, is
+    /// returned as it is.
     pub fn send(&mut self, mut request: Value) -> std::io::Result<Value> {
         if mutating_cmd(&request) && request.get("req_id").is_none() {
             self.req_seq += 1;
@@ -191,32 +192,18 @@ impl TcpClient {
             ));
         }
         let attempts = self.policy.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let delay = self.policy.backoff(attempt - 1, &mut self.jitter);
-                std::thread::sleep(delay);
-            }
+        let mut attempt = 0;
+        loop {
             match self.request(request.clone()) {
-                Ok(response) => {
-                    let retryable = response["error"]["retry"].as_bool() == Some(true);
-                    if retryable && attempt + 1 < attempts {
-                        continue;
-                    }
-                    return Ok(response);
+                Err(_) if self.policy.reconnect && attempt + 1 < attempts => {
+                    // A failed re-dial surfaces as the next send's error.
+                    let _ = self.reconnect_and_resume();
+                    std::thread::sleep(self.policy.backoff(attempt, &mut self.jitter));
+                    attempt += 1;
                 }
-                Err(e) => {
-                    if !self.policy.reconnect || attempt + 1 >= attempts {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                    if let Err(re) = self.reconnect_and_resume() {
-                        last_err = Some(re);
-                    }
-                }
+                result => return result,
             }
         }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("retries exhausted")))
     }
 
     /// Re-dial the server and re-attach to the session (if one was
@@ -265,7 +252,6 @@ fn mutating_cmd(request: &Value) -> bool {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn backoff_is_bounded_and_jittered() {
@@ -281,45 +267,6 @@ mod tests {
             prev = prev.max(d);
         }
         assert!(prev > policy.base_delay, "delays must grow past the base");
-    }
-
-    #[test]
-    fn send_retries_overloaded_until_ok() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let served = Arc::new(AtomicUsize::new(0));
-        let served_in = Arc::clone(&served);
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    break;
-                }
-                let n = served_in.fetch_add(1, Ordering::SeqCst);
-                let response = if n < 2 {
-                    r#"{"ok": false, "error": {"kind": "overloaded", "message": "queue full", "retry": true}}"#.to_string()
-                } else {
-                    r#"{"ok": true}"#.to_string()
-                };
-                writeln!(writer, "{response}").unwrap();
-            }
-        });
-        let policy = RetryPolicy {
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(4),
-            ..RetryPolicy::default()
-        };
-        let mut client = TcpClient::connect(addr).unwrap().with_policy(policy);
-        let response =
-            client.send(json!({"cmd": "run_cell", "session": 0, "sql": "SELECT 1"})).unwrap();
-        assert_eq!(response["ok"].as_bool(), Some(true));
-        assert_eq!(served.load(Ordering::SeqCst), 3, "two overloaded replies then one ok");
-        drop(client);
-        server.join().unwrap();
     }
 
     /// A listener backed by a real `ServerState` that *processes* one

@@ -17,10 +17,9 @@
 //! fixed pool of worker threads, each multiplexing many nonblocking
 //! connections — fleet size is bounded by sockets, not threads), a
 //! sharded registry so concurrent dispatches to different sessions never
-//! contend on one lock, per-session **gesture coalescing** (a pan storm
-//! collapses before dispatch), bounded queues with structured
-//! `overloaded` backpressure, per-endpoint latency telemetry, and
-//! graceful drain on shutdown.
+//! contend on one lock, **gesture coalescing** (a request's burst of pans
+//! collapses before dispatch, and the journal replays exactly what ran),
+//! per-endpoint latency telemetry, and graceful drain on shutdown.
 //!
 //! ```
 //! use pi2_server::LocalClient;
@@ -59,8 +58,10 @@ pub mod state;
 
 pub use client::{LocalClient, RetryPolicy, TcpClient};
 pub use journal::{Journal, JournalConfig};
-pub use protocol::{CacheMode, CacheOptions, ErrorKind, OpenOptions, Request, Strategy};
+pub use protocol::{
+    CacheMode, CacheOptions, ErrorKind, OpenOptions, Request, Strategy, MAX_GESTURE_EVENTS,
+};
 pub use registry::Registry;
 pub use server::{Server, ServerConfig};
-pub use session::{coalesce, Enqueue, SessionEntry, DEDUPE_WINDOW, QUEUE_CAP};
+pub use session::{coalesce, SessionEntry, DEDUPE_WINDOW};
 pub use state::{JournalCounters, RecoveryReport, ServerCounters, ServerState};

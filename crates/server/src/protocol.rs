@@ -4,8 +4,8 @@
 //! optional `"id"` the server echoes back verbatim, so clients can
 //! correlate pipelined requests. Responses carry `"ok": true` plus
 //! verb-specific fields, or `"ok": false` with a structured `"error"`
-//! object (`kind`, `message`, and `retry: true` for transient conditions
-//! such as [`ErrorKind::Overloaded`]).
+//! object (`kind` and `message`). No error is transient: resending the
+//! identical request gets the identical answer.
 //!
 //! The same encoding is used by the TCP transport and the in-process
 //! [`LocalClient`](crate::LocalClient), so protocol tests exercise the
@@ -20,6 +20,10 @@ use serde_json::{json, Value};
 /// `render_delta` verb; revision 3 made each frame's chart `data` carry
 /// exactly one of `replace` or `edits`.
 pub const PROTOCOL_VERSION: u64 = 3;
+
+/// Most events one `gesture` request may carry. A longer list is a
+/// `bad_request`, refused before anything is dispatched or journaled.
+pub const MAX_GESTURE_EVENTS: usize = 64;
 
 /// Default execution-mode knobs applied when `open` omits them: servers
 /// must not hang on one session's pathological query or search.
@@ -80,25 +84,6 @@ pub struct CacheOptions {
     pub wait_ms: Option<u64>,
 }
 
-impl CacheOptions {
-    /// Defaults (alias for `Default`): shared mode, fleet-default wait.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the cache mode.
-    pub fn mode(mut self, mode: CacheMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Set the single-flight follower wait in milliseconds.
-    pub fn wait_ms(mut self, wait_ms: Option<u64>) -> Self {
-        self.wait_ms = wait_ms;
-        self
-    }
-}
-
 /// The option block of `render_delta`:
 /// `{"version": v, "since": u}` (both optional).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,79 +94,6 @@ pub struct RenderDeltaOptions {
     /// The scene version the client already holds. Absent (or stale, or
     /// beyond the server's delta history) yields a full-snapshot resync.
     pub since: Option<u64>,
-}
-
-impl RenderDeltaOptions {
-    /// Defaults: latest interface version, full-snapshot resync.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the interface version.
-    pub fn version(mut self, version: Option<usize>) -> Self {
-        self.version = version;
-        self
-    }
-
-    /// Set the client's current scene version.
-    pub fn since(mut self, since: Option<u64>) -> Self {
-        self.since = since;
-        self
-    }
-}
-
-/// The body of a successful `render_delta` response (everything besides
-/// the envelope's `ok`/`id`): either a batch of patch frames advancing
-/// the client from its `since` version, or a full-snapshot resync.
-#[derive(Debug, Clone, Default)]
-#[non_exhaustive]
-pub struct RenderDeltaResponse {
-    /// The server's scene version after this response is applied.
-    pub scene_version: u64,
-    /// Patch frames (oldest first), each `pi2_core::scene::delta_to_json`
-    /// shaped. Empty when the client is up to date or when resyncing.
-    pub frames: Vec<Value>,
-    /// Whether `scene` holds a full snapshot instead of frames.
-    pub resync: bool,
-    /// The full scene snapshot (`pi2_core::scene::scene_to_json` shaped),
-    /// present iff `resync`.
-    pub scene: Option<Value>,
-}
-
-impl RenderDeltaResponse {
-    /// An empty (up-to-date) response at `scene_version`.
-    pub fn new(scene_version: u64) -> Self {
-        Self { scene_version, ..Self::default() }
-    }
-
-    /// Attach incremental patch frames.
-    pub fn frames(mut self, frames: Vec<Value>) -> Self {
-        self.frames = frames;
-        self
-    }
-
-    /// Mark as a full-snapshot resync carrying `scene`.
-    pub fn resync(mut self, scene: Value) -> Self {
-        self.resync = true;
-        self.scene = Some(scene);
-        self
-    }
-
-    /// The response body in wire form. Consumes the response: the frames
-    /// and the snapshot are moved into the document, not copied.
-    pub fn to_json(self) -> Value {
-        let mut doc = serde_json::Map::new();
-        doc.insert("ok".into(), json!(true));
-        doc.insert("scene_version".into(), json!(self.scene_version));
-        doc.insert("frames".into(), Value::Array(self.frames));
-        if self.resync {
-            doc.insert("resync".into(), json!(true));
-            if let Some(scene) = self.scene {
-                doc.insert("scene".into(), scene);
-            }
-        }
-        Value::Object(doc)
-    }
 }
 
 /// Options accepted by `open`.
@@ -241,7 +153,8 @@ pub enum Request {
         /// The value to bind.
         value: WidgetValue,
     },
-    /// Dispatch interaction events (coalesced per session before dispatch).
+    /// Dispatch interaction events (at most [`MAX_GESTURE_EVENTS`];
+    /// adjacent events of one target coalesce before dispatch).
     Gesture {
         /// Target session.
         session: u64,
@@ -326,8 +239,6 @@ pub enum ErrorKind {
     UnknownSession,
     /// No generated interface version with that number.
     UnknownVersion,
-    /// The session's pending-event queue is full; retry after backoff.
-    Overloaded,
     /// The dispatch layer rejected the event (see message).
     Session,
     /// The notebook layer rejected the request (see message).
@@ -349,7 +260,6 @@ impl ErrorKind {
             ErrorKind::UnknownScenario => "unknown_scenario",
             ErrorKind::UnknownSession => "unknown_session",
             ErrorKind::UnknownVersion => "unknown_version",
-            ErrorKind::Overloaded => "overloaded",
             ErrorKind::Session => "session",
             ErrorKind::Notebook => "notebook",
             ErrorKind::Generation => "generation",
@@ -357,20 +267,11 @@ impl ErrorKind {
             ErrorKind::ShuttingDown => "shutting_down",
         }
     }
-
-    /// Whether a client should retry the identical request after backoff.
-    pub fn retryable(self) -> bool {
-        matches!(self, ErrorKind::Overloaded)
-    }
 }
 
 /// Build an error response object.
 pub fn error_response(kind: ErrorKind, message: impl std::fmt::Display) -> Value {
-    let mut err = json!({"kind": kind.as_str(), "message": message.to_string()});
-    if kind.retryable() {
-        err["retry"] = Value::Bool(true);
-    }
-    json!({"ok": false, "error": err})
+    json!({"ok": false, "error": {"kind": kind.as_str(), "message": message.to_string()}})
 }
 
 /// Parse one request line (already stripped of its trailing newline).
@@ -476,6 +377,12 @@ pub fn parse_request_value(doc: &Value) -> Result<Request, Value> {
             match (doc.get("event"), doc.get("events")) {
                 (Some(e), None) => events.push(parse_event(e)?),
                 (None, Some(Value::Array(list))) => {
+                    if list.len() > MAX_GESTURE_EVENTS {
+                        return Err(bad(format!(
+                            "`events` holds {} events; a gesture carries at most {MAX_GESTURE_EVENTS}",
+                            list.len()
+                        )));
+                    }
                     for e in list {
                         events.push(parse_event(e)?);
                     }
@@ -498,9 +405,10 @@ pub fn parse_request_value(doc: &Value) -> Result<Request, Value> {
         }),
         "render_delta" => Ok(Request::RenderDelta {
             session: need_u64(doc, "session")?,
-            options: RenderDeltaOptions::new()
-                .version(opt_usize(doc, "version")?)
-                .since(opt_u64(doc, "since")?),
+            options: RenderDeltaOptions {
+                version: opt_usize(doc, "version")?,
+                since: opt_u64(doc, "since")?,
+            },
         }),
         "stats" => Ok(Request::Stats {
             session: match doc.get("session") {
@@ -918,32 +826,6 @@ mod tests {
         assert!(!req.mutating(), "render_delta must never be journaled");
         assert_eq!(req.session(), Some(3));
         let Request::RenderDelta { options, .. } = req else { panic!() };
-        assert_eq!(options, RenderDeltaOptions::new().since(Some(2)));
-
-        let body = RenderDeltaResponse::new(5).frames(vec![json!({"from": 4, "to": 5})]).to_json();
-        assert_eq!(
-            body.to_string(),
-            r#"{"ok":true,"scene_version":5,"frames":[{"from":4,"to":5}]}"#
-        );
-        assert_eq!(body["scene_version"].as_u64(), Some(5));
-        assert_eq!(body["frames"].as_array().map(Vec::len), Some(1));
-        assert!(body["resync"].is_null());
-        assert!(body["scene"].is_null());
-
-        let body = RenderDeltaResponse::new(5).resync(json!({"charts": []})).to_json();
-        let want =
-            r#"{"ok":true,"scene_version":5,"frames":[],"resync":true,"scene":{"charts":[]}}"#;
-        assert_eq!(body.to_string(), want);
-        assert_eq!(body["resync"].as_bool(), Some(true));
-        assert!(body["scene"].as_object().is_some());
-        assert_eq!(body["frames"].as_array().map(Vec::len), Some(0));
-    }
-
-    #[test]
-    fn overloaded_errors_are_marked_retryable() {
-        let err = error_response(ErrorKind::Overloaded, "queue full");
-        assert_eq!(err["error"]["retry"].as_bool(), Some(true));
-        let err = error_response(ErrorKind::UnknownSession, "no session 9");
-        assert!(err["error"]["retry"].is_null());
+        assert_eq!(options, RenderDeltaOptions { version: None, since: Some(2) });
     }
 }

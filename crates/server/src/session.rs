@@ -1,18 +1,16 @@
-//! Server-side session state: a notebook plus live interface sessions,
-//! behind a bounded event queue that coalesces rapid-fire gestures.
+//! Server-side session state: a notebook plus live interface sessions.
 //!
 //! # Concurrency model
 //!
 //! A session's state is inherently serial (one analyst, one notebook), so
-//! all mutation happens under the entry's `core` mutex. What the server
-//! adds is *admission control in front of that lock*: gesture events are
-//! first pushed onto a bounded queue (rejecting with `overloaded` when
-//! full — that is the backpressure signal), and whichever request thread
-//! holds the core lock drains the queue, **coalesces** runs of events
-//! that target the same widget/chart (a pan storm collapses to one pan
-//! with summed deltas), and dispatches the survivors. A client hammering
-//! one session therefore costs bounded memory and the dispatch work of
-//! the coalesced stream, never an unbounded backlog.
+//! all mutation happens under the entry's `core` mutex, and every mutating
+//! request holds the entry's order lock around its whole dedupe → execute
+//! → journal sequence. A `gesture` request therefore takes one straight
+//! path: [`SessionEntry::dispatch`] **coalesces** the request's own events
+//! once (adjacent pans of one chart sum their deltas, and so on; see
+//! [`coalesce`]) and dispatches the survivors, and the journal records
+//! exactly those survivors, so crash replay dispatches what ran live.
+//! Events never merge across requests.
 
 use pi2_core::prelude::{ChartUpdate, Event, InterfaceSession, SessionError};
 use pi2_notebook::{Notebook, NotebookError};
@@ -20,10 +18,6 @@ use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-/// Maximum pending (version, event) pairs per session. Beyond this the
-/// server answers `overloaded` and the client must retry after backoff.
-pub const QUEUE_CAP: usize = 64;
 
 /// How many recent `req_id`s (and their responses) a session remembers
 /// for idempotent replay. A reconnecting client only ever retries its
@@ -60,14 +54,12 @@ impl SessionCore {
 /// Monotone per-session counters, readable without any lock.
 #[derive(Default)]
 pub struct SessionCounters {
-    /// Events accepted onto the queue.
+    /// Events received in gesture requests, before coalescing.
     pub enqueued: AtomicU64,
     /// Events dropped by coalescing (merged into a neighbor).
     pub coalesced: AtomicU64,
     /// Events actually dispatched to an interface session.
     pub dispatched: AtomicU64,
-    /// Gesture requests rejected with `overloaded`.
-    pub overloaded: AtomicU64,
 }
 
 /// One notebook-level mutation in a session's durable history. Cell and
@@ -92,10 +84,11 @@ pub struct Durable {
     pub open_req: Value,
     /// Cell and generate ops in acceptance order.
     pub ops: Vec<DurableOp>,
-    /// Successfully dispatched (version, event) pairs, coalesced on
-    /// append so storms collapse exactly as the live queue collapses.
-    /// Replayable after all generates: a version's widget state depends
-    /// only on the events that targeted it, in order.
+    /// The (version, event) pairs of every journaled gesture, in order:
+    /// each request's events exactly as [`SessionEntry::dispatch`] ran
+    /// them, never merged across requests. Replayable after all
+    /// generates: a version's widget state depends only on the events
+    /// that targeted it, in order.
     pub applied: Vec<(usize, Event)>,
     /// Journaled mutations since the last checkpoint.
     pub mutations_since_ckpt: u64,
@@ -163,10 +156,8 @@ pub struct SessionEntry {
     pub recovered: bool,
     /// Serial state; hold only while dispatching or mutating.
     pub core: Mutex<SessionCore>,
-    /// Pending events awaiting dispatch; never hold while taking `core`.
-    queue: Mutex<VecDeque<(usize, Event)>>,
     /// Highest generated version number (0 = none yet), maintained by
-    /// `generate` so enqueue can resolve "latest" without the core lock.
+    /// `generate` so requests can resolve "latest" without the core lock.
     pub latest_version: AtomicUsize,
     /// Counters.
     pub counters: SessionCounters,
@@ -184,19 +175,14 @@ pub struct SessionEntry {
     order: Mutex<()>,
 }
 
-/// Outcome of [`SessionEntry::enqueue`].
-pub enum Enqueue {
-    /// All events accepted; queue depth after the push.
-    Accepted(usize),
-    /// Queue would overflow; nothing was pushed. Carries current depth.
-    Overloaded(usize),
-}
-
-/// Outcome of one drain-and-dispatch pass.
-pub struct DrainOutcome {
+/// Outcome of one [`SessionEntry::dispatch`].
+pub struct DispatchOutcome {
+    /// The request's events after coalescing: what was dispatched, and
+    /// what the journal records for replay.
+    pub events: Vec<Event>,
     /// Final update per chart, in first-touched order.
     pub updates: Vec<ChartUpdate>,
-    /// Events dispatched (after coalescing).
+    /// Events dispatched without error.
     pub applied: usize,
     /// Events dropped by coalescing.
     pub coalesced: usize,
@@ -213,7 +199,6 @@ impl SessionEntry {
             token,
             recovered: false,
             core: Mutex::new(SessionCore { notebook, live: HashMap::new() }),
-            queue: Mutex::new(VecDeque::new()),
             latest_version: AtomicUsize::new(0),
             counters: SessionCounters::default(),
             durable: Mutex::new(Durable::default()),
@@ -260,88 +245,55 @@ impl SessionEntry {
         lock(&self.dedupe).ids().map(str::to_string).collect()
     }
 
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.queue).len()
-    }
-
-    /// Push `events` (all for `version`) onto the bounded queue.
-    pub fn enqueue(&self, version: usize, events: Vec<Event>) -> Enqueue {
-        let mut queue = lock(&self.queue);
-        if queue.len() + events.len() > QUEUE_CAP {
-            self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Enqueue::Overloaded(queue.len());
-        }
-        let n = events.len() as u64;
-        queue.extend(events.into_iter().map(|e| (version, e)));
-        self.counters.enqueued.fetch_add(n, Ordering::Relaxed);
-        Enqueue::Accepted(queue.len())
-    }
-
-    /// Acquire the core lock and drain the queue until it stays empty:
-    /// each pass swaps the queue out, coalesces it, and dispatches the
-    /// survivors. Events enqueued by other threads mid-pass are picked up
-    /// by the next pass, so a successful return means the queue was
-    /// observed empty *while still holding the core lock*.
-    pub fn drain_and_dispatch(&self) -> Result<DrainOutcome, NotebookError> {
+    /// Coalesce one request's `events` (all for `version`) and dispatch
+    /// the survivors under the core lock, in order. The caller holds the
+    /// order lock, so no other request's events can interleave.
+    pub fn dispatch(
+        &self,
+        version: usize,
+        events: Vec<Event>,
+    ) -> Result<DispatchOutcome, NotebookError> {
+        let received = events.len();
+        let events: Vec<Event> = coalesce(events.into_iter().map(|e| (version, e)).collect())
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
+        let coalesced = received - events.len();
+        self.counters.enqueued.fetch_add(received as u64, Ordering::Relaxed);
+        self.counters.coalesced.fetch_add(coalesced as u64, Ordering::Relaxed);
         let mut core = lock(&self.core);
-        self.drain_locked(&mut core)
-    }
-
-    /// Swap out the pending queue and coalesce it, **without**
-    /// dispatching: returns the surviving events and how many were
-    /// merged away. This is the exact pre-dispatch step of
-    /// [`drain_and_dispatch`](Self::drain_and_dispatch), exposed so the
-    /// coalescing property tests can drive the real session queue.
-    pub fn drain_coalesced(&self) -> (Vec<(usize, Event)>, usize) {
-        let batch: Vec<(usize, Event)> = lock(&self.queue).drain(..).collect();
-        let before = batch.len();
-        let batch = coalesce(batch);
-        let dropped = before - batch.len();
-        self.counters.coalesced.fetch_add(dropped as u64, Ordering::Relaxed);
-        (batch, dropped)
-    }
-
-    fn drain_locked(&self, core: &mut SessionCore) -> Result<DrainOutcome, NotebookError> {
-        let mut outcome =
-            DrainOutcome { updates: Vec::new(), applied: 0, coalesced: 0, errors: Vec::new() };
+        let session = core.live_session(version)?;
+        let (mut updates, mut applied, mut errors) = (Vec::<ChartUpdate>::new(), 0, Vec::new());
         // Final update per chart: later events supersede earlier ones.
         let mut by_chart: HashMap<usize, usize> = HashMap::new();
-        loop {
-            let (batch, dropped) = self.drain_coalesced();
-            if batch.is_empty() && dropped == 0 {
-                return Ok(outcome);
-            }
-            outcome.coalesced += dropped;
-            for (version, event) in batch {
-                let session = core.live_session(version)?;
-                // Once a client has opened the scene stream (render_delta
-                // initialized the retained scene), every dispatch must
-                // record its damage delta so catch-up stays contiguous;
-                // sessions without a scene consumer skip that work.
-                let dispatched = if session.scene_version() > 0 {
-                    session.dispatch_with_delta(event).map(|(updates, _delta)| updates)
-                } else {
-                    session.dispatch(event)
-                };
-                match dispatched {
-                    Ok(updates) => {
-                        outcome.applied += 1;
-                        self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
-                        for update in updates {
-                            match by_chart.get(&update.chart) {
-                                Some(&slot) => outcome.updates[slot] = update,
-                                None => {
-                                    by_chart.insert(update.chart, outcome.updates.len());
-                                    outcome.updates.push(update);
-                                }
+        for event in &events {
+            // Once a client has opened the scene stream (render_delta
+            // initialized the retained scene), every dispatch must record
+            // its damage delta so catch-up stays contiguous; sessions
+            // without a scene consumer skip that work.
+            let dispatched = if session.scene_version() > 0 {
+                session.dispatch_with_delta(event.clone()).map(|(updates, _delta)| updates)
+            } else {
+                session.dispatch(event.clone())
+            };
+            match dispatched {
+                Ok(chart_updates) => {
+                    applied += 1;
+                    self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
+                    for update in chart_updates {
+                        match by_chart.get(&update.chart) {
+                            Some(&slot) => updates[slot] = update,
+                            None => {
+                                by_chart.insert(update.chart, updates.len());
+                                updates.push(update);
                             }
                         }
                     }
-                    Err(e) => outcome.errors.push(e),
                 }
+                Err(e) => errors.push(e),
             }
         }
+        Ok(DispatchOutcome { events, updates, applied, coalesced, errors })
     }
 }
 
@@ -355,7 +307,11 @@ impl SessionEntry {
 /// * **clicks** never merge (each click is a distinct selection).
 ///
 /// Only *adjacent* events (within the same interface version) merge, so
-/// interleaved targets keep their relative order and semantics.
+/// interleaved targets keep their relative order and semantics. A merged
+/// pan or zoom is one gesture: the interface clamps and rounds it once,
+/// so `[pan 0.4, pan 0.4]` in one request can move a date window by a
+/// day while the same two pans sent as two requests leave it in place.
+/// [`SessionEntry::dispatch`] is the only caller, one request at a time.
 pub fn coalesce(events: Vec<(usize, Event)>) -> Vec<(usize, Event)> {
     let mut out: Vec<(usize, Event)> = Vec::with_capacity(events.len());
     for (version, event) in events {

@@ -7,14 +7,14 @@
 
 use crate::journal::{self, Journal, JournalConfig};
 use crate::protocol::{
-    self, defaults, error_response, CacheMode, ErrorKind, OpenOptions, RenderDeltaOptions,
-    RenderDeltaResponse, Request, Strategy, PROTOCOL_VERSION,
+    self, defaults, error_response, CacheMode, ErrorKind, OpenOptions, RenderDeltaOptions, Request,
+    Strategy, PROTOCOL_VERSION,
 };
 use crate::registry::Registry;
-use crate::session::{coalesce, DedupeWindow, DurableOp, Enqueue, SessionEntry};
+use crate::session::{DedupeWindow, DurableOp, SessionEntry};
 use pi2_core::prelude::{
     Catalog, Event, ExecLimits, FleetConfig, FleetHandle, GenerationBudget, Pi2, Renderer as _,
-    SearchStrategy, WidgetValue,
+    SearchStrategy,
 };
 use pi2_notebook::{Notebook, NotebookError};
 use pi2_telemetry::LatencyHistogram;
@@ -35,8 +35,6 @@ pub struct ServerCounters {
     pub requests: AtomicU64,
     /// Requests answered with an error.
     pub errors: AtomicU64,
-    /// Gesture requests rejected with `overloaded`.
-    pub overloaded: AtomicU64,
     /// Sessions opened.
     pub opened: AtomicU64,
     /// Sessions closed.
@@ -305,23 +303,25 @@ impl ServerState {
                 return cached;
             }
         }
-        // Capture the wire form before `request` moves into dispatch; the
-        // journal frame is written only if the response comes back ok.
-        let record = if self.journal.get().is_some() {
-            Some(mutation_record(&request, req_id))
-        } else {
-            None
-        };
-        let response = match request {
-            Request::RunCell { session, sql } => self.run_cell(session, &sql),
-            Request::Generate { session } => self.generate(session),
-            Request::ApplyBinding { session, version, widget, value } => {
-                self.apply_binding(session, version, widget, value)
-            }
+        // A gesture's events come back coalesced, as they ran: the journal
+        // frame carries exactly those, so replay dispatches what ran live.
+        let (response, request) = match request {
             Request::Gesture { session, version, events, include_data } => {
-                self.gesture(session, version, events, include_data)
+                let (response, events) = self.gesture(session, version, events, include_data);
+                (response, Request::Gesture { session, version, events, include_data })
             }
-            _ => return error_response(ErrorKind::BadRequest, "not a session mutation"),
+            request => {
+                let response = match &request {
+                    Request::RunCell { session, sql } => self.run_cell(*session, sql),
+                    Request::Generate { session } => self.generate(*session),
+                    Request::ApplyBinding { session, version, widget, value } => {
+                        let event = Event::SetWidget { widget: *widget, value: value.clone() };
+                        self.gesture(*session, *version, vec![event], false).0
+                    }
+                    _ => return error_response(ErrorKind::BadRequest, "not a session mutation"),
+                };
+                (response, request)
+            }
         };
         if response["ok"].as_bool() == Some(true) {
             // Cache before journaling: a checkpoint triggered by this
@@ -332,10 +332,9 @@ impl ServerState {
             if let Some(rid) = req_id {
                 entry.dedupe_put(rid, response.clone());
             }
-            if let Some(record) = record {
-                if let Some(journal) = self.journal.get().cloned() {
-                    self.journal_mutation(&journal, &entry, record, &response);
-                }
+            if let Some(journal) = self.journal.get().cloned() {
+                let record = mutation_record(&request, req_id);
+                self.journal_mutation(&journal, &entry, record, &response);
             }
         }
         response
@@ -559,81 +558,60 @@ impl ServerState {
         }
     }
 
-    fn apply_binding(
-        &self,
-        session: u64,
-        version: Option<usize>,
-        widget: usize,
-        value: WidgetValue,
-    ) -> Value {
-        self.gesture(session, version, vec![Event::SetWidget { widget, value }], false)
-    }
-
+    /// Dispatch one request's events; returns the response and the events
+    /// as they ran (coalesced), which the journal records.
     fn gesture(
         &self,
         session: u64,
         version: Option<usize>,
         events: Vec<Event>,
         include_data: bool,
-    ) -> Value {
+    ) -> (Value, Vec<Event>) {
         let entry = match self.entry(session) {
             Ok(e) => e,
-            Err(e) => return e,
+            Err(e) => return (e, events),
         };
         let version = match Self::resolve_version(&entry, version) {
             Ok(v) => v,
-            Err(e) => return e,
+            Err(e) => return (e, events),
         };
         let single = events.len() == 1;
-        match entry.enqueue(version, events) {
-            Enqueue::Overloaded(depth) => {
-                self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                let mut e = error_response(
-                    ErrorKind::Overloaded,
-                    format!("session {session} queue is full ({depth} pending)"),
-                );
-                e["error"]["queue_depth"] = json!(depth);
-                e
-            }
-            Enqueue::Accepted(_) => match entry.drain_and_dispatch() {
-                Err(e) => notebook_error(&e),
-                Ok(outcome) => {
-                    if single && outcome.applied == 0 && !outcome.errors.is_empty() {
-                        return error_response(ErrorKind::Session, &outcome.errors[0]);
-                    }
-                    let updates: Vec<Value> = outcome
-                        .updates
-                        .iter()
-                        .map(|u| {
-                            let mut obj = json!({
-                                "chart": u.chart,
-                                "sql": u.query.to_string(),
-                                "rows": u.result.len(),
-                            });
-                            if include_data {
-                                obj["data"] = result_rows(&u.result);
-                            }
-                            obj
-                        })
-                        .collect();
-                    let mut resp = json!({
-                        "ok": true,
-                        "version": version,
-                        "applied": outcome.applied,
-                        "coalesced": outcome.coalesced,
-                    });
-                    // Moved in, not handed to `json!`, which would copy
-                    // every row of `data`.
-                    resp["updates"] = Value::Array(updates);
-                    if !outcome.errors.is_empty() {
-                        resp["errors"] = Value::Array(
-                            outcome.errors.iter().map(|e| json!(e.to_string())).collect(),
-                        );
-                    }
-                    resp
-                }
-            },
+        let outcome = match entry.dispatch(version, events) {
+            Ok(outcome) => outcome,
+            Err(e) => return (notebook_error(&e), Vec::new()),
+        };
+        if single && outcome.applied == 0 && !outcome.errors.is_empty() {
+            return (error_response(ErrorKind::Session, &outcome.errors[0]), outcome.events);
         }
+        let updates: Vec<Value> = outcome
+            .updates
+            .iter()
+            .map(|u| {
+                let mut obj = json!({
+                    "chart": u.chart,
+                    "sql": u.query.to_string(),
+                    "rows": u.result.len(),
+                });
+                if include_data {
+                    obj["data"] = result_rows(&u.result);
+                }
+                obj
+            })
+            .collect();
+        let mut resp = json!({
+            "ok": true,
+            "version": version,
+            "applied": outcome.applied,
+            "coalesced": outcome.coalesced,
+        });
+        // Moved in, not handed to `json!`, which would copy every row of
+        // `data`.
+        resp["updates"] = Value::Array(updates);
+        if !outcome.errors.is_empty() {
+            resp["errors"] =
+                Value::Array(outcome.errors.iter().map(|e| json!(e.to_string())).collect());
+        }
+        (resp, outcome.events)
     }
 
     fn render(&self, session: u64, version: Option<usize>) -> Value {
@@ -676,24 +654,29 @@ impl ServerState {
             Ok(s) => s,
             Err(e) => return notebook_error(&e),
         };
-        let body = match options.since {
+        // Frames, or a full snapshot when resyncing (`None` = frames).
+        let (scene_version, frames, snapshot) = match options.since {
             None => match live.scene_snapshot() {
-                Ok((scene, v)) => RenderDeltaResponse::new(v).resync(scene_to_json(&scene)),
+                Ok((scene, v)) => (v, Vec::new(), Some(scene_to_json(&scene))),
                 Err(e) => return error_response(ErrorKind::Session, e),
             },
             Some(since) => match live.scene_deltas_since(since) {
-                Ok(SceneCatchup::UpToDate) => RenderDeltaResponse::new(live.scene_version()),
+                Ok(SceneCatchup::UpToDate) => (live.scene_version(), Vec::new(), None),
                 Ok(SceneCatchup::Deltas(chain)) => {
                     let to = chain.last().map(|d| d.to_version).unwrap_or(since);
-                    RenderDeltaResponse::new(to).frames(chain.iter().map(delta_to_json).collect())
+                    (to, chain.iter().map(delta_to_json).collect(), None)
                 }
-                Ok(SceneCatchup::Resync(scene, v)) => {
-                    RenderDeltaResponse::new(v).resync(scene_to_json(&scene))
-                }
+                Ok(SceneCatchup::Resync(scene, v)) => (v, Vec::new(), Some(scene_to_json(&scene))),
                 Err(e) => return error_response(ErrorKind::Session, e),
             },
         };
-        let mut resp = body.to_json();
+        // Frames and snapshot are moved in; `json!` would copy them.
+        let mut resp = json!({"ok": true, "scene_version": scene_version});
+        resp["frames"] = Value::Array(frames);
+        if let Some(scene) = snapshot {
+            resp["resync"] = Value::Bool(true);
+            resp["scene"] = scene;
+        }
         resp["version"] = json!(version);
         resp
     }
@@ -730,11 +713,9 @@ impl ServerState {
                     "ok": true,
                     "session": id,
                     "scenario": entry.scenario.clone(),
-                    "queue_depth": entry.queue_depth(),
                     "enqueued": entry.counters.enqueued.load(Ordering::Relaxed),
                     "coalesced": entry.counters.coalesced.load(Ordering::Relaxed),
                     "dispatched": entry.counters.dispatched.load(Ordering::Relaxed),
-                    "overloaded": entry.counters.overloaded.load(Ordering::Relaxed),
                     "versions": Value::Object(per_version),
                 })
             }
@@ -748,7 +729,7 @@ impl ServerState {
     pub const STATS_SESSION_DETAIL_CAP: usize = 32;
 
     /// Server-wide stats as a JSON object: counters, gauges (active
-    /// sessions, queue depths), and per-endpoint latency histograms.
+    /// sessions), and per-endpoint latency histograms.
     ///
     /// Per-session counters are always *aggregated* in `session_totals`;
     /// the per-session `sessions` list is included only while the fleet
@@ -760,15 +741,12 @@ impl ServerState {
             .map(|(name, h)| ((*name).to_string(), histogram_json(h)))
             .collect();
         let mut active = 0u64;
-        let (mut queued, mut enqueued, mut coalesced, mut dispatched, mut overloaded) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let (mut enqueued, mut coalesced, mut dispatched) = (0u64, 0u64, 0u64);
         self.registry.for_each(|e| {
             active += 1;
-            queued += e.queue_depth() as u64;
             enqueued += e.counters.enqueued.load(Ordering::Relaxed);
             coalesced += e.counters.coalesced.load(Ordering::Relaxed);
             dispatched += e.counters.dispatched.load(Ordering::Relaxed);
-            overloaded += e.counters.overloaded.load(Ordering::Relaxed);
         });
         let detailed = active as usize <= Self::STATS_SESSION_DETAIL_CAP;
         let sessions: Vec<Value> = if detailed {
@@ -779,11 +757,9 @@ impl ServerState {
                     json!({
                         "id": e.id,
                         "scenario": e.scenario.clone(),
-                        "queue_depth": e.queue_depth(),
                         "enqueued": e.counters.enqueued.load(Ordering::Relaxed),
                         "coalesced": e.counters.coalesced.load(Ordering::Relaxed),
                         "dispatched": e.counters.dispatched.load(Ordering::Relaxed),
-                        "overloaded": e.counters.overloaded.load(Ordering::Relaxed),
                     })
                 })
                 .collect()
@@ -796,18 +772,15 @@ impl ServerState {
             "draining": self.draining(),
             "requests": self.counters.requests.load(Ordering::Relaxed),
             "errors": self.counters.errors.load(Ordering::Relaxed),
-            "overloaded": self.counters.overloaded.load(Ordering::Relaxed),
             "opened": self.counters.opened.load(Ordering::Relaxed),
             "closed": self.counters.closed.load(Ordering::Relaxed),
             "connections_accepted":
                 self.counters.connections_accepted.load(Ordering::Relaxed),
             "connections_closed": self.counters.connections_closed.load(Ordering::Relaxed),
             "session_totals": {
-                "queue_depth": queued,
                 "enqueued": enqueued,
                 "coalesced": coalesced,
                 "dispatched": dispatched,
-                "overloaded": overloaded,
             },
             "sessions_omitted": if detailed { 0 } else { active },
             "fleet": {
@@ -912,9 +885,7 @@ impl ServerState {
             MutationKind::Generate => durable.ops.push(DurableOp::Generate),
             MutationKind::Applied(events) => {
                 let version = record.req["version"].as_u64().unwrap_or(0) as usize;
-                let mut merged = std::mem::take(&mut durable.applied);
-                merged.extend(events.into_iter().map(|e| (version, e)));
-                durable.applied = coalesce(merged);
+                durable.applied.extend(events.into_iter().map(|e| (version, e)));
             }
         }
         durable.mutations_since_ckpt += 1;
@@ -1191,9 +1162,12 @@ impl ServerState {
     /// Rebuild one session from its recovery plan: re-open the engine
     /// through [`Self::build_pi2`], replay checkpointed ops, replay tail
     /// frames (skipping duplicate `req_id`s), then dispatch the applied
-    /// gesture history. Cell/generate interleaving is preserved exactly;
-    /// gesture events replay after all generates, which is sound because
-    /// a version's widget state depends only on its own events, in order.
+    /// gesture history event by event, exactly as it ran live (never
+    /// re-coalesced: merging two requests' pans would clamp and round
+    /// them once instead of twice). Cell/generate interleaving is
+    /// preserved exactly; gesture events replay after all generates,
+    /// which is sound because a version's widget state depends only on
+    /// its own events, in order.
     fn rebuild_session(&self, id: u64, plan: &RecoveryPlan) -> Result<Rebuilt, String> {
         let open_req = match &plan.ckpt {
             Some(ckpt) => ckpt["open_req"].clone(),
@@ -1307,7 +1281,6 @@ impl ServerState {
             frames_replayed += 1;
         }
 
-        let applied = coalesce(applied);
         for (version, event) in &applied {
             let mut core = entry.lock_core();
             match core.live_session(*version) {
@@ -1339,15 +1312,15 @@ impl SessionEntry {
     }
 }
 
-/// The durable-op flavor of a mutating request, captured pre-dispatch so
-/// [`ServerState::after_mutation`] knows how to fold the frame into the
+/// The durable-op flavor of a mutating request, so
+/// [`ServerState::journal_mutation`] knows how to fold the frame into the
 /// session's replay state without re-classifying the JSON.
 enum MutationKind {
     Open,
     Cell(String),
     Generate,
-    /// `gesture` / `apply_binding`: the (coalesced) events the journaled
-    /// frame carries, to fold into the session's applied history.
+    /// `gesture` / `apply_binding`: the events the journaled frame
+    /// carries (as they ran), to append to the session's applied history.
     Applied(Vec<Event>),
 }
 
@@ -1357,9 +1330,8 @@ struct MutationRecord {
     req: Value,
 }
 
-/// Capture `request` for journaling. Gestures are recorded *after*
-/// request-local coalescing — replay dispatches the same merged stream
-/// the live queue would have produced for this request — and the
+/// Capture `request` for journaling. A gesture arrives here with its
+/// events as they ran (coalesced by [`SessionEntry::dispatch`]). The
 /// client's `req_id`, if any, rides along inside the frame so recovery
 /// can skip duplicate-delivery frames. `close` never comes through here:
 /// its tombstone frame is appended directly by [`ServerState::close`].
@@ -1368,29 +1340,13 @@ fn mutation_record(request: &Request, req_id: Option<&str>) -> MutationRecord {
         Request::Open { .. } => MutationKind::Open,
         Request::RunCell { sql, .. } => MutationKind::Cell(sql.clone()),
         Request::Generate { .. } => MutationKind::Generate,
-        Request::Gesture { events, .. } => MutationKind::Applied(
-            coalesce(events.iter().map(|e| (0, e.clone())).collect())
-                .into_iter()
-                .map(|(_, e)| e)
-                .collect(),
-        ),
+        Request::Gesture { events, .. } => MutationKind::Applied(events.clone()),
         Request::ApplyBinding { widget, value, .. } => {
             MutationKind::Applied(vec![Event::SetWidget { widget: *widget, value: value.clone() }])
         }
         _ => MutationKind::Applied(Vec::new()),
     };
-    let mut req = match (request, &kind) {
-        (
-            Request::Gesture { session, version, include_data, .. },
-            MutationKind::Applied(events),
-        ) => protocol::request_to_json(&Request::Gesture {
-            session: *session,
-            version: *version,
-            events: events.clone(),
-            include_data: *include_data,
-        }),
-        _ => protocol::request_to_json(request),
-    };
+    let mut req = protocol::request_to_json(request);
     if let Some(rid) = req_id {
         req["req_id"] = json!(rid);
     }

@@ -1,6 +1,5 @@
-//! Property tests for gesture coalescing, driven both against the pure
-//! [`coalesce`] function and against the *real* per-session bounded
-//! queue (`SessionEntry::enqueue` → `drain_coalesced`).
+//! Property tests for gesture coalescing: the pure [`coalesce`] function
+//! that `SessionEntry::dispatch` applies to each request's events.
 //!
 //! The invariants under test are the documented merge semantics:
 //! adjacent same-target pans sum their deltas, zooms multiply their
@@ -11,12 +10,12 @@
 //! factors are powers of two — both closed under the merge ops.
 
 use pi2_core::prelude::Event;
-use pi2_server::{coalesce, ServerState};
+use pi2_server::coalesce;
 use proptest::prelude::*;
 use serde_json::json;
 
 mod common;
-use common::{arb_event, arb_stream};
+use common::arb_stream;
 
 /// The merge key: two *adjacent* events merge iff their keys are equal
 /// (and neither is a click — clicks never merge).
@@ -135,52 +134,18 @@ proptest! {
         let out = coalesce(stream.clone());
         prop_assert_eq!(clicks(&out), clicks(&stream));
     }
-
-    /// The real session queue agrees with the pure function: events
-    /// enqueued in arbitrary chunks then drained once coalesce exactly
-    /// like the flattened stream, and the per-session `coalesced`
-    /// counter accounts for every merged-away event.
-    #[test]
-    fn session_queue_drain_matches_pure_coalesce(
-        chunks in proptest::collection::vec(
-            (1..3usize, proptest::collection::vec(arb_event(), 1..6)), 0..8),
-    ) {
-        let state = ServerState::new();
-        let opened = state.handle_line(&json!({"cmd": "open", "scenario": "toy"}).to_string());
-        let opened: serde_json::Value = serde_json::from_str(&opened).unwrap();
-        let id = opened["session"].as_i64().unwrap() as u64;
-        let entry = state.registry().get(id).unwrap();
-
-        let mut flat = Vec::new();
-        for (version, events) in chunks {
-            flat.extend(events.iter().cloned().map(|e| (version, e)));
-            match entry.enqueue(version, events) {
-                pi2_server::Enqueue::Accepted(_) => {}
-                pi2_server::Enqueue::Overloaded(depth) => {
-                    // 8 chunks × 5 events stays far below QUEUE_CAP = 64.
-                    prop_assert!(false, "unexpected overload at depth {depth}");
-                }
-            }
-        }
-        let expected = coalesce(flat.clone());
-        let expected_dropped = flat.len() - expected.len();
-        let (batch, dropped) = entry.drain_coalesced();
-        prop_assert_eq!(batch, expected);
-        prop_assert_eq!(dropped, expected_dropped);
-        prop_assert_eq!(
-            entry.counters.coalesced.load(std::sync::atomic::Ordering::Relaxed),
-            expected_dropped as u64
-        );
-        // And the queue really drained.
-        prop_assert_eq!(entry.queue_depth(), 0);
-    }
 }
 
-/// Dispatch equivalence on a real generated interface: replaying a
-/// gesture burst one-request-per-event (nothing to coalesce) and as one
-/// batched request (maximal coalescing) must land both sessions in
-/// byte-identical rendered states. This pins "coalescing is a pure
-/// optimization": it may drop work, never change outcomes.
+/// Dispatch equivalence on a real generated interface, for `set_widget`
+/// bursts: replaying a burst one-request-per-event (nothing to coalesce)
+/// and as one batched request (maximal coalescing) must land both
+/// sessions in byte-identical rendered states, because widget sets (like
+/// brushes) are last-wins. Pans and zooms carry no such promise: a
+/// request's adjacent pans or zooms of one chart apply as one gesture,
+/// clamped and rounded once, so `[pan 0.4, pan 0.4]` in one request can
+/// move a date window by a day where two one-pan requests leave it in
+/// place. Crash replay matches the live state either way, because the
+/// journal records each request's events as they ran (`recovery.rs`).
 #[test]
 fn coalesced_and_raw_dispatch_render_identically() {
     use pi2_server::LocalClient;

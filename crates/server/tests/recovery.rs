@@ -89,6 +89,59 @@ fn crash_recovery_resumes_byte_identical_render() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Open a covid session, run two date-window cells, generate, then send
+/// each pan of `dxs` to chart 0 as a request of its own. Returns
+/// (session, render text).
+fn drive_covid_pans(client: &LocalClient, dxs: &[f64]) -> (u64, String) {
+    let opened = ok(client, json!({"cmd": "open", "scenario": "covid"}));
+    let session = opened["session"].as_u64().expect("session id");
+    for (from, to) in [("2021-11-06", "2021-11-21"), ("2021-11-21", "2021-12-06")] {
+        let sql = format!(
+            "SELECT date, sum(cases) AS cases FROM covid \
+             WHERE date BETWEEN DATE '{from}' AND DATE '{to}' GROUP BY date ORDER BY date"
+        );
+        ok(client, json!({"cmd": "run_cell", "session": session, "sql": sql}));
+    }
+    ok(client, json!({"cmd": "generate", "session": session}));
+    for dx in dxs {
+        ok(
+            client,
+            json!({
+                "cmd": "gesture", "session": session,
+                "events": [{"type": "pan", "chart": 0, "dx": dx, "dy": 0.0}],
+            }),
+        );
+    }
+    (session, render(client, session))
+}
+
+/// Replay equals live for pans sent as separate requests: a fractional
+/// pan pair (each rounds away on its own; merged, they would move the
+/// window by a day) and an edge-clamped pan followed by a pan back
+/// (merged, the clamp would swallow the pan back). Covers tail replay
+/// and checkpoint replay.
+#[test]
+fn separate_pan_requests_replay_exactly_as_they_ran() {
+    for (dxs, checkpoint_every) in
+        [([0.4, 0.4], 1000), ([0.4, 0.4], 1), ([1000.0, -5.0], 1000), ([1000.0, -5.0], 1)]
+    {
+        let dir = temp_dir(&format!("pans-{}-{checkpoint_every}", dxs[0]));
+        let (client, _) = journaled(&dir, checkpoint_every);
+        let (session, live) = drive_covid_pans(&client, &dxs);
+        drop(client); // crash
+
+        let (client, report) = journaled(&dir, checkpoint_every);
+        assert_eq!(report.sessions_recovered, 1, "{report:?}");
+        assert!(report.warnings.is_empty(), "{report:?}");
+        assert_eq!(
+            render(&client, session),
+            live,
+            "pans {dxs:?}, checkpoint every {checkpoint_every}: replay diverged from live"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn resume_finds_live_sessions_and_rejects_unknown_tokens() {
     let client = LocalClient::standalone();

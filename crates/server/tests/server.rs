@@ -1,8 +1,8 @@
 //! Integration tests for the session server: protocol round-trips,
-//! cross-session isolation, a 16-client storm, backpressure, and
+//! cross-session isolation, a 16-client storm, the gesture event cap, and
 //! graceful TCP shutdown.
 
-use pi2_server::{Enqueue, LocalClient, Server, ServerState, SessionEntry, TcpClient, QUEUE_CAP};
+use pi2_server::{LocalClient, Server, ServerState, TcpClient, MAX_GESTURE_EVENTS};
 use serde_json::{json, Value};
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ fn protocol_round_trips_ids_errors_and_data() {
 
     let session = open_toy(&client);
 
-    // Gesturing an unknown version is refused before enqueueing.
+    // Gesturing an unknown version is refused before dispatch.
     let r = client.request(json!({
         "cmd": "gesture", "session": session, "version": 5,
         "events": [{"type": "set_widget", "widget": 0, "value": {"scalar": 1.0}}],
@@ -347,26 +347,43 @@ fn admission_overflow_degrades_to_anytime_and_never_queues() {
 }
 
 #[test]
-fn full_queue_returns_structured_overload() {
-    let entry = SessionEntry::new(
-        1,
-        "toy".to_string(),
-        "tok-test".to_string(),
-        pi2_notebook::Notebook::new(pi2_datasets::toy::default_catalog()),
-    );
-    let event = || pi2_core::Event::Click { chart: 0, value: pi2_sql::Literal::Int(1) };
-    // Fill to the cap without draining (clicks never coalesce away).
-    match entry.enqueue(1, (0..QUEUE_CAP).map(|_| event()).collect()) {
-        Enqueue::Accepted(depth) => assert_eq!(depth, QUEUE_CAP),
-        Enqueue::Overloaded(_) => panic!("cap-sized batch must be accepted"),
-    }
-    // One more is refused, and nothing of the refused batch is enqueued.
-    match entry.enqueue(1, vec![event()]) {
-        Enqueue::Overloaded(depth) => assert_eq!(depth, QUEUE_CAP),
-        Enqueue::Accepted(_) => panic!("queue beyond cap must be refused"),
-    }
-    assert_eq!(entry.queue_depth(), QUEUE_CAP);
-    assert_eq!(entry.counters.overloaded.load(std::sync::atomic::Ordering::Relaxed), 1);
+fn oversized_gesture_is_a_bad_request() {
+    let dir = std::env::temp_dir().join(format!("pi2-gesture-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (state, _) = ServerState::with_journal(
+        pi2_core::prelude::FleetConfig::default(),
+        pi2_server::JournalConfig::new(&dir),
+    )
+    .expect("with_journal");
+    let client = LocalClient::new(Arc::new(state));
+    let session = open_toy(&client);
+    let dispatched = || {
+        let stats = client.request(json!({"cmd": "stats", "session": session}));
+        stats["dispatched"].as_u64().expect("dispatched")
+    };
+    let journal_bytes = || client.state().journal().expect("journal").bytes();
+    let gesture = |n: usize| {
+        let event = json!({"type": "set_widget", "widget": 0, "value": {"scalar": 2.0}});
+        client.request(json!({"cmd": "gesture", "session": session, "events": vec![event; n]}))
+    };
+    let (dispatched_before, bytes_before) = (dispatched(), journal_bytes());
+
+    // One event past the cap: refused outright, nothing runs or is
+    // journaled, and nothing marks it worth resending.
+    let r = gesture(MAX_GESTURE_EVENTS + 1);
+    assert_eq!(r["ok"].as_bool(), Some(false), "{r}");
+    assert_eq!(r["error"]["kind"].as_str(), Some("bad_request"), "{r}");
+    assert!(r["error"].get("retry").is_none(), "{r}");
+    assert_eq!(dispatched(), dispatched_before);
+    assert_eq!(journal_bytes(), bytes_before, "a refused gesture appends no frame");
+
+    // At the cap the same gesture runs, coalesced to one dispatch.
+    let r = gesture(MAX_GESTURE_EVENTS);
+    assert_eq!(r["applied"].as_u64(), Some(1), "{r}");
+    assert_eq!(r["coalesced"].as_u64(), Some(MAX_GESTURE_EVENTS as u64 - 1), "{r}");
+    assert_eq!(dispatched(), dispatched_before + 1);
+    assert!(journal_bytes() > bytes_before);
+    std::fs::remove_dir_all(&dir).expect("remove journal dir");
 }
 
 #[test]
@@ -443,10 +460,7 @@ fn stats_shape_is_pinned() {
         assert!(h.as_object().expect("histogram").iter().all(|(_, v)| v.as_f64().is_some()));
     }
     assert_eq!(endpoints.get("gesture").expect("gesture")["count"].as_u64(), Some(3));
-    assert_eq!(
-        keys(&stats["session_totals"]),
-        ["queue_depth", "enqueued", "coalesced", "dispatched", "overloaded"]
-    );
+    assert_eq!(keys(&stats["session_totals"]), ["enqueued", "coalesced", "dispatched"]);
     assert_eq!(
         keys(&stats["fleet"]),
         ["hits", "misses", "joins", "sheds", "rebinds", "join_timeouts", "entries"]

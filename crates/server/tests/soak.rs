@@ -109,10 +109,9 @@ fn churn_soak_leaves_no_residue() {
     assert_eq!(stats["stats"]["closed"].as_i64(), Some(total as i64), "{stats}");
     // `session_totals` aggregates *live* sessions only, so after
     // close-all it must read zero...
-    assert_eq!(stats["stats"]["session_totals"]["queue_depth"].as_i64(), Some(0), "{stats}");
     assert_eq!(stats["stats"]["session_totals"]["dispatched"].as_i64(), Some(0), "{stats}");
     // ...while the endpoint telemetry proves every session's gesture
-    // burst actually flowed through the coalescing queues.
+    // burst actually reached the server.
     let gestures = stats["stats"]["endpoints"]["gesture"]["count"].as_i64().expect("count");
     assert_eq!(gestures, total as i64, "one gesture request per churned session: {stats}");
 

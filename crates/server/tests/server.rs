@@ -433,6 +433,28 @@ fn keys(v: &Value) -> Vec<&str> {
 }
 
 #[test]
+fn render_delta_body_keys_are_pinned() {
+    let client = LocalClient::standalone();
+    let session = open_toy(&client);
+    let render_delta = |since: Option<u64>| {
+        let mut request = json!({"cmd": "render_delta", "session": session});
+        if let Some(since) = since {
+            request["since"] = json!(since);
+        }
+        client.request(request)
+    };
+    let snapshot = render_delta(None);
+    assert_eq!(keys(&snapshot), ["ok", "scene_version", "frames", "resync", "scene", "version"]);
+    let since = snapshot["scene_version"].as_u64().expect("scene_version");
+    let up_to_date = render_delta(Some(since));
+    assert_eq!(keys(&up_to_date), ["ok", "scene_version", "frames", "version"], "{up_to_date}");
+    assert_eq!(set_slider(&client, session, 2.0)["ok"].as_bool(), Some(true));
+    let frames = render_delta(Some(since));
+    assert_eq!(keys(&frames), ["ok", "scene_version", "frames", "version"], "{frames}");
+    assert_eq!(frames["frames"].as_array().map(Vec::len), Some(1), "{frames}");
+}
+
+#[test]
 fn stats_shape_is_pinned() {
     let dir = std::env::temp_dir().join(format!("pi2-stats-shape-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
